@@ -2,7 +2,7 @@
 // of the fiberless (machine-mode) execution path on the synthetic `mega`
 // platform (4096 nodes x 32 cores = 131072 ranks).
 //
-// Fiber mode allocates a ucontext stack per rank (256 KiB default), so a
+// Fiber mode allocates a fiber stack per rank (256 KiB default), so a
 // 100k-rank world needs ~32 GB of stacks before a single message moves.
 // Machine mode runs each rank as a flat state machine inside the World's
 // contiguous arenas; this sweep demonstrates bounded memory up to the

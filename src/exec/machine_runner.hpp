@@ -2,7 +2,7 @@
 
 // Fiberless (machine-mode) execution of the micro-benchmark loop.
 //
-// Fiber mode runs every rank's loop on its own ucontext stack and blocks by
+// Fiber mode runs every rank's loop on its own fiber stack and blocks by
 // yielding; stack memory and context-switch cost cap worlds at ~1k ranks.
 // Machine mode runs the same loop as an explicit per-rank state machine
 // advanced in place by sim::Engine events: each blocking point of the fiber

@@ -32,7 +32,7 @@ enum class OpKind { Ialltoall, Ibcast, Iallreduce, Iscatter };
 [[nodiscard]] const char* op_name(OpKind k) noexcept;
 
 /// How the per-rank loop executes (see exec/machine_runner.hpp).
-/// Fiber: every rank runs on its own ucontext stack (the default; supports
+/// Fiber: every rank runs on its own fiber stack (the default; supports
 /// run-time selection, recovery and drift re-tuning).  Machine: ranks run
 /// as explicit state machines in flat arenas — no fiber stacks, scales to
 /// 100k+ ranks, but restricted to pinned (forced-winner) fault-free-or-

@@ -174,7 +174,7 @@ void Handle::start() {
   start_finish();
 }
 
-double Handle::poke(mpi::Ctx& ctx) {
+double Handle::poke([[maybe_unused]] mpi::Ctx& ctx) {
   assert(&ctx == &ctx_);
   if (!active_ || done_) return 0.0;
   double cost = 0.0;

@@ -1,3 +1,9 @@
+// glibc's fortified _longjmp (__longjmp_chk) aborts on a jump to a lower
+// stack address unless it starts on the signal stack.  A switch between the
+// scheduler's stack and a fiber stack often is such a jump, so this file must
+// get the plain _longjmp even where the compiler enables fortification.
+#undef _FORTIFY_SOURCE
+
 #include "sim/fiber.hpp"
 
 #include <cassert>
@@ -5,6 +11,8 @@
 #include <new>
 #include <stdexcept>
 #include <string>
+
+#include <ucontext.h>
 
 #ifdef NBCTUNE_FIBER_ASAN
 #include <sanitizer/common_interface_defs.h>
@@ -47,19 +55,13 @@ std::size_t default_fiber_stack_bytes() {
   return kFallbackStackBytes;
 }
 
-Fiber::Fiber(Fn fn, std::size_t stack_bytes) : fn_(std::move(fn)) {
+Fiber::Fiber(Fn fn, std::size_t stack_bytes)
+    : fn_(std::move(fn)),
+      stack_bytes_(stack_bytes != 0 ? stack_bytes
+                                    : default_fiber_stack_bytes()) {
   if (!fn_) throw std::invalid_argument("Fiber requires a callable");
-  if (stack_bytes == 0) stack_bytes = default_fiber_stack_bytes();
-  stack_ = allocate_stack(stack_bytes);
+  stack_ = allocate_stack(stack_bytes_);
   trace::count(trace::Ctr::SimFibersCreated);
-  if (getcontext(&ctx_) != 0) throw std::runtime_error("getcontext failed");
-  ctx_.uc_stack.ss_sp = stack_.get();
-  ctx_.uc_stack.ss_size = stack_bytes;
-  ctx_.uc_link = &return_ctx_;
-  makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 0);
-#ifdef NBCTUNE_FIBER_ASAN
-  stack_bytes_ = stack_bytes;
-#endif
 }
 
 Fiber::~Fiber() {
@@ -90,22 +92,38 @@ void Fiber::trampoline() {
   __sanitizer_start_switch_fiber(nullptr, self->sched_stack_bottom_,
                                  self->sched_stack_size_);
 #endif
-  // uc_link returns to return_ctx_ (inside resume()).
+  _longjmp(self->return_jb_, 1);
 }
 
 void Fiber::resume() {
   if (finished_) throw std::logic_error("resume() on finished fiber");
   if (running_) throw std::logic_error("resume() on running fiber");
+  // First entry only: a context that starts trampoline() on the fiber's
+  // stack.  trampoline() leaves with _longjmp, never through this context.
+  // It lives in this frame because a helper's frame would be abandoned on
+  // the scheduler's stack, leaving ASan's redzone poison below this one.
+  ucontext_t entry;
+  if (!started_) {
+    if (getcontext(&entry) != 0) throw std::runtime_error("getcontext failed");
+    entry.uc_stack.ss_sp = stack_.get();
+    entry.uc_stack.ss_size = stack_bytes_;
+    entry.uc_link = nullptr;
+    makecontext(&entry, &Fiber::trampoline, 0);
+  }
   trace::count(trace::Ctr::FiberSwitches);
   Fiber* prev = g_current;
   g_current = this;
   running_ = true;
-  started_ = true;
 #ifdef NBCTUNE_FIBER_ASAN
   __sanitizer_start_switch_fiber(&sched_fake_stack_, stack_.get(),
                                  stack_bytes_);
 #endif
-  swapcontext(&return_ctx_, &ctx_);
+  if (_setjmp(return_jb_) == 0) {
+    if (started_) _longjmp(fiber_jb_, 1);
+    started_ = true;
+    setcontext(&entry);
+    std::abort();  // setcontext returns only if it could not switch
+  }
 #ifdef NBCTUNE_FIBER_ASAN
   __sanitizer_finish_switch_fiber(sched_fake_stack_, nullptr, nullptr);
 #endif
@@ -121,11 +139,13 @@ void Fiber::resume() {
 void Fiber::yield() {
   if (g_current != this || !running_)
     throw std::logic_error("yield() must be called on the running fiber");
+  if (_setjmp(fiber_jb_) == 0) {
 #ifdef NBCTUNE_FIBER_ASAN
-  __sanitizer_start_switch_fiber(&fiber_fake_stack_, sched_stack_bottom_,
-                                 sched_stack_size_);
+    __sanitizer_start_switch_fiber(&fiber_fake_stack_, sched_stack_bottom_,
+                                   sched_stack_size_);
 #endif
-  swapcontext(&ctx_, &return_ctx_);
+    _longjmp(return_jb_, 1);
+  }
 #ifdef NBCTUNE_FIBER_ASAN
   __sanitizer_finish_switch_fiber(fiber_fake_stack_, &sched_stack_bottom_,
                                   &sched_stack_size_);

@@ -1,19 +1,26 @@
 #pragma once
 
-// Cooperative user-space fibers built on POSIX ucontext.
+// Cooperative user-space fibers that switch with _setjmp/_longjmp.
 //
 // The simulation runs every simulated rank as one fiber.  Exactly one fiber
 // executes at any time; the scheduler (the "main" context) resumes a fiber,
 // and the fiber returns control by yielding.  This gives deterministic,
 // single-threaded execution with cheap context switches, which matters on
 // the single-core hosts this simulator targets.
+//
+// A switch saves and restores only the callee-saved registers, stack and
+// instruction pointers, so it never enters the kernel.  Only a fiber's first
+// entry goes through makecontext/setcontext, to start its function on its
+// own stack.  Fibers therefore share their thread's signal mask and
+// floating-point environment: a fiber that changes either changes it for the
+// scheduler and every other fiber on the thread.  The simulator changes
+// neither.
 
+#include <csetjmp>
 #include <cstddef>
 #include <exception>
 #include <functional>
 #include <memory>
-
-#include <ucontext.h>
 
 // AddressSanitizer must be told about stack switches, or unwinding on a
 // fiber stack (e.g. an exception thrown by a simulated rank) is reported
@@ -41,7 +48,8 @@ namespace nbctune::sim {
 /// the function calls yield() to suspend back into resume()'s caller.  Once
 /// the function returns, finished() is true and resume() must not be called
 /// again.  Exceptions escaping the fiber function are captured and rethrown
-/// from resume().
+/// from resume().  Constructing a fiber only allocates its stack; the first
+/// resume() sets up its context.
 class Fiber {
  public:
   using Fn = std::function<void()>;
@@ -76,18 +84,18 @@ class Fiber {
   static Fiber* current() noexcept;
 
  private:
-  static void trampoline();
+  [[noreturn]] static void trampoline();
 
   Fn fn_;
   std::unique_ptr<char[]> stack_;
-  ucontext_t ctx_{};      // the fiber's own context
-  ucontext_t return_ctx_{};  // where to go back on yield/finish
+  std::size_t stack_bytes_;
+  std::jmp_buf fiber_jb_{};   // where yield() suspended the fiber
+  std::jmp_buf return_jb_{};  // where resume() waits for the next yield/finish
   bool started_ = false;
   bool finished_ = false;
   bool running_ = false;
   std::exception_ptr pending_exception_;
 #ifdef NBCTUNE_FIBER_ASAN
-  std::size_t stack_bytes_ = 0;
   void* sched_fake_stack_ = nullptr;  // scheduler's shadow while in the fiber
   void* fiber_fake_stack_ = nullptr;  // fiber's shadow while suspended
   const void* sched_stack_bottom_ = nullptr;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -11,8 +12,10 @@
 #include "sim/fiber.hpp"
 #include "sim/random.hpp"
 #include "sim/resource.hpp"
+#include "trace/trace.hpp"
 
 namespace sim = nbctune::sim;
+namespace trace = nbctune::trace;
 
 // ----------------------------------------------------------------- Fiber
 
@@ -70,6 +73,88 @@ TEST(Fiber, NestedFibers) {
   });
   outer.resume();
   EXPECT_EQ(trace, (std::vector<int>{1, 2, 3}));
+}
+
+// A switch keeps only what _setjmp saves, so every live local of a
+// suspended fiber must come back intact after other fibers ran.
+TEST(Fiber, RoundRobinKeepsLocalsAcrossYields) {
+  constexpr int kFibers = 3;
+  constexpr long long kYields = 10000;
+  std::vector<long long> int_sums(kFibers, -1);
+  std::vector<double> double_sums(kFibers, -1.0);
+  std::vector<std::unique_ptr<sim::Fiber>> fibers;
+  for (int id = 0; id < kFibers; ++id) {
+    fibers.push_back(std::make_unique<sim::Fiber>([&, id] {
+      const long long step = id + 1;
+      const double scale = 0.5 * step;
+      long long isum = 0;
+      double dsum = 0.0;
+      for (long long i = 1; i <= kYields; ++i) {
+        isum += step * i;
+        dsum += scale * static_cast<double>(i);
+        sim::Fiber::current()->yield();
+      }
+      int_sums[static_cast<std::size_t>(id)] = isum;
+      double_sums[static_cast<std::size_t>(id)] = dsum;
+    }));
+  }
+  long long rounds = 0;
+  while (!fibers.front()->finished()) {
+    for (auto& f : fibers) f->resume();
+    ++rounds;
+  }
+  EXPECT_EQ(rounds, kYields + 1);
+  const long long triangle = kYields * (kYields + 1) / 2;
+  for (int id = 0; id < kFibers; ++id) {
+    const auto i = static_cast<std::size_t>(id);
+    EXPECT_TRUE(fibers[i]->finished());
+    EXPECT_EQ(int_sums[i], (id + 1) * triangle);
+    EXPECT_DOUBLE_EQ(double_sums[i], 0.5 * (id + 1) * triangle);
+  }
+}
+
+TEST(Fiber, ExceptionAfterYieldsUnwindsFiberStack) {
+  struct Guard {
+    sim::Fiber** unwound_on;
+    ~Guard() { *unwound_on = sim::Fiber::current(); }
+  };
+  sim::Fiber* unwound_on = nullptr;
+  int yields = 0;
+  sim::Fiber f([&] {
+    Guard guard{&unwound_on};
+    for (; yields < 3; ++yields) sim::Fiber::current()->yield();
+    throw std::runtime_error("after yields");
+  });
+  for (int i = 0; i < 3; ++i) {
+    f.resume();
+    EXPECT_FALSE(f.finished());
+  }
+  EXPECT_EQ(unwound_on, nullptr);
+  try {
+    f.resume();
+    ADD_FAILURE() << "resume() did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "after yields");
+  }
+  EXPECT_EQ(unwound_on, &f);  // the destructor ran inside the fiber
+  EXPECT_EQ(yields, 3);
+  EXPECT_TRUE(f.finished());
+  EXPECT_EQ(sim::Fiber::current(), nullptr);
+}
+
+TEST(Fiber, NeverResumedMakesNoSwitch) {
+  trace::Tracer tracer("fiber");
+  trace::Tracer* prev = trace::set_current(&tracer);
+  bool ran = false;
+  {
+    sim::Fiber f([&] { ran = true; });
+    EXPECT_FALSE(f.finished());
+    EXPECT_FALSE(f.running());
+  }
+  trace::set_current(prev);
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(tracer.counter(trace::Ctr::SimFibersCreated), 1u);
+  EXPECT_EQ(tracer.counter(trace::Ctr::FiberSwitches), 0u);
 }
 
 // ---------------------------------------------------------------- Engine
