@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <set>
 #include <string_view>
@@ -151,6 +152,51 @@ struct Interval {
   double b = 0.0;
 };
 
+/// Clip `iv` to [lo, hi]; returns an empty interval when disjoint.
+Interval clip(Interval iv, double lo, double hi) {
+  iv.a = std::max(iv.a, lo);
+  iv.b = std::min(iv.b, hi);
+  if (iv.b < iv.a) iv.b = iv.a;
+  return iv;
+}
+
+/// Intervals sorted by start once, with the running maximum of their
+/// ends, so a window query skips every interval that ends before the
+/// window instead of rescanning from the first.
+class SortedIntervals {
+ public:
+  void add(Interval iv) { ivs_.push_back(iv); }
+  void add(const std::vector<Interval>& ivs) {
+    ivs_.insert(ivs_.end(), ivs.begin(), ivs.end());
+  }
+  /// Sort by start and build the running-max index (call once, after
+  /// the last add).
+  void seal() {
+    std::sort(ivs_.begin(), ivs_.end(),
+              [](const Interval& x, const Interval& y) { return x.a < y.a; });
+    max_end_.resize(ivs_.size());
+    double m = -std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < ivs_.size(); ++i) {
+      m = std::max(m, ivs_[i].b);
+      max_end_[i] = m;
+    }
+  }
+  /// Append the members overlapping [lo, hi], clipped to it, in start
+  /// order (so the clipped starts are sorted too).
+  void collect(double lo, double hi, std::vector<Interval>& out) const {
+    auto i = static_cast<std::size_t>(
+        std::upper_bound(max_end_.begin(), max_end_.end(), lo) -
+        max_end_.begin());
+    for (; i < ivs_.size() && ivs_[i].a < hi; ++i) {
+      if (ivs_[i].b > lo) out.push_back(clip(ivs_[i], lo, hi));
+    }
+  }
+
+ private:
+  std::vector<Interval> ivs_;
+  std::vector<double> max_end_;  ///< max_end_[i] = max end of ivs_[0..i]
+};
+
 /// One wire transfer reconstructed from its correlation id.
 struct MsgInfo {
   double post_ts = -1.0;
@@ -160,12 +206,18 @@ struct MsgInfo {
   std::vector<Interval> wire;  ///< serialization spans on wire lanes
 };
 
+/// A message that landed on a rank.
+struct Inbound {
+  double arrival = 0.0;
+  std::uint64_t corr = 0;
+};
+
 /// Per-rank sorted event digests used for window queries.
 struct RankIndex {
-  std::vector<Interval> compute;        ///< compute spans, sorted by start
-  std::vector<Interval> progress;       ///< progress.call/pass spans
+  SortedIntervals compute;              ///< compute spans
+  SortedIntervals progress;             ///< progress.call/pass spans
   std::vector<double> activity_starts;  ///< progress starts + round posts
-  std::vector<std::uint64_t> inbound;   ///< corr ids, sorted by arrival
+  std::vector<Inbound> inbound;         ///< sorted by (arrival, corr)
 };
 
 struct OpSpan {
@@ -183,7 +235,7 @@ struct Index {
   bool any_compute = false;
 };
 
-bool is_post_name(const std::string& n) {
+bool is_post_name(std::string_view n) {
   return n == "msg.eager" || n == "msg.rts" || n == "msg.cts" ||
          n == "msg.bulk_nic";
 }
@@ -199,10 +251,10 @@ Index build_index(const ScenarioTrace& t) {
     }
     if (e.cat == "progress") {
       if (e.name == "compute" && e.is_span()) {
-        ix.ranks[e.track].compute.push_back({e.ts, e.ts + e.dur});
+        ix.ranks[e.track].compute.add({e.ts, e.ts + e.dur});
         ix.any_compute = true;
       } else if (e.is_span()) {
-        ix.ranks[e.track].progress.push_back({e.ts, e.ts + e.dur});
+        ix.ranks[e.track].progress.add({e.ts, e.ts + e.dur});
         ix.ranks[e.track].activity_starts.push_back(e.ts);
       }
     } else if (e.cat == "nbc") {
@@ -228,26 +280,22 @@ Index build_index(const ScenarioTrace& t) {
     }
   }
   for (auto& [rank, ri] : ix.ranks) {
-    auto by_start = [](const Interval& x, const Interval& y) {
-      return x.a < y.a;
-    };
-    std::sort(ri.compute.begin(), ri.compute.end(), by_start);
-    std::sort(ri.progress.begin(), ri.progress.end(), by_start);
+    ri.compute.seal();
+    ri.progress.seal();
     std::sort(ri.activity_starts.begin(), ri.activity_starts.end());
   }
   // Inbound lists need the msgs map complete first; sort by (arrival,
   // corr) so the order is deterministic regardless of map iteration.
   for (const auto& [corr, m] : ix.msgs) {
     if (m.arrival_track >= 0) {
-      ix.ranks[m.arrival_track].inbound.push_back(corr);
+      ix.ranks[m.arrival_track].inbound.push_back({m.arrival_ts, corr});
     }
   }
   for (auto& [rank, ri] : ix.ranks) {
     std::sort(ri.inbound.begin(), ri.inbound.end(),
-              [&](std::uint64_t x, std::uint64_t y) {
-                const double ax = ix.msgs[x].arrival_ts;
-                const double ay = ix.msgs[y].arrival_ts;
-                return ax != ay ? ax < ay : x < y;
+              [](const Inbound& x, const Inbound& y) {
+                return x.arrival != y.arrival ? x.arrival < y.arrival
+                                              : x.corr < y.corr;
               });
   }
   return ix;
@@ -255,20 +303,10 @@ Index build_index(const ScenarioTrace& t) {
 
 // ----------------------------------------------------------- interval math
 
-/// Clip `iv` to [lo, hi]; returns an empty interval when disjoint.
-Interval clip(Interval iv, double lo, double hi) {
-  iv.a = std::max(iv.a, lo);
-  iv.b = std::min(iv.b, hi);
-  if (iv.b < iv.a) iv.b = iv.a;
-  return iv;
-}
-
-/// Total length of the union of `ivs` clipped to [lo, hi].
-double union_length(std::vector<Interval> ivs, double lo, double hi) {
+/// Total length of the union of `ivs`, which are sorted by start (as
+/// SortedIntervals::collect returns them).
+double union_length(const std::vector<Interval>& ivs) {
   double sum = 0.0;
-  for (auto& iv : ivs) iv = clip(iv, lo, hi);
-  std::sort(ivs.begin(), ivs.end(),
-            [](const Interval& x, const Interval& y) { return x.a < y.a; });
   double cur_a = 0.0, cur_b = -1.0;
   for (const Interval& iv : ivs) {
     if (iv.b <= iv.a) continue;
@@ -285,15 +323,6 @@ double union_length(std::vector<Interval> ivs, double lo, double hi) {
   }
   if (cur_b > cur_a) sum += cur_b - cur_a;
   return sum;
-}
-
-/// Collect the members of `sorted` (by start) overlapping [lo, hi].
-void collect_overlapping(const std::vector<Interval>& sorted, double lo,
-                         double hi, std::vector<Interval>& out) {
-  for (const Interval& iv : sorted) {
-    if (iv.a >= hi) break;
-    if (iv.b > lo) out.push_back(clip(iv, lo, hi));
-  }
 }
 
 // ------------------------------------------------------------ blame sweep
@@ -375,14 +404,18 @@ OpCritical analyze_op(const Index& ix, std::uint64_t corr,
   const RankIndex& ri = rit != ix.ranks.end() ? rit->second : kNone;
 
   std::vector<Interval> cats[kCatCount];
-  collect_overlapping(ri.compute, lo, hi, cats[kCompute]);
-  collect_overlapping(ri.progress, lo, hi, cats[kProgress]);
+  ri.compute.collect(lo, hi, cats[kCompute]);
+  ri.progress.collect(lo, hi, cats[kProgress]);
   // Inbound transfers landing in the window drive the remaining three
   // categories: their wire serialization, the wait before the sender
   // posted, and the post-arrival gap until this rank progressed again.
-  for (std::size_t id : ri.inbound) {
-    const MsgInfo& m = ix.msgs.at(id);
-    if (m.arrival_ts < lo || m.arrival_ts > hi) continue;
+  const auto arrives_before = [](const Inbound& in, double t) {
+    return in.arrival < t;
+  };
+  for (auto it = std::lower_bound(ri.inbound.begin(), ri.inbound.end(), lo,
+                                  arrives_before);
+       it != ri.inbound.end() && it->arrival <= hi; ++it) {
+    const MsgInfo& m = ix.msgs.at(it->corr);
     for (const Interval& w : m.wire) {
       const Interval c = clip(w, lo, hi);
       if (c.b > c.a) cats[kWire].push_back(c);
@@ -404,18 +437,14 @@ OpCritical analyze_op(const Index& ix, std::uint64_t corr,
     auto rit2 = ix.ranks.find(cur_rank);
     if (rit2 == ix.ranks.end()) break;
     const RankIndex& cri = rit2->second;
-    const MsgInfo* found = nullptr;
-    std::uint64_t found_corr = 0;
-    for (auto it = cri.inbound.rbegin(); it != cri.inbound.rend(); ++it) {
-      const MsgInfo& m = ix.msgs.at(*it);
-      if (m.arrival_ts <= cur_t && m.arrival_ts >= lo) {
-        found = &m;
-        found_corr = *it;
-        break;
-      }
-    }
-    if (found == nullptr || found->post_track < 0) break;
-    oc.hops.push_back({cur_rank, found->post_track, found_corr,
+    // The newest arrival at or before cur_t, if it is inside the window.
+    auto last = std::upper_bound(
+        cri.inbound.begin(), cri.inbound.end(), cur_t,
+        [](double t, const Inbound& in) { return t < in.arrival; });
+    if (last == cri.inbound.begin() || (--last)->arrival < lo) break;
+    const MsgInfo* found = &ix.msgs.at(last->corr);
+    if (found->post_track < 0) break;
+    oc.hops.push_back({cur_rank, found->post_track, last->corr,
                        found->post_ts, found->arrival_ts});
     if (found->post_ts <= lo || found->post_ts >= cur_t) break;
     cur_rank = found->post_track;
@@ -427,39 +456,52 @@ OpCritical analyze_op(const Index& ix, std::uint64_t corr,
 // --------------------------------------------------------------- overlap
 
 std::vector<RankOverlap> analyze_overlap(const Index& ix) {
-  std::vector<RankOverlap> out;
-  // Per-rank op windows.
-  std::map<int, std::vector<Interval>> windows;
+  // Per-rank op windows, and the wire intervals correlated with each
+  // rank's traffic (sent or received), gathered in one pass over the
+  // message map and sorted once.
+  struct RankWork {
+    std::vector<Interval> windows;
+    SortedIntervals wire;
+  };
+  std::map<int, RankWork> work;
   for (const auto& [corr, spans] : ix.ops) {
     for (const OpSpan& s : spans) {
-      windows[s.rank].push_back({s.ts, s.ts + s.dur});
+      work[s.rank].windows.push_back({s.ts, s.ts + s.dur});
     }
   }
-  for (auto& [rank, wins] : windows) {
+  for (const auto& [corr, m] : ix.msgs) {
+    if (m.wire.empty()) continue;
+    const auto add = [&](int rank) {
+      auto it = work.find(rank);
+      if (it != work.end()) it->second.wire.add(m.wire);
+    };
+    add(m.post_track);
+    if (m.arrival_track != m.post_track) add(m.arrival_track);
+  }
+  std::vector<RankOverlap> out;
+  std::vector<Interval> comp;
+  std::vector<Interval> wire;
+  for (auto& [rank, rw] : work) {
+    std::vector<Interval>& wins = rw.windows;
     std::sort(wins.begin(), wins.end(),
               [](const Interval& x, const Interval& y) { return x.a < y.a; });
+    rw.wire.seal();
     RankOverlap ro;
     ro.rank = rank;
     ro.ops = wins.size();
     auto rit = ix.ranks.find(rank);
     static const RankIndex kNone;
     const RankIndex& ri = rit != ix.ranks.end() ? rit->second : kNone;
-    // Wire intervals correlated with this rank's traffic (sent or
-    // received), fetched once and clipped per window below.
-    std::vector<Interval> rank_wire;
-    for (const auto& [corr, m] : ix.msgs) {
-      if (m.post_track == rank || m.arrival_track == rank) {
-        rank_wire.insert(rank_wire.end(), m.wire.begin(), m.wire.end());
-      }
-    }
     double ratio_sum = 0.0;
     std::uint64_t ratio_n = 0;
     for (const Interval& w : wins) {
       const double e = w.b - w.a;
-      std::vector<Interval> comp;
-      collect_overlapping(ri.compute, w.a, w.b, comp);
-      const double c = union_length(comp, w.a, w.b);
-      const double wi = union_length(rank_wire, w.a, w.b);
+      comp.clear();
+      ri.compute.collect(w.a, w.b, comp);
+      wire.clear();
+      rw.wire.collect(w.a, w.b, wire);
+      const double c = union_length(comp);
+      const double wi = union_length(wire);
       ro.op_time += e;
       ro.compute_in_op += c;
       ro.wire_in_op += wi;

@@ -30,9 +30,13 @@
 // tools/nbctune-analyze from an exported trace file.
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <map>
+#include <memory>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace nbctune::trace {
@@ -43,17 +47,19 @@ namespace nbctune::analyze {
 
 // ------------------------------------------------------------------- IR
 
-/// One trace event, decoupled from the static-string lifetime rules of
-/// the live tracer so it can also be populated from a parsed JSON file.
+/// One trace event, populated either from a live trace or from a parsed
+/// Chrome JSON file.  The four names are views: on the live path they
+/// view the tracer's string literals, and read_chrome points them into
+/// the ScenarioTrace::names store, so an event owns no string.
 struct AEvent {
   double ts = 0.0;    ///< start, simulated seconds
   double dur = -1.0;  ///< span duration; < 0 encodes an instant
   std::int32_t track = 0;  ///< >= 0 rank; < 0 wire lane (trace::wire_track)
-  std::string cat;
-  std::string name;
-  std::string akey;  ///< empty = absent
+  std::string_view cat;
+  std::string_view name;
+  std::string_view akey;  ///< empty = absent
   std::uint64_t aval = 0;
-  std::string bkey;
+  std::string_view bkey;
   std::uint64_t bval = 0;
   std::uint64_t corr = 0;  ///< causal-chain id (0 = unlinked)
 
@@ -62,13 +68,17 @@ struct AEvent {
     return is_span() ? ts + dur : ts;
   }
   /// Value of argument `key`, or `fallback` when absent.
-  [[nodiscard]] std::uint64_t arg(const std::string& key,
+  [[nodiscard]] std::uint64_t arg(std::string_view key,
                                   std::uint64_t fallback = 0) const noexcept {
     if (akey == key) return aval;
     if (bkey == key) return bval;
     return fallback;
   }
 };
+
+/// Interned event names parsed from a file; set nodes never move, so
+/// views into them stay valid while the store lives.
+using NameStore = std::set<std::string, std::less<>>;
 
 /// One scenario's events plus its per-scenario counters (counters are
 /// only available on the in-process path; the Chrome export aggregates
@@ -77,6 +87,11 @@ struct ScenarioTrace {
   std::string label;
   std::vector<AEvent> events;
   std::map<std::string, std::uint64_t> counters;
+  /// Owner of the strings the events' names view when they were parsed
+  /// by read_chrome, shared by every trace of one parse so copies and
+  /// moves keep the views valid.  Null on the live path (from_finished),
+  /// whose names are string literals.
+  std::shared_ptr<const NameStore> names;
 };
 
 /// Convert a live finished trace into the analyzer IR.

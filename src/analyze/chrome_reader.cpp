@@ -4,6 +4,7 @@
 
 #include <istream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -20,6 +21,13 @@ std::int32_t track_of_tid(long long tid) {
                         : static_cast<std::int32_t>(tid);
 }
 
+/// A view of `s` that outlives the parse tree: its copy in `store`.
+std::string_view intern(NameStore& store, std::string_view s) {
+  auto it = store.find(s);
+  if (it == store.end()) it = store.emplace(s).first;
+  return *it;
+}
+
 }  // namespace
 
 std::vector<ScenarioTrace> read_chrome(std::istream& is) {
@@ -31,6 +39,7 @@ std::vector<ScenarioTrace> read_chrome(std::istream& is) {
   if (events == nullptr || events->kind != Value::Kind::Arr) {
     throw std::runtime_error("chrome trace: no traceEvents array");
   }
+  auto names = std::make_shared<NameStore>();
   std::map<long long, ScenarioTrace> by_pid;  // ordered = export order
   for (const Value& ev : *events->arr) {
     if (ev.kind != Value::Kind::Obj) continue;
@@ -39,11 +48,15 @@ std::vector<ScenarioTrace> read_chrome(std::istream& is) {
     const long long p = static_cast<long long>(pid->as_num(-1));
     ScenarioTrace& t = by_pid[p];
     const Value* ph = ev.get("ph");
-    const std::string phase =
-        ph != nullptr && ph->kind == Value::Kind::Str ? ph->str : "";
+    const std::string_view phase =
+        ph != nullptr && ph->kind == Value::Kind::Str
+            ? std::string_view(ph->str)
+            : std::string_view();
     const Value* name = ev.get("name");
-    const std::string ename =
-        name != nullptr && name->kind == Value::Kind::Str ? name->str : "";
+    const std::string_view ename =
+        name != nullptr && name->kind == Value::Kind::Str
+            ? std::string_view(name->str)
+            : std::string_view();
     const Value* args = ev.get("args");
     if (phase == "M") {
       if (ename == "process_name" && args != nullptr) {
@@ -55,10 +68,10 @@ std::vector<ScenarioTrace> read_chrome(std::istream& is) {
       continue;
     }
     AEvent a;
-    a.name = ename;
+    a.name = intern(*names, ename);
     if (const Value* cat = ev.get("cat");
         cat != nullptr && cat->kind == Value::Kind::Str) {
-      a.cat = cat->str;
+      a.cat = intern(*names, cat->str);
     }
     if (const Value* tid = ev.get("tid"); tid != nullptr) {
       a.track = track_of_tid(static_cast<long long>(tid->as_num(0)));
@@ -79,10 +92,10 @@ std::vector<ScenarioTrace> read_chrome(std::istream& is) {
         if (k == "corr") {
           a.corr = u;
         } else if (a.akey.empty()) {
-          a.akey = k;
+          a.akey = intern(*names, k);
           a.aval = u;
         } else if (a.bkey.empty()) {
-          a.bkey = k;
+          a.bkey = intern(*names, k);
           a.bval = u;
         }
       }
@@ -91,7 +104,10 @@ std::vector<ScenarioTrace> read_chrome(std::istream& is) {
   }
   std::vector<ScenarioTrace> out;
   out.reserve(by_pid.size());
-  for (auto& [p, t] : by_pid) out.push_back(std::move(t));
+  for (auto& [p, t] : by_pid) {
+    t.names = names;
+    out.push_back(std::move(t));
+  }
   return out;
 }
 

@@ -4,9 +4,9 @@
 // dependencies are allowed in this repo, and every input is our own
 // exporter's output (Chrome trace-event files, report JSONs), so only
 // the core grammar is needed — objects, arrays, strings with backslash
-// escapes, numbers, true/false/null.  Shared by the Chrome-trace reader
-// (chrome_reader.cpp) and the report reader of the --regress mode
-// (regress.cpp).
+// escapes (`\uXXXX` decoded to UTF-8), numbers, true/false/null.  Shared
+// by the Chrome-trace reader (chrome_reader.cpp) and the report reader of
+// the --regress mode (regress.cpp).
 
 #include <cstdlib>
 #include <memory>
@@ -156,6 +156,9 @@ class Parser {
           case 'r':
             out += '\r';
             break;
+          case 'u':
+            append_utf8(out, code_point());
+            break;
           default:
             out += e;  // \" \\ \/ and anything exotic: literal
         }
@@ -164,6 +167,40 @@ class Parser {
       }
     }
     return out;
+  }
+
+  /// The code point of a `\uXXXX` escape (its `\u` already consumed).
+  unsigned code_point() {
+    if (s_.size() - pos_ < 4) fail("bad \\u escape");
+    unsigned v = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char c = s_[pos_++];
+      v <<= 4;
+      if (c >= '0' && c <= '9') {
+        v |= static_cast<unsigned>(c - '0');
+      } else if (c >= 'a' && c <= 'f') {
+        v |= static_cast<unsigned>(c - 'a' + 10);
+      } else if (c >= 'A' && c <= 'F') {
+        v |= static_cast<unsigned>(c - 'A' + 10);
+      } else {
+        fail("bad \\u escape");
+      }
+    }
+    return v;
+  }
+
+  /// Append `cp` (at most 0xFFFF) as UTF-8.
+  static void append_utf8(std::string& out, unsigned cp) {
+    if (cp < 0x80) {
+      out += static_cast<char>(cp);
+    } else if (cp < 0x800) {
+      out += static_cast<char>(0xC0 | (cp >> 6));
+      out += static_cast<char>(0x80 | (cp & 0x3F));
+    } else {
+      out += static_cast<char>(0xE0 | (cp >> 12));
+      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (cp & 0x3F));
+    }
   }
 
   Value array() {

@@ -2,8 +2,10 @@
 #include <cstdio>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "analyze/analyze.hpp"
+#include "trace/trace.hpp"
 
 // Report writers.  The JSON writer emits integers only (times in
 // nanoseconds, ratios in basis points) so the bytes are identical across
@@ -22,18 +24,9 @@ long long bp(double ratio) {
   return static_cast<long long>(std::llround(ratio * 1e4));
 }
 
-void put_escaped(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-}
-
-void put_str(std::ostream& os, const char* key, const std::string& v,
+void put_str(std::ostream& os, const char* key, std::string_view v,
              bool comma = true) {
-  os << "\"" << key << "\":\"";
-  put_escaped(os, v);
-  os << "\"";
+  os << "\"" << key << "\":\"" << trace::json_escaped(v) << "\"";
   if (comma) os << ",";
 }
 
@@ -198,9 +191,7 @@ void write_json(std::ostream& os, const Report& report) {
     for (const auto& [k, v] : report.session_counters) {
       if (!first) os << ",";
       first = false;
-      os << "\"";
-      put_escaped(os, k);
-      os << "\":" << v;
+      os << "\"" << trace::json_escaped(k) << "\":" << v;
     }
     os << "}";
   }
@@ -214,9 +205,8 @@ void write_json(std::ostream& os, const Report& report) {
     put_str(os, "status", g.status());
     os << "\"violations\":[";
     for (std::size_t v = 0; v < g.violations.size(); ++v) {
-      os << (v == 0 ? "" : ",") << "\"";
-      put_escaped(os, g.violations[v]);
-      os << "\"";
+      os << (v == 0 ? "" : ",") << "\"" << trace::json_escaped(g.violations[v])
+         << "\"";
     }
     os << "]}";
   }

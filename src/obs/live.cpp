@@ -38,33 +38,6 @@ void append_i64(std::string& s, long long v) {
 
 }  // namespace
 
-std::string LiveSink::escape_json(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + s.size() / 8);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
 std::uint64_t LiveSink::rss_bytes() noexcept {
 #if defined(__linux__)
   // /proc/self/statm: size resident shared text lib data dt (pages).
@@ -93,7 +66,7 @@ LiveSink::LiveSink(const std::string& path, std::string bench, int threads)
   }
   if (fd_ < 0) return;
   std::string body = "{\"type\":\"hello\",\"schema\":\"nbctune-live-v1\"";
-  body += ",\"bench\":\"" + escape_json(bench_) + "\"";
+  body += ",\"bench\":\"" + trace::json_escaped(bench_) + "\"";
   body += ",\"threads\":";
   append_i64(body, threads);
   body += "}";
@@ -146,7 +119,7 @@ void LiveSink::write_line(std::string body) {
 void LiveSink::on_scope_start(const std::string& label) {
   started_.fetch_add(1, std::memory_order_relaxed);
   std::string body = "{\"type\":\"scenario\",\"phase\":\"started\"";
-  body += ",\"label\":\"" + escape_json(label) + "\"}";
+  body += ",\"label\":\"" + trace::json_escaped(label) + "\"}";
   write_line(std::move(body));
 }
 
@@ -178,7 +151,7 @@ void LiveSink::on_scope_finish(const trace::FinishedTrace& t) {
   const analyze::ScenarioReport& s = rep.scenarios.front();
 
   std::string body = "{\"type\":\"scenario\",\"phase\":\"finished\"";
-  body += ",\"label\":\"" + escape_json(s.label) + "\"";
+  body += ",\"label\":\"" + trace::json_escaped(s.label) + "\"";
   body += ",\"ops\":";
   append_u64(body, s.ops_completed);
   body += ",\"ops_started\":";
@@ -268,7 +241,7 @@ void LiveSink::on_task_failed(std::size_t index, const char* what) {
   std::string body = "{\"type\":\"scenario\",\"phase\":\"failed\"";
   body += ",\"index\":";
   append_u64(body, index);
-  body += ",\"error\":\"" + escape_json(what) + "\"}";
+  body += ",\"error\":\"" + trace::json_escaped(what) + "\"}";
   write_line(std::move(body));
 }
 
@@ -318,7 +291,7 @@ void LiveSink::write_summary(const analyze::Report& report,
   append_i64(body, checked);
   body += ",\"guidelines_passed\":";
   append_i64(body, passed);
-  body += ",\"report\":\"" + escape_json(report_json) + "\"}";
+  body += ",\"report\":\"" + trace::json_escaped(report_json) + "\"}";
   write_line(std::move(body));
   finalized_.store(true, std::memory_order_release);
 }

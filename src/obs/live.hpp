@@ -101,11 +101,6 @@ class LiveSink final : public trace::Session::Listener,
   };
   [[nodiscard]] Totals totals() const;
 
-  /// Escape a string for embedding as a JSON string body: `"` `\`
-  /// newline, tab and CR.  write_json output contains no other control
-  /// characters, so the round trip through jsonmin is byte-exact.
-  [[nodiscard]] static std::string escape_json(const std::string& s);
-
   /// Resident set size of this process in bytes (0 where unsupported).
   [[nodiscard]] static std::uint64_t rss_bytes() noexcept;
 

@@ -6,6 +6,8 @@
 #include <ostream>
 #include <string>
 
+#include "trace/trace.hpp"
+
 namespace nbctune::obs {
 
 namespace {
@@ -34,13 +36,6 @@ std::string sanitize_frame(const std::string& s) {
     if (c == ' ' || c == ';') c = '_';
   }
   return out;
-}
-
-void put_escaped(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
 }
 
 }  // namespace
@@ -108,16 +103,15 @@ void write_speedscope(std::ostream& os, const analyze::Report& report) {
   os << "{\"$schema\":\"https://www.speedscope.app/file-format-schema.json\"";
   os << ",\"shared\":{\"frames\":[";
   for (std::size_t f = 0; f < frames.size(); ++f) {
-    os << (f == 0 ? "" : ",") << "{\"name\":\"";
-    put_escaped(os, frames[f]);
-    os << "\"}";
+    os << (f == 0 ? "" : ",") << "{\"name\":\""
+       << trace::json_escaped(frames[f]) << "\"}";
   }
   os << "]},\"profiles\":[";
   for (std::size_t p = 0; p < profiles.size(); ++p) {
     const Profile& prof = profiles[p];
-    os << (p == 0 ? "" : ",") << "\n{\"type\":\"sampled\",\"name\":\"";
-    put_escaped(os, *prof.name);
-    os << "\",\"unit\":\"nanoseconds\",\"startValue\":0,\"endValue\":"
+    os << (p == 0 ? "" : ",") << "\n{\"type\":\"sampled\",\"name\":\""
+       << trace::json_escaped(*prof.name)
+       << "\",\"unit\":\"nanoseconds\",\"startValue\":0,\"endValue\":"
        << prof.total << ",\"samples\":[";
     for (std::size_t i = 0; i < prof.weights.size(); ++i) {
       os << (i == 0 ? "" : ",") << "[" << prof.stacks[0][i] << ","
@@ -186,22 +180,20 @@ void write_otlp(std::ostream& os,
   for (std::size_t t = 0; t < traces.size(); ++t) {
     const analyze::ScenarioTrace& tr = traces[t];
     const std::string trace_id = hex_id(t + 1, 32);
-    os << (t == 0 ? "" : ",") << "\n{\"scope\":{\"name\":\"";
-    put_escaped(os, tr.label);
-    os << "\"},\"spans\":[";
+    os << (t == 0 ? "" : ",") << "\n{\"scope\":{\"name\":\""
+       << trace::json_escaped(tr.label) << "\"},\"spans\":[";
     bool first = true;
     for (const analyze::AEvent& e : tr.events) {
       if (!e.is_span()) continue;
       os << (first ? "" : ",") << "\n{\"traceId\":\"" << trace_id
-         << "\",\"spanId\":\"" << hex_id(++span_id, 16) << "\",\"name\":\"";
-      put_escaped(os, e.name);
-      os << "\",\"kind\":1,\"startTimeUnixNano\":\"" << ns(e.ts)
+         << "\",\"spanId\":\"" << hex_id(++span_id, 16) << "\",\"name\":\""
+         << trace::json_escaped(e.name)
+         << "\",\"kind\":1,\"startTimeUnixNano\":\"" << ns(e.ts)
          << "\",\"endTimeUnixNano\":\"" << ns(e.end())
          << "\",\"attributes\":[{\"key\":\"track\",\"value\":{\"stringValue\""
             ":\"" << track_name(e.track)
-         << "\"}},{\"key\":\"cat\",\"value\":{\"stringValue\":\"";
-      put_escaped(os, e.cat);
-      os << "\"}}";
+         << "\"}},{\"key\":\"cat\",\"value\":{\"stringValue\":\""
+         << trace::json_escaped(e.cat) << "\"}}";
       if (e.corr != 0) {
         os << ",{\"key\":\"corr\",\"value\":{\"intValue\":\"" << e.corr
            << "\"}}";

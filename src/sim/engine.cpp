@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <cmath>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -84,6 +85,11 @@ void Engine::release_slot(std::uint32_t slot) noexcept {
 }
 
 std::uint64_t Engine::schedule_at(Time t, Callback cb) {
+  // A NaN key would compare false both ways and corrupt the heap order
+  // (and the clock); an infinite one would never fire.
+  if (!std::isfinite(t)) {
+    throw std::invalid_argument("schedule_at: non-finite time");
+  }
   if (t < now_) throw std::invalid_argument("schedule_at: time in the past");
   const std::uint32_t slot = acquire_slot(std::move(cb));
   const std::uint32_t gen = slot_gen_[slot];

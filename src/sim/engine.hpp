@@ -92,6 +92,7 @@ class Engine {
   }
 
   /// Schedule cb at absolute time t (>= now).  Returns an id for cancel().
+  /// Throws std::invalid_argument for a past, NaN or infinite t.
   /// Events at exactly the current time bypass the heap entirely (the
   /// wake()/zero-delay fast path) and run FIFO after any heap events that
   /// were already pending for this instant.

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
-#include <map>
+#include <limits>
 #include <mutex>
 #include <ostream>
-#include <set>
 #include <string_view>
 
 namespace nbctune::trace {
@@ -179,21 +178,12 @@ void Tracer::record(Hist h, std::uint64_t v) noexcept {
 
 namespace {
 
-thread_local Tracer* tl_current = nullptr;
 thread_local std::vector<FinishedTrace>* tl_staging = nullptr;
 
 std::atomic<bool> g_enabled{false};
 std::atomic<Session::Listener*> g_listener{nullptr};
 
 }  // namespace
-
-Tracer* current() noexcept { return tl_current; }
-
-Tracer* set_current(Tracer* t) noexcept {
-  Tracer* prev = tl_current;
-  tl_current = t;
-  return prev;
-}
 
 // --------------------------------------------------------------- session
 
@@ -269,26 +259,70 @@ std::uint64_t Session::total_events() const {
   return n;
 }
 
-namespace {
-
-/// Deterministic fixed-point formatting of simulated microseconds
-/// (nanosecond resolution; enough for LogGP-scale costs).
-void put_us(std::ostream& os, double seconds) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", seconds * 1e6);
-  os << buf;
-}
-
-void put_escaped(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
+std::string json_escaped(std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += "\\u00";
+          out += kHex[(c >> 4) & 0xF];
+          out += kHex[c & 0xF];
+        } else {
+          out += c;
+        }
+    }
   }
+  return out;
 }
+
+void append_fixed3(std::string& out, double v) {
+  // Widest result: sign, the 309 integer digits of DBL_MAX, point and
+  // three decimals.  On a shorter buffer to_chars fails with
+  // value_too_large for large values and leaves the buffer unwritten.
+  char buf[1 + (std::numeric_limits<double>::max_exponent10 + 1) + 1 + 3];
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed, 3);
+  out.append(buf, r.ptr);
+}
+
+namespace {
 
 /// Chrome tid for a track id (tids should be non-negative integers).
 int chrome_tid(std::int32_t track) {
   return track >= 0 ? track : 1000000 + (-1 - track);
+}
+
+/// The Chrome export formats into one byte buffer and hands it to the
+/// stream in blocks of about this size.
+constexpr std::size_t kChromeFlushBytes = std::size_t{1} << 20;
+
+void append_int(std::string& out, std::uint64_t v) {
+  char buf[20];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+/// Simulated seconds as fixed-point microseconds (nanosecond resolution;
+/// enough for LogGP-scale costs).
+void append_us(std::string& out, double seconds) {
+  append_fixed3(out, seconds * 1e6);
 }
 
 }  // namespace
@@ -296,72 +330,105 @@ int chrome_tid(std::int32_t track) {
 void Session::write_chrome(std::ostream& os) const {
   Impl& im = impl();
   std::lock_guard<std::mutex> lk(im.mu);
-  os << "{\"traceEvents\":[";
-  bool first = true;
-  auto sep = [&] {
-    if (!first) os << ",";
-    first = false;
-    os << "\n";
+  std::string out;
+  out.reserve(kChromeFlushBytes + 4096);
+  const auto flush = [&] {
+    os.write(out.data(), static_cast<std::streamsize>(out.size()));
+    out.clear();
   };
+  out += "{\"traceEvents\":[";
+  bool first = true;
+  const auto sep = [&] {
+    if (out.size() >= kChromeFlushBytes) flush();
+    if (!first) out += ',';
+    first = false;
+    out += '\n';
+  };
+  std::vector<std::int32_t> tracks;
   for (std::size_t pid = 0; pid < im.traces.size(); ++pid) {
     const FinishedTrace& t = im.traces[pid];
     sep();
-    os << "{\"ph\":\"M\",\"pid\":" << pid
-       << ",\"name\":\"process_name\",\"args\":{\"name\":\"";
-    put_escaped(os, t.label);
-    os << "\"}}";
+    out += "{\"ph\":\"M\",\"pid\":";
+    append_int(out, pid);
+    out += ",\"name\":\"process_name\",\"args\":{\"name\":\"";
+    out += json_escaped(t.label);
+    out += "\"}}";
     sep();
-    os << "{\"ph\":\"M\",\"pid\":" << pid
-       << ",\"name\":\"process_sort_index\",\"args\":{\"sort_index\":" << pid
-       << "}}";
+    out += "{\"ph\":\"M\",\"pid\":";
+    append_int(out, pid);
+    out += ",\"name\":\"process_sort_index\",\"args\":{\"sort_index\":";
+    append_int(out, pid);
+    out += "}}";
     // Name every track that appears (ranks and per-node wire lanes).
-    std::set<std::int32_t> tracks;
-    for (const Event& e : t.events) tracks.insert(e.track);
-    for (std::int32_t tr : tracks) {
+    tracks.clear();
+    for (const Event& e : t.events) tracks.push_back(e.track);
+    std::sort(tracks.begin(), tracks.end());
+    tracks.erase(std::unique(tracks.begin(), tracks.end()), tracks.end());
+    for (const std::int32_t tr : tracks) {
       sep();
-      os << "{\"ph\":\"M\",\"pid\":" << pid << ",\"tid\":" << chrome_tid(tr)
-         << ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
+      out += "{\"ph\":\"M\",\"pid\":";
+      append_int(out, pid);
+      out += ",\"tid\":";
+      append_int(out, static_cast<std::uint64_t>(chrome_tid(tr)));
+      out += ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
       if (tr >= 0) {
-        os << "rank " << tr;
+        out += "rank ";
+        append_int(out, static_cast<std::uint64_t>(tr));
       } else {
-        os << "node " << (-1 - tr) << " wire";
+        out += "node ";
+        append_int(out, static_cast<std::uint64_t>(-1 - tr));
+        out += " wire";
       }
-      os << "\"}}";
+      out += "\"}}";
     }
     for (const Event& e : t.events) {
       sep();
-      os << "{\"pid\":" << pid << ",\"tid\":" << chrome_tid(e.track)
-         << ",\"cat\":\"" << cat_name(e.cat) << "\",\"name\":\"" << e.name
-         << "\",\"ts\":";
-      put_us(os, e.ts);
+      out += "{\"pid\":";
+      append_int(out, pid);
+      out += ",\"tid\":";
+      append_int(out, static_cast<std::uint64_t>(chrome_tid(e.track)));
+      out += ",\"cat\":\"";
+      out += cat_name(e.cat);
+      out += "\",\"name\":\"";
+      out += e.name;
+      out += "\",\"ts\":";
+      append_us(out, e.ts);
       if (e.dur >= 0.0) {
-        os << ",\"ph\":\"X\",\"dur\":";
-        put_us(os, e.dur);
+        out += ",\"ph\":\"X\",\"dur\":";
+        append_us(out, e.dur);
       } else {
-        os << ",\"ph\":\"i\",\"s\":\"t\"";
+        out += ",\"ph\":\"i\",\"s\":\"t\"";
       }
       if (e.akey != nullptr || e.bkey != nullptr || e.corr != 0) {
-        os << ",\"args\":{";
+        out += ",\"args\":{";
         bool any = false;
         if (e.akey != nullptr) {
-          os << "\"" << e.akey << "\":" << e.aval;
+          out += '"';
+          out += e.akey;
+          out += "\":";
+          append_int(out, e.aval);
           any = true;
         }
         if (e.bkey != nullptr) {
-          if (any) os << ",";
-          os << "\"" << e.bkey << "\":" << e.bval;
+          if (any) out += ',';
+          out += '"';
+          out += e.bkey;
+          out += "\":";
+          append_int(out, e.bval);
           any = true;
         }
         if (e.corr != 0) {
-          if (any) os << ",";
-          os << "\"corr\":" << e.corr;
+          if (any) out += ',';
+          out += "\"corr\":";
+          append_int(out, e.corr);
         }
-        os << "}";
+        out += '}';
       }
-      os << "}";
+      out += '}';
     }
   }
-  os << "\n],\"displayTimeUnit\":\"ms\"}\n";
+  out += "\n],\"displayTimeUnit\":\"ms\"}\n";
+  flush();
 }
 
 void Session::write_counters(std::ostream& os) const {

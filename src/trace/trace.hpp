@@ -33,6 +33,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace nbctune::trace {
@@ -202,11 +203,21 @@ class Tracer {
   std::array<HistData, static_cast<std::size_t>(Hist::kCount)> hists_{};
 };
 
+namespace detail {
+/// Backing store of current(); constinit, so every hook reads it
+/// directly, with no TLS-init wrapper call.
+inline constinit thread_local Tracer* tl_current = nullptr;
+}  // namespace detail
+
 /// The tracer of the simulation currently running on this thread, or
 /// nullptr when tracing is off (the common case).
-[[nodiscard]] Tracer* current() noexcept;
+[[nodiscard]] inline Tracer* current() noexcept { return detail::tl_current; }
 /// Install `t` as the current tracer; returns the previous one.
-Tracer* set_current(Tracer* t) noexcept;
+inline Tracer* set_current(Tracer* t) noexcept {
+  Tracer* prev = detail::tl_current;
+  detail::tl_current = t;
+  return prev;
+}
 
 // Guarded instrumentation helpers: each is a thread-local load plus a
 // branch when tracing is off.
@@ -312,6 +323,20 @@ class Session {
   struct Impl;
   Impl& impl() const;
 };
+
+// ----------------------------------------------------- JSON formatting
+
+/// `s` escaped as the body of a JSON string: `"` and `\` get a
+/// backslash, newline / tab / CR become `\n` `\t` `\r`, and every other
+/// byte below 0x20 becomes `\u00XX`.  The one escaper behind every JSON
+/// writer in the tree (Chrome export, analyzer report, profiles, live
+/// stream).
+[[nodiscard]] std::string json_escaped(std::string_view s);
+
+/// Append `v` in fixed point with three decimals, byte-identical to
+/// printf("%.3f", v) for every finite double (the Chrome exporter's
+/// microsecond fields).
+void append_fixed3(std::string& out, double v);
 
 /// RAII: installs a fresh Tracer for one scenario when the session is
 /// enabled; on destruction detaches it and hands the finished trace to

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <map>
@@ -17,6 +18,7 @@
 #include "adcl/selection.hpp"
 #include "analyze/analyze.hpp"
 #include "analyze/chrome_reader.hpp"
+#include "analyze/json_min.hpp"
 #include "analyze/regress.hpp"
 #include "coll/ibcast.hpp"
 #include "harness/scenario_pool.hpp"
@@ -307,6 +309,107 @@ TEST(AnalyzeChrome, RoundTripMatchesInProcessAnalysis) {
     EXPECT_NEAR(a.blame.total(), b.blame.total(),
                 2e-9 * std::max(1.0, a.ops_completed * 1.0));
   }
+}
+
+TEST(AnalyzeChrome, ControlCharactersInLabelsRoundTrip) {
+  const std::string label =
+      "ibcast \"quoted\" back\\slash\nnewline\ttab\x01" "end";
+  trace::Session::enable();
+  (void)trace::Session::instance().drain();
+  {
+    trace::Scope scope(label);
+    run_ibcast(2, 4096);
+  }
+  std::ostringstream chrome;
+  trace::Session::instance().write_chrome(chrome);
+  const std::vector<trace::FinishedTrace> finished =
+      trace::Session::instance().drain();
+  ASSERT_EQ(finished.size(), 1u);
+  std::ostringstream json;
+  analyze::write_json(json,
+                      analyze::analyze({analyze::from_finished(finished[0])}));
+  // Valid JSON carries no raw control character inside a string; the
+  // only one either writer emits is the newline between records.
+  for (const std::string& out : {chrome.str(), json.str()}) {
+    EXPECT_EQ(std::count_if(out.begin(), out.end(),
+                            [](char c) {
+                              return static_cast<unsigned char>(c) < 0x20 &&
+                                     c != '\n';
+                            }),
+              0);
+  }
+
+  std::istringstream is(chrome.str());
+  const std::vector<analyze::ScenarioTrace> parsed = analyze::read_chrome(is);
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].label, label);
+
+  const analyze::jsonmin::Value report = analyze::jsonmin::parse(json.str());
+  const analyze::jsonmin::Value* scenarios = report.get("scenarios");
+  ASSERT_NE(scenarios, nullptr);
+  ASSERT_EQ(scenarios->arr->size(), 1u);
+  EXPECT_EQ(scenarios->arr->front().get("label")->str, label);
+}
+
+TEST(AnalyzeChrome, ParsedNamesOutliveInputMovesAndCopies) {
+  trace::Session::enable();
+  (void)trace::Session::instance().drain();
+  {
+    trace::Scope a("names one");
+    run_ibcast(4, 65536, 2, /*seed=*/3);
+  }
+  {
+    trace::Scope b("names two");
+    run_ibcast(2, 4096);
+  }
+  std::ostringstream chrome;
+  trace::Session::instance().write_chrome(chrome);
+  (void)trace::Session::instance().drain();
+
+  const auto report_of = [](const std::vector<analyze::ScenarioTrace>& ts) {
+    std::ostringstream os;
+    analyze::write_json(os, analyze::analyze(ts));
+    return os.str();
+  };
+  // Reuse freed heap blocks, so a name still viewing the input or the
+  // parse tree would read garbage rather than the old bytes.
+  const auto churn_heap = [] {
+    std::vector<std::string> junk;
+    for (int i = 0; i < 4096; ++i) junk.emplace_back(8 + i % 96, '#');
+  };
+
+  std::vector<analyze::ScenarioTrace> parsed;
+  std::string want;
+  {
+    std::string text = chrome.str();
+    std::istringstream is(text);
+    parsed = analyze::read_chrome(is);
+    want = report_of(parsed);
+    std::fill(text.begin(), text.end(), '#');
+  }
+  churn_heap();
+  ASSERT_EQ(parsed.size(), 2u);
+  EXPECT_NE(want.find("\"ops_completed\":8"), std::string::npos) << want;
+  EXPECT_EQ(report_of(parsed), want);
+
+  std::vector<analyze::ScenarioTrace> moved = std::move(parsed);
+  churn_heap();
+  EXPECT_EQ(report_of(moved), want);
+
+  std::vector<analyze::ScenarioTrace> copied = moved;
+  moved = {};
+  churn_heap();
+  EXPECT_EQ(report_of(copied), want);
+
+  // One trace copied out on its own keeps the shared names alive.
+  analyze::ScenarioTrace last = copied.back();
+  copied = {};
+  churn_heap();
+  ASSERT_FALSE(last.events.empty());
+  EXPECT_TRUE(std::any_of(last.events.begin(), last.events.end(),
+                          [](const analyze::AEvent& e) {
+                            return e.cat == "nbc" && e.name == "nbc.op";
+                          }));
 }
 
 TEST(AnalyzeChrome, CountersReaderParsesDump) {

@@ -315,12 +315,17 @@ TEST(ObsLive, FinishedRecordCarriesRecoveryBlockUnderAKillPlan) {
 }
 
 TEST(ObsLive, EscapeRoundTripsThroughJsonMin) {
-  const std::string nasty = "line1\nline2\t\"quoted\\path\"\r{json:1}";
+  const std::string nasty =
+      "line1\nline2\t\"quoted\\path\"\r{json:1}\x01\x1f";
   const std::string wrapped =
-      "{\"s\":\"" + obs::LiveSink::escape_json(nasty) + "\"}";
+      "{\"s\":\"" + trace::json_escaped(nasty) + "\"}";
   const jm::Value v = jm::parse(wrapped);
   ASSERT_NE(v.get("s"), nullptr);
   EXPECT_EQ(v.get("s")->str, nasty);
+  // \uXXXX escapes decode to UTF-8.
+  EXPECT_EQ(jm::parse("\"\\u0041\\u00e9\\u20AC\"").str,
+            "A\xc3\xa9\xe2\x82\xac");
+  EXPECT_THROW(jm::parse("\"\\u00g1\""), std::runtime_error);
 }
 
 // ---------------------------------------------------- gauge arithmetic

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -186,6 +187,26 @@ TEST(Engine, SchedulingInThePastThrows) {
     EXPECT_THROW(eng.schedule_at(0.5, [] {}), std::invalid_argument);
   });
   eng.run();
+}
+
+TEST(Engine, NonFiniteTimesThrow) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  sim::Engine eng;
+  EXPECT_THROW(eng.schedule_at(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW(eng.schedule_at(inf, [] {}), std::invalid_argument);
+  EXPECT_THROW(eng.schedule_after(nan, [] {}), std::invalid_argument);
+  // A process sleeping NaN (what Ctx::compute(NaN) does) fails loudly
+  // instead of turning the clock into NaN.
+  bool resumed = false;
+  eng.add_process("p", [&](sim::Process& p) {
+    p.sleep(1.0);
+    p.sleep(nan);
+    resumed = true;
+  });
+  EXPECT_THROW(eng.run(), std::invalid_argument);
+  EXPECT_FALSE(resumed);
+  EXPECT_DOUBLE_EQ(eng.now(), 1.0);
 }
 
 TEST(Engine, CancelledEventsDoNotFire) {

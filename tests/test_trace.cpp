@@ -9,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -343,4 +347,35 @@ TEST(TraceExport, ChromeJsonShapeAndEscaping) {
   // Wire track 0 maps to the reserved chrome tid block.
   EXPECT_NE(j.find("\"tid\":1000000"), std::string::npos);
   EXPECT_NE(j.find("node 0 wire"), std::string::npos);
+}
+
+TEST(TraceExport, MicrosecondFormatMatchesPrintf) {
+  // The Chrome writer's "%.3f" fields come from to_chars; every value
+  // must format byte-for-byte as printf would.
+  std::vector<double> values = {0.0, -0.0, DBL_MIN, DBL_TRUE_MIN, 1e300,
+                                DBL_MAX, -DBL_MAX};
+  // Exact binary fractions of a microsecond, rounding ties among them.
+  for (int k = 0; k < 100000; ++k) {
+    values.push_back(k / 16.0);
+    values.push_back(k / 32.0);
+    values.push_back(k / 1024.0);
+  }
+  // Random simulated times, scaled to microseconds as the writer does.
+  std::mt19937_64 rng(20150525);
+  std::uniform_real_distribution<double> exponent(-9.0, 3.0);
+  for (int i = 0; i < 200000; ++i) {
+    values.push_back(std::pow(10.0, exponent(rng)) * 1e6);
+  }
+  std::size_t mismatches = 0;
+  for (const double v : values) {
+    char want[512];
+    std::snprintf(want, sizeof(want), "%.3f", v);
+    std::string got = "ts:";
+    trace::append_fixed3(got, v);
+    if (got != std::string("ts:") + want && mismatches++ < 5) {
+      ADD_FAILURE() << "value " << v << ": got " << got << ", printf "
+                    << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
