@@ -238,13 +238,10 @@ static void BM_AlltoallSchedule(benchmark::State& state) {
 }
 BENCHMARK(BM_AlltoallSchedule)->Arg(32)->Arg(128);
 
-// Execution-mode cost: the same pinned micro-benchmark loop under fiber
-// execution (_setjmp/_longjmp switch per blocking point) vs machine
-// execution (state-machine step per engine event, zero fibers).  Outputs are
-// byte-identical (test_exec); this measures the host-side cost delta and
-// bounds how much of a sweep's wall-clock the context switches are.
-static void BM_ExecModeLoop(benchmark::State& state) {
-  const auto mode = static_cast<harness::ExecMode>(state.range(0));
+// Host cost of the pinned micro-benchmark loop end to end: world setup, one
+// fiber per rank (a _setjmp/_longjmp switch per blocking point), engine
+// events and NBC rounds, per simulated rank-iteration.
+static void BM_PinnedLoop(benchmark::State& state) {
   harness::MicroScenario s;
   s.platform = net::crill();
   s.nprocs = 64;
@@ -254,17 +251,13 @@ static void BM_ExecModeLoop(benchmark::State& state) {
   s.iterations = 4;
   s.progress_calls = 2;
   s.noise_scale = 0.0;
-  s.exec = mode;
   for (auto _ : state) {
     benchmark::DoNotOptimize(harness::run_fixed(s, 0).loop_time);
   }
   state.SetItemsProcessed(state.iterations() * s.nprocs * s.iterations);
-  state.SetLabel(std::string("rank-iterations/s (") +
-                 harness::exec_name(mode) + " mode)");
+  state.SetLabel("rank-iterations/s");
 }
-BENCHMARK(BM_ExecModeLoop)
-    ->Arg(static_cast<int>(harness::ExecMode::Fiber))
-    ->Arg(static_cast<int>(harness::ExecMode::Machine));
+BENCHMARK(BM_PinnedLoop);
 
 static void BM_SelectionPolicy(benchmark::State& state) {
   const auto kind = static_cast<adcl::PolicyKind>(state.range(0));

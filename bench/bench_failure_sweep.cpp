@@ -10,9 +10,6 @@
 // --trace-counters to get the analyzer's RecoverySummary (detection,
 // agreement, rebuild and time-to-recover); CI diffs both against
 // committed goldens and byte-compares stdout across thread counts.
-//
-// Fiber mode only: kill plans are outside the machine-mode envelope
-// (run_loop_machine rejects them), so this driver does not honour --exec.
 
 #include "bench_util.hpp"
 #include "fault/fault.hpp"

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
     s.progress_calls = 5;
     s.iterations = drv.full() ? 24 : 8;
     s.noise_scale = 0.0;  // systematic comparison: noise off
-    drv.configure(s);     // --exec=machine must reproduce fiber stdout
+    drv.configure(s);
     bench::print_fixed_comparison(
         "Fig 3: network influence — Ialltoall implementations on " +
             platform.name,

@@ -15,9 +15,7 @@
 //
 // Part 3 — ADCL on the extended sets: the tuned winner switches from a
 // flat member at small sizes to the striped / two-level member at large
-// sizes.  Run-time selection needs fibers, so this part always runs in
-// fiber mode regardless of --exec; parts 1-2 honour the flag and its
-// byte-identical fiber/machine contract.
+// sizes.
 
 #include "bench_util.hpp"
 #include "net/platform.hpp"
@@ -39,11 +37,7 @@ MicroScenario base_scenario(const bench::Driver& drv) {
   return s;
 }
 
-void print_adcl(const std::string& title, MicroScenario s) {
-  // Selection blocks on the decision allreduce and needs fibers; the
-  // stdout stays byte-identical across --exec values because this path
-  // never honours the flag.
-  s.exec = ExecMode::Fiber;
+void print_adcl(const std::string& title, const MicroScenario& s) {
   adcl::TuningOptions opts;
   opts.policy = adcl::PolicyKind::BruteForce;
   opts.tests_per_function = 2;

@@ -39,12 +39,11 @@ namespace nbctune::bench {
 /// decision audit and the performance guidelines — and prints it to
 /// stderr (table) or writes it with `--report-out <file>`.  All exports
 /// are byte-deterministic at any thread count and never touch stdout.
-/// `--exec=fiber|machine` selects the execution mode for fixed runs
-/// (machine: fiberless state machines, scales to 100k+ ranks; outputs
-/// byte-identical to fiber mode wherever both run).  `--fiber-stack N`
-/// sets the per-fiber stack in bytes (fiber mode only; default 256 KiB
-/// or NBCTUNE_FIBER_STACK).  `--list-platforms` dumps every preset's
-/// node/core/NIC counts, per-level link parameters and hierarchy shape
+/// `--fiber-stack N` sets the per-rank fiber stack in bytes (default
+/// 256 KiB or NBCTUNE_FIBER_STACK; raised to a 16 KiB floor, which is
+/// enough for pinned collective loops at 100k+ ranks).
+/// `--list-platforms` dumps every preset's node/core/NIC counts,
+/// per-level link parameters and hierarchy shape
 /// (net::describe_platform) to stdout and exits before the sweep.
 /// `--list-plans` likewise dumps every canned fault plan — name, a
 /// one-line description and the exact spec string a driver's fault
@@ -58,7 +57,6 @@ struct Scale {
   enum class ReportMode { None, Table, Json };
   bool full = false;
   int threads = 0;  ///< 0 = auto (NBCTUNE_THREADS, then hardware)
-  harness::ExecMode exec = harness::ExecMode::Fiber;
   std::size_t fiber_stack = 0;  ///< 0 = sim default
   std::string trace_path;     ///< Chrome trace-event JSON output, if set
   std::string counters_path;  ///< flat counter dump output, if set
@@ -76,6 +74,19 @@ struct Scale {
   [[nodiscard]] bool reporting() const noexcept {
     return report != ReportMode::None || !report_path.empty();
   }
+  /// A positive decimal byte count; anything else is an error naming the
+  /// flag (zero would silently mean the default).
+  static std::size_t parse_stack_bytes(const char* arg) {
+    char* end = nullptr;
+    const unsigned long long v = std::strtoull(arg, &end, 10);
+    if (end == arg || *end != '\0' || v == 0 || arg[0] == '-') {
+      throw std::invalid_argument(
+          std::string("--fiber-stack: expected a positive byte count, got '") +
+          arg + "'");
+    }
+    return static_cast<std::size_t>(v);
+  }
+
   static Scale from_args(int argc, char** argv) {
     Scale s;
     for (int i = 1; i < argc; ++i) {
@@ -100,19 +111,8 @@ struct Scale {
         s.report_path = argv[++i];
         if (s.report == ReportMode::None) s.report = ReportMode::Json;
       }
-      if (std::strncmp(argv[i], "--exec=", 7) == 0) {
-        const std::string mode = argv[i] + 7;
-        if (mode == "fiber") {
-          s.exec = harness::ExecMode::Fiber;
-        } else if (mode == "machine") {
-          s.exec = harness::ExecMode::Machine;
-        } else {
-          throw std::invalid_argument("--exec: expected fiber or machine, got " +
-                                      mode);
-        }
-      }
       if (std::strcmp(argv[i], "--fiber-stack") == 0 && i + 1 < argc) {
-        s.fiber_stack = static_cast<std::size_t>(std::atoll(argv[++i]));
+        s.fiber_stack = parse_stack_bytes(argv[++i]);
       }
       if (std::strcmp(argv[i], "--list-platforms") == 0) {
         s.list_platforms = true;
@@ -178,7 +178,7 @@ class Driver {
  public:
   Driver(std::string name, int argc, char** argv)
       : name_(std::move(name)),
-        scale_(Scale::from_args(argc, argv)),
+        scale_(parse_args(name_, argc, argv)),
         pool_(scale_.threads) {
     if (scale_.list_platforms) {
       for (const char* p : {"crill", "whale", "whale-tcp", "bgp", "mega"}) {
@@ -275,13 +275,22 @@ class Driver {
     return SweepTimer(name_ + " sweep", pool_.threads());
   }
 
-  /// Apply the execution-mode flags to a scenario (--exec, --fiber-stack).
+  /// Apply the per-scenario flags to a scenario (--fiber-stack).
   void configure(harness::MicroScenario& s) const noexcept {
-    s.exec = scale_.exec;
     s.fiber_stack_bytes = scale_.fiber_stack;
   }
 
  private:
+  /// Scale::from_args, exiting with status 2 on a malformed flag value.
+  static Scale parse_args(const std::string& name, int argc, char** argv) {
+    try {
+      return Scale::from_args(argc, argv);
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "[" << name << "] " << e.what() << "\n";
+      std::exit(2);
+    }
+  }
+
   /// Write the post-hoc analysis where --report asked for it.  Traces
   /// are adopted in submission order regardless of the worker count, so
   /// the report bytes are identical at --threads 1 and --threads N.

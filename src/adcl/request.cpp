@@ -51,7 +51,7 @@ const nbc::Schedule& Request::schedule_for(int func) {
   return it->second;
 }
 
-nbc::Handle* Request::init_begin() {
+void Request::init() {
   if (active_) throw std::logic_error("Request::init while active");
   const int func = state_->current();
   const nbc::Schedule& sched = schedule_for(func);
@@ -71,20 +71,17 @@ nbc::Handle* Request::init_begin() {
   }
   active_ = true;
   init_time_ = ctx_.now();
-  return handle_.get();
-}
-
-void Request::init() {
-  init_begin();
   handle_->start();
-  if (bound_blocking()) {
+  if (fset_->function(func).blocking) {
     // Blocking member of the function-set: no completion phase (the wait
     // function pointer is conceptually NULL, paper §IV-B).
     handle_->wait();
   }
 }
 
-void Request::wait_finish() {
+void Request::wait() {
+  if (!active_) throw std::logic_error("Request::wait without init");
+  handle_->wait();
   active_ = false;
   trace::record(trace::Hist::ProgressPerOp, progress_calls_);
   progress_calls_ = 0;
@@ -93,14 +90,8 @@ void Request::wait_finish() {
   }
 }
 
-void Request::wait() {
-  if (!active_) throw std::logic_error("Request::wait without init");
-  handle_->wait();
-  wait_finish();
-}
-
 void Request::progress() {
-  note_progress();
+  ++progress_calls_;
   ctx_.progress();
 }
 

@@ -70,23 +70,6 @@ class Request {
   /// No-op when nothing is in flight.
   void abandon();
 
-  // ---- machine-mode execution surface (exec::MachineRunner) ----
-  // init()/wait()/progress() decomposed into their non-blocking pieces;
-  // the fiberless driver runs the handle phases and wait loop itself.
-
-  /// Everything init() does except starting (and, for blocking members,
-  /// waiting on) the handle.  Returns the bound handle.
-  nbc::Handle* init_begin();
-  /// True when the implementation bound by the last init_begin() is a
-  /// blocking function-set member (no completion phase).
-  [[nodiscard]] bool bound_blocking() const {
-    return fset_->function(bound_function_).blocking;
-  }
-  /// The bookkeeping wait() does after the handle completes.
-  void wait_finish();
-  /// The bookkeeping progress() does besides the progress pass itself.
-  void note_progress() noexcept { ++progress_calls_; }
-
   [[nodiscard]] bool active() const noexcept { return active_; }
   [[nodiscard]] SelectionState& selection() noexcept { return *state_; }
   [[nodiscard]] const SelectionState& selection() const noexcept {

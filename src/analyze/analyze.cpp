@@ -69,17 +69,12 @@ LabelKey parse_label(const std::string& label) {
   k.nprocs = std::atoi(np.c_str() + 2);
   k.bytes = std::strtoull(by.substr(0, by.size() - 1).c_str(), nullptr, 10);
   k.what = tok[4];
-  // Suffixes append in order "<what>[+plan=NAME][+exec=MODE][+topo=TAG]",
+  // Suffixes append in order "<what>[+plan=NAME][+topo=TAG]",
   // so strip from the outside in or an inner tag would swallow the rest.
   const std::size_t topo = k.what.find("+topo=");
   if (topo != std::string::npos) {
     k.topo = k.what.substr(topo + 6);
     k.what.resize(topo);
-  }
-  const std::size_t exec = k.what.find("+exec=");
-  if (exec != std::string::npos) {
-    k.exec = k.what.substr(exec + 6);
-    k.what.resize(exec);
   }
   const std::size_t plan = k.what.find("+plan=");
   if (plan != std::string::npos) {
@@ -93,7 +88,6 @@ std::string LabelKey::group() const {
   std::string g = op + " " + platform + " np" + std::to_string(nprocs) +
                   " " + std::to_string(bytes) + "B";
   if (!plan.empty()) g += " plan=" + plan;
-  if (!exec.empty()) g += " exec=" + exec;
   if (!topo.empty()) g += " topo=" + topo;
   return g;
 }
@@ -102,7 +96,6 @@ std::string LabelKey::size_group() const {
   std::string g =
       op + " " + platform + " np" + std::to_string(nprocs) + " " + what;
   if (!plan.empty()) g += " plan=" + plan;
-  if (!exec.empty()) g += " exec=" + exec;
   if (!topo.empty()) g += " topo=" + topo;
   return g;
 }
@@ -111,7 +104,6 @@ std::string LabelKey::rank_group() const {
   std::string g =
       op + " " + platform + " " + std::to_string(bytes) + "B " + what;
   if (!plan.empty()) g += " plan=" + plan;
-  if (!exec.empty()) g += " exec=" + exec;
   if (!topo.empty()) g += " topo=" + topo;
   return g;
 }

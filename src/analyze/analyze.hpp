@@ -282,8 +282,8 @@ struct ScenarioReport {
   FaultSummary faults;
   RecoverySummary recovery;
   /// Execution-resource counters from the per-scenario trace (0 when the
-  /// trace predates them): fibers constructed (0 for machine-mode runs)
-  /// and the World's flat per-rank arena footprint at destruction.
+  /// trace predates them): fibers constructed and the World's flat
+  /// per-rank arena footprint at destruction.
   std::uint64_t fibers_created = 0;
   std::uint64_t peak_arena_bytes = 0;
   /// Repetition-aware statistics over the scenario's op instances (one
@@ -296,9 +296,9 @@ struct ScenarioReport {
   bool min_reps_met = false;
   /// Every op instance's critical-rank analysis, ordered by correlation
   /// id (deterministic).  This is the raw material of the profile
-  /// exporters (src/obs: collapsed-stack / speedscope frames are
-  /// rank;op;phase weighted by these blame partitions); not serialized
-  /// into the JSON report.
+  /// exporter (src/obs: collapsed-stack frames are rank;op;phase
+  /// weighted by these blame partitions); not serialized into the JSON
+  /// report.
   std::vector<OpCritical> op_criticals;
   /// Events discarded by the trace buffer cap (NBCTUNE_TRACE_MAX_EVENTS);
   /// non-zero means every number above is computed from a truncated
@@ -369,12 +369,10 @@ void write_table(std::ostream& os, const Report& report);
 /// Parsed scenario label: "<op> <platform> np<N> <bytes>B <what>"
 /// (microbench convention; see harness/microbench.cpp).  A fault plan
 /// rides in the last token as "<what>+plan=<name>" and is split off into
-/// `plan`; a non-default execution mode rides after it as "+exec=<mode>"
-/// and is split off into `exec`; a topology tag rides last as
-/// "+topo=<tag>" and is split off into `topo`.  `valid` is false for
-/// labels of other
-/// shapes (e.g. the FFT benches), which then only participate in the
-/// universal guideline G1.
+/// `plan`; a topology tag rides last as "+topo=<tag>" and is split off
+/// into `topo`.  `valid` is false for labels of other shapes (e.g. the
+/// FFT benches), which then only participate in the universal guideline
+/// G1.
 struct LabelKey {
   bool valid = false;
   std::string op;
@@ -383,7 +381,6 @@ struct LabelKey {
   std::uint64_t bytes = 0;
   std::string what;  ///< "fixed:<impl>" or "adcl:<policy>"
   std::string plan;  ///< fault-plan name; empty = fault-free
-  std::string exec;  ///< execution-mode tag; empty = fiber (untagged)
   std::string topo;  ///< topology tag; empty = untagged
   /// Group key ignoring the what part (G2/G3 compare within a group).
   /// Includes the plan: faulted runs only compare against equally

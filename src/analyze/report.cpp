@@ -333,8 +333,7 @@ void write_table(std::ostream& os, const Report& report) {
     }
     if (s.fibers_created > 0 || s.peak_arena_bytes > 0) {
       os << "  exec: fibers " << s.fibers_created << ", peak arena "
-         << s.peak_arena_bytes << " B"
-         << (s.fibers_created == 0 ? " (machine mode)" : "") << "\n";
+         << s.peak_arena_bytes << " B\n";
     }
     if (s.truncated()) {
       os << "  TRUNCATED: " << s.dropped_events

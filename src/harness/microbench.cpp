@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "exec/machine_runner.hpp"
 #include "fault/fault.hpp"
 #include "mpi/world.hpp"
 #include "net/machine.hpp"
@@ -21,10 +20,6 @@ const char* op_name(OpKind k) noexcept {
     case OpKind::Iscatter: return "iscatter";
   }
   return "?";
-}
-
-const char* exec_name(ExecMode m) noexcept {
-  return m == ExecMode::Fiber ? "fiber" : "machine";
 }
 
 std::shared_ptr<const adcl::FunctionSet> scenario_functionset(
@@ -56,9 +51,6 @@ std::string scenario_label(const MicroScenario& s, const std::string& what) {
              (s.fault_plan_name.empty() ? std::string("spec")
                                         : s.fault_plan_name);
   }
-  // Mode tag rides in the last token too; fiber (the default) stays
-  // untagged so existing labels are unchanged.
-  if (s.exec == ExecMode::Machine) label += "+exec=machine";
   // Topology tag is the outermost suffix (stripped first by the analyzer's
   // parse_label) so hierarchy experiments form their own label groups.
   if (!s.topo_tag.empty()) label += "+topo=" + s.topo_tag;
@@ -66,8 +58,7 @@ std::string scenario_label(const MicroScenario& s, const std::string& what) {
 }
 
 /// Per-operation request arguments; sizes (and pins into `args`) the
-/// payload buffers when the scenario moves real bytes.  Shared by the
-/// fiber and machine paths so both bind identical requests.
+/// payload buffers when the scenario moves real bytes.
 adcl::OpArgs scenario_args(const MicroScenario& s, mpi::Ctx& ctx,
                            std::vector<std::byte>& sbuf,
                            std::vector<std::byte>& rbuf) {
@@ -231,74 +222,6 @@ RunOutcome run_loop(const MicroScenario& s,
   return out;
 }
 
-/// The same loop, fiberless: per-rank state machines driven by the engine
-/// (exec::MachineRunner).  Pinned implementations only; the runner throws
-/// on plans that need blocking recovery control flow.
-RunOutcome run_loop_machine(const MicroScenario& s, int pinned,
-                            const std::string& label) {
-  trace::Scope scope(label);
-  RunOutcome out;
-  sim::Engine engine(s.seed);
-  net::Machine machine(s.platform);
-  const fault::FaultPlan plan = fault::FaultPlan::parse(s.fault_plan);
-  if (plan.has_kills()) {
-    throw std::invalid_argument(
-        "machine mode: fail-stop recovery (kill plans) unwinds through "
-        "blocking control flow and needs fibers; run with --exec=fiber");
-  }
-  if (plan.op_timeout > 0 || plan.drift_window > 0) {
-    throw std::invalid_argument(
-        "machine mode: op-timeout recovery and drift re-tuning are blocking "
-        "control flows that need fibers; strip the plan's op_timeout/drift "
-        "knobs (e.g. \"...;op_timeout=0\") or run with --exec=fiber");
-  }
-  adcl::TuningOptions tuning;
-  if (plan.enabled()) {
-    tuning.op_timeout = plan.op_timeout;
-    tuning.max_attempts = plan.max_attempts;
-    tuning.drift_window = plan.drift_window;
-    tuning.drift_tolerance = plan.drift_tolerance;
-  }
-  mpi::WorldOptions wopts;
-  wopts.nprocs = s.nprocs;
-  wopts.seed = s.seed;
-  wopts.noise_scale = s.noise_scale;
-  if (plan.enabled()) wopts.fault_plan = &plan;
-  mpi::World world(engine, machine, wopts);
-
-  // One function-set shared by every rank.  Fiber mode builds one per rank
-  // (each rank's program is self-contained); sharing changes nothing — the
-  // set is immutable — and at 100k+ ranks per-rank copies would dominate
-  // the memory budget the flat arenas exist to bound.
-  auto fset = scenario_functionset(s);
-
-  exec::MachineSpec spec;
-  spec.compute_per_iter = s.compute_per_iter;
-  spec.iterations = s.iterations;
-  spec.progress_calls = s.progress_calls;
-  spec.make_request = [&](mpi::Ctx& ctx, std::vector<std::byte>& sbuf,
-                          std::vector<std::byte>& rbuf) {
-    auto req = adcl::request_create(
-        ctx, fset, scenario_args(s, ctx, sbuf, rbuf), tuning);
-    req->selection().force_winner(pinned);
-    return req;
-  };
-
-  exec::MachineRunner runner(world, std::move(spec));
-  runner.start();
-  engine.run();
-  runner.check_finished();
-
-  const exec::Outcome& o = runner.outcome();
-  out.impl = o.impl;
-  out.loop_time = o.loop_time;
-  out.decision_iteration = o.decision_iteration;
-  out.decision_time = o.decision_time;
-  out.post_decision_time = o.post_decision_time;
-  out.post_decision_iterations = o.post_decision_iterations;
-  return out;
-}
-
 }  // namespace
 
 RunOutcome run_fixed(const MicroScenario& s, int func_idx) {
@@ -309,9 +232,7 @@ RunOutcome run_fixed(const MicroScenario& s, int func_idx) {
   const std::string label =
       scenario_label(s, "fixed:" + fset->function(func_idx).name);
   adcl::TuningOptions tuning;  // irrelevant: selection is forced
-  RunOutcome out = s.exec == ExecMode::Machine
-                       ? run_loop_machine(s, func_idx, label)
-                       : run_loop(s, tuning, func_idx, label);
+  RunOutcome out = run_loop(s, tuning, func_idx, label);
   out.impl = fset->function(func_idx).name;
   out.post_decision_time = out.loop_time;
   out.post_decision_iterations = s.iterations;
@@ -319,11 +240,6 @@ RunOutcome run_fixed(const MicroScenario& s, int func_idx) {
 }
 
 RunOutcome run_adcl(const MicroScenario& s, adcl::TuningOptions opts) {
-  if (s.exec == ExecMode::Machine) {
-    throw std::invalid_argument(
-        "run_adcl: run-time selection blocks on the decision allreduce and "
-        "needs fibers; machine mode supports pinned (run_fixed) runs only");
-  }
   return run_loop(
       s, opts, -1,
       scenario_label(s, std::string("adcl:") + adcl::policy_name(opts.policy)));

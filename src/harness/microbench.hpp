@@ -31,17 +31,6 @@ enum class OpKind { Ialltoall, Ibcast, Iallreduce, Iscatter };
 
 [[nodiscard]] const char* op_name(OpKind k) noexcept;
 
-/// How the per-rank loop executes (see exec/machine_runner.hpp).
-/// Fiber: every rank runs on its own fiber stack (the default; supports
-/// run-time selection, recovery and drift re-tuning).  Machine: ranks run
-/// as explicit state machines in flat arenas — no fiber stacks, scales to
-/// 100k+ ranks, but restricted to pinned (forced-winner) fault-free-or-
-/// lossy-without-recovery runs.  Where both modes can run they produce
-/// byte-identical event streams and timings.
-enum class ExecMode { Fiber, Machine };
-
-[[nodiscard]] const char* exec_name(ExecMode m) noexcept;
-
 /// One benchmark configuration.
 struct MicroScenario {
   net::Platform platform;
@@ -74,11 +63,9 @@ struct MicroScenario {
   /// Short name folded into trace labels as "+plan=<name>" (analyzer
   /// grouping); defaults to "spec" when a plan is set without a name.
   std::string fault_plan_name;
-  /// Execution mode; Machine is valid for run_fixed() only and appends
-  /// "+exec=machine" to trace labels.
-  ExecMode exec = ExecMode::Fiber;
-  /// Fiber stack size for ExecMode::Fiber; 0 = sim default (the
-  /// NBCTUNE_FIBER_STACK env var, else 256 KiB).  Ignored in machine mode.
+  /// Per-rank fiber stack size; 0 = sim default (the NBCTUNE_FIBER_STACK
+  /// env var, else 256 KiB).  The 16 KiB floor is enough for a pinned
+  /// collective loop and is how bench_scale_sweep reaches 131072 ranks.
   std::size_t fiber_stack_bytes = 0;
 };
 

@@ -118,20 +118,6 @@ void World::launch(std::function<void(Ctx&)> program) {
   }
 }
 
-void World::launch_machine(MachineDriver& driver) {
-  if (options_.fault_plan != nullptr && options_.fault_plan->has_kills()) {
-    throw std::invalid_argument(
-        "World: kill plans require fiber mode (machine-mode ranks cannot "
-        "unwind through fail-stop recovery)");
-  }
-  driver_ = &driver;
-  for (int r = 0; r < options_.nprocs; ++r) {
-    ctxs_.push_back(std::make_unique<Ctx>(*this, r));
-    ranks_[r].ctx = ctxs_.back().get();
-    // No Process: the driver advances this rank's state machine in place.
-  }
-}
-
 Comm World::shrink(const std::vector<int>& survivors, int epoch) {
   auto data = std::make_shared<CommData>();
   // Negative epoch keys keep shrink contexts disjoint from every dup/split
@@ -180,11 +166,7 @@ std::size_t World::dedup_entries(int src) const noexcept {
 void World::notify(int wrank) {
   RankState& rs = ranks_[wrank];
   if (rs.dead) return;  // fail-stopped: nothing left to wake
-  if (rs.process != nullptr) {
-    rs.process->wake();
-  } else {
-    driver_->on_wake(wrank);
-  }
+  rs.process->wake();
 }
 
 sim::Time World::ship(Envelope env, sim::Time earliest) {
@@ -637,20 +619,9 @@ void World::send_ack(const Envelope& env) {
 
 Ctx::Ctx(World& world, int wrank) : world_(world), wrank_(wrank) {}
 
-namespace {
-[[noreturn]] void throw_machine_block(int wrank) {
-  throw std::logic_error(
-      "mpi: machine-mode rank " + std::to_string(wrank) +
-      " entered a blocking Ctx call; fiberless ranks must be driven through "
-      "the non-blocking execution surface (progress_work/compute_cost)");
-}
-}  // namespace
-
 void Ctx::charge(double seconds) {
   if (seconds <= 0.0) return;
-  sim::Process* p = st().process;
-  if (p == nullptr) throw_machine_block(wrank_);
-  p->sleep(world_.jitter(wrank_, seconds));
+  st().process->sleep(world_.jitter(wrank_, seconds));
 }
 
 double Ctx::compute_cost(double seconds) {
@@ -679,12 +650,10 @@ double Ctx::compute_cost(double seconds) {
 void Ctx::compute(double seconds) {
   if (seconds < 0.0) throw std::invalid_argument("compute: negative time");
   if (seconds == 0.0) return;
-  sim::Process* p = st().process;
-  if (p == nullptr) throw_machine_block(wrank_);
   if (world_.ft_ != nullptr) check_ft();
   const double t = compute_cost(seconds);
   const sim::Time t0 = now();
-  p->sleep(t);
+  st().process->sleep(t);
   if (trace::active()) {
     trace::span(t0, now() - t0, wrank_, trace::Cat::Progress, "compute");
   }
@@ -1222,7 +1191,6 @@ void Ctx::observe(Req& h, Status* status) {
 
 template <typename Pred>
 void Ctx::block_until(Pred&& pred) {
-  if (st().process == nullptr) throw_machine_block(wrank_);
   check_ft();
   progress_pass(false);
   while (!pred()) {

@@ -70,8 +70,7 @@ struct WorldOptions {
   /// Rank placement onto nodes.
   enum class Placement { Block, RoundRobin } placement = Placement::Block;
   /// Fiber stack size for launch(); 0 = sim::default_fiber_stack_bytes()
-  /// (NBCTUNE_FIBER_STACK env var, else 256 KiB).  Unused by
-  /// launch_machine(), which creates no fibers.
+  /// (NBCTUNE_FIBER_STACK env var, else 256 KiB).
   std::size_t fiber_stack_bytes = 0;
   /// Optional fault plan (must outlive the World).  Attaching a lossy plan
   /// switches inter-node messaging to ack/retransmit mode.
@@ -152,19 +151,6 @@ struct RankState {
 /// control messages (the owning rank travels in the envelope src/dst).
 std::uint64_t pack_match(Req h) noexcept;
 
-/// Driver for fiberless (machine-mode) worlds: ranks launched with
-/// launch_machine() have no Process, so transport wakeups are dispatched
-/// here instead of Process::wake().  The driver owns each rank's explicit
-/// state machine and must replicate the fiber blocking protocol (see
-/// exec::MachineRunner).
-class MachineDriver {
- public:
-  virtual ~MachineDriver() = default;
-  /// A transport/scheduler event wants rank `wrank` to make progress.
-  /// Called from scheduler context, exactly where Process::wake() would be.
-  virtual void on_wake(int wrank) = 0;
-};
-
 /// The world: owns rank state and the transport.
 class World {
  public:
@@ -177,18 +163,8 @@ class World {
   /// Launch the same program on every rank.  Call engine.run() afterwards.
   void launch(std::function<void(Ctx&)> program);
 
-  /// Launch the world fiberless: create per-rank Ctxs but no Processes.
-  /// The driver (which must outlive the World's event activity) receives
-  /// on_wake() calls wherever fiber mode would wake a Process, and runs
-  /// each rank as an explicit state machine via rank_ctx().  Blocking Ctx
-  /// calls (charge/compute/wait/...) are invalid on machine-driven ranks.
-  void launch_machine(MachineDriver& driver);
-
-  /// Per-rank Ctx (valid after launch()/launch_machine()).
-  [[nodiscard]] Ctx& rank_ctx(int wrank) { return *ctxs_.at(wrank); }
-
   /// Bytes in the flat per-rank arenas: the RankState vector plus every
-  /// rank's request-pool slots.  Identical across execution modes.
+  /// rank's request-pool slots (fiber stacks not included).
   [[nodiscard]] std::size_t arena_bytes() const noexcept;
 
   [[nodiscard]] int size() const noexcept { return options_.nprocs; }
@@ -224,7 +200,7 @@ class World {
   [[nodiscard]] bool lossy() const noexcept { return lossy_; }
 
   /// The fail-stop recovery service, or nullptr when the attached plan
-  /// has no kills (created by launch(); machine mode rejects kill plans).
+  /// has no kills (created by launch()).
   [[nodiscard]] RecoveryService* ft() noexcept { return ft_.get(); }
 
   /// Dense re-ranking of `survivors` into a fresh communicator (new
@@ -289,7 +265,6 @@ class World {
   /// Flat contiguous per-rank arena; sized once in the constructor, never
   /// resized (stable addresses).
   std::vector<detail::RankState> ranks_;
-  MachineDriver* driver_ = nullptr;  // set by launch_machine()
   Comm world_comm_;
   std::shared_ptr<const CommData> world_comm_data_;
   std::map<std::tuple<int, int, int>, int> context_registry_;
@@ -401,18 +376,6 @@ class Ctx {
   /// poke clients.  `explicit_call` adds the base progress cost.
   void progress_pass(bool explicit_call);
 
-  // ---- machine-mode execution surface (exec::MachineRunner) ----
-  // The work/cost halves of progress_pass() and compute(): they perform
-  // every side effect and RNG draw but never block, returning the CPU cost
-  // for the caller to charge as an engine event continuation.
-
-  /// The work of one progress pass; returns the CPU cost to charge.
-  double progress_work(bool explicit_call);
-
-  /// The noisy duration of `seconds` of user compute (jitter, outlier and
-  /// fault-dilation draws included); `seconds` must be positive.
-  double compute_cost(double seconds);
-
   /// Block (progressing) until pred() becomes true.  The predicate is
   /// evaluated after each progress pass; the rank sleeps between passes
   /// and is woken by message events.  Used by higher layers (NBC wait).
@@ -446,6 +409,13 @@ class Ctx {
   friend class World;
 
   detail::RankState& st() { return world_.rank_state(wrank_); }
+
+  /// The work of one progress pass; returns the CPU cost to charge.
+  double progress_work(bool explicit_call);
+
+  /// The noisy duration of `seconds` of user compute (jitter, outlier and
+  /// fault-dilation draws included); `seconds` must be positive.
+  double compute_cost(double seconds);
 
   /// Blocking-loop helper: progress until pred() is true.
   template <typename Pred>

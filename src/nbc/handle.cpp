@@ -125,7 +125,7 @@ double Handle::post_round(std::size_t r) {
   return cost;
 }
 
-double Handle::start_begin() {
+void Handle::start() {
   if (active_) throw std::logic_error("start() while operation in flight");
   round_ = 0;
   completion_emitted_ = false;
@@ -143,9 +143,11 @@ double Handle::start_begin() {
   pending_ptrs_.clear();
   if (done_) {
     trace_completion();
-    return 0.0;
+    return;
   }
-  return post_round(0);
+  ctx_.charge(post_round(0));
+  ctx_.charge(start_cascade());
+  start_finish();
 }
 
 double Handle::start_cascade() {
@@ -164,14 +166,6 @@ double Handle::start_cascade() {
 
 void Handle::start_finish() {
   if (done_) trace_completion();
-}
-
-void Handle::start() {
-  const double cost = start_begin();
-  if (done_) return;  // empty schedule: completed in start_begin()
-  ctx_.charge(cost);
-  ctx_.charge(start_cascade());
-  start_finish();
 }
 
 double Handle::poke([[maybe_unused]] mpi::Ctx& ctx) {

@@ -46,21 +46,6 @@ class Handle : public mpi::ProgressClient {
   /// must have completed.
   void start();
 
-  // ---- machine-mode execution surface (exec::MachineRunner) ----
-  // start() decomposed into its non-blocking pieces so a fiberless driver
-  // can charge each returned cost as an engine event continuation:
-  //   cost = start_begin(); if (!done()) { charge(cost);
-  //   charge(start_cascade()); start_finish(); }
-
-  /// Reset state, emit the start instant and post round 0.  Returns the
-  /// posting cost (0 for an empty schedule, which completes here).
-  double start_begin();
-  /// Cascade through rounds that completed synchronously; returns the
-  /// extra posting cost.
-  double start_cascade();
-  /// Emit the completion span if the cascade finished the operation.
-  void start_finish();
-
   /// True once every round has completed.
   [[nodiscard]] bool done() const noexcept { return done_; }
   [[nodiscard]] bool active() const noexcept { return active_; }
@@ -104,6 +89,11 @@ class Handle : public mpi::ProgressClient {
 
  private:
   double post_round(std::size_t r);  // returns CPU cost of posting
+  /// Cascade through rounds that completed synchronously; returns the
+  /// extra posting cost.
+  double start_cascade();
+  /// Emit the completion span if the cascade finished the operation.
+  void start_finish();
   void trace_completion();           // emit the op-lifetime span
   void recover();                    // cancel + restart on the fallback
   [[nodiscard]] bool any_pending_failed() const;

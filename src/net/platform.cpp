@@ -174,8 +174,8 @@ Platform mega() {
   p.name = "mega";
   // A synthetic petascale-class system for the 100k+-rank scaling sweeps:
   // 4096 nodes x 32 cores = 131072 ranks, modern HDR-InfiniBand-like
-  // parameters.  Used with machine-mode execution; fiber mode at this
-  // scale exhausts stack memory by design.
+  // parameters.  At this scale run with 16 KiB fiber stacks (see
+  // bench_scale_sweep); the 256 KiB default would need 32 GiB.
   p.nodes = 4096;
   p.cores_per_node = 32;
   p.nics_per_node = 1;

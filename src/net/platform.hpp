@@ -117,7 +117,7 @@ Platform whale_tcp();
 /// An IBM BlueGene/P partition (3-D torus, 1024 cores).
 Platform bluegene_p();
 /// A synthetic 4096-node x 32-core system (131072 ranks) for the
-/// machine-mode mega-scale sweeps.
+/// mega-scale sweeps.
 Platform mega();
 
 /// Look up a preset by name ("crill", "whale", "whale-tcp", "bgp", "mega");

@@ -1,31 +1,17 @@
 #pragma once
 
-// Profile exporters: turn the analyzer's per-op blame partitions into
-// standard profiling formats, so the simulated critical path can be
-// explored with the same tools used on real profiles.
+// Profile exporter: turns the analyzer's per-op blame partitions into
+// Brendan Gregg collapsed-stack lines (`scenario;rank;op;phase weight`),
+// so the simulated critical path can be explored with the same tools used
+// on real profiles: pipe into flamegraph.pl, or open the file in
+// speedscope (speedscope.app / `npx speedscope`), which imports folded
+// stacks natively.  Weights are the blame components of each op
+// instance's critical rank, in simulated nanoseconds.
 //
-//   * write_collapsed — Brendan Gregg collapsed-stack lines
-//     (`scenario;rank;op;phase weight`), pipe into flamegraph.pl or any
-//     "folded stacks" consumer.  Weights are the blame components of
-//     each op instance's critical rank, in simulated nanoseconds.
-//   * write_speedscope — a speedscope JSON file (speedscope.app /
-//     `npx speedscope`), one "sampled" profile per scenario sharing one
-//     frame table.  The sum of a profile's weights equals the sum of
-//     that scenario's blame partitions exactly (both sides llround each
-//     component independently).
-//   * write_otlp — an OTLP/JSON ExportTraceServiceRequest mapping every
-//     rank-track and wire-track span to an OTLP span (one trace id per
-//     scenario, deterministic ids).  Hand-written serialization: the
-//     container has no OTLP SDK, and none is needed for the JSON
-//     encoding.  Gated by the NBCTUNE_OTLP build option; when built out,
-//     otlp_enabled() is false and write_otlp writes nothing.
-//
-// All three are deterministic functions of their inputs (the analyzer
-// report / trace IR), so they inherit the any-thread-count
-// byte-identity of the analysis itself.
+// The output is a deterministic function of the analyzer report, so it
+// inherits the any-thread-count byte-identity of the analysis itself.
 
 #include <iosfwd>
-#include <vector>
 
 #include "analyze/analyze.hpp"
 
@@ -37,22 +23,8 @@ namespace nbctune::obs {
 /// components are skipped.
 void write_collapsed(std::ostream& os, const analyze::Report& report);
 
-/// Speedscope file: shared frame table, one sampled profile per
-/// scenario, unit nanoseconds.
-void write_speedscope(std::ostream& os, const analyze::Report& report);
-
-/// Sum of every weight the two exporters above emit for `report` —
-/// by construction the llround'ed blame-partition total.
+/// Sum of every weight write_collapsed emits for `report` — by
+/// construction the llround'ed blame-partition total.
 [[nodiscard]] long long profile_total_weight_ns(const analyze::Report& report);
-
-/// True when the build carries the OTLP exporter (NBCTUNE_OTLP=ON).
-[[nodiscard]] bool otlp_enabled() noexcept;
-
-/// OTLP/JSON ExportTraceServiceRequest over every span event: one
-/// resourceSpans entry, one scopeSpans per scenario (scope name = the
-/// scenario label), spans carrying track/cat/corr attributes.  No-op
-/// when otlp_enabled() is false.
-void write_otlp(std::ostream& os,
-                const std::vector<analyze::ScenarioTrace>& traces);
 
 }  // namespace nbctune::obs

@@ -6,6 +6,7 @@
 
 #include "sim/fiber.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdlib>
 #include <new>
@@ -35,9 +36,9 @@ std::unique_ptr<char[]> allocate_stack(std::size_t stack_bytes) {
   } catch (const std::bad_alloc&) {
     throw std::runtime_error(
         "fiber: cannot allocate a " + std::to_string(stack_bytes) +
-        "-byte stack (out of memory); lower NBCTUNE_FIBER_STACK, shrink the "
-        "world, or run the scenario with --exec=machine, which creates no "
-        "fibers");
+        "-byte stack (out of memory); shrink the world or lower the stack "
+        "size with NBCTUNE_FIBER_STACK or --fiber-stack (16384 fits the "
+        "pinned collective loop)");
   }
 }
 }  // namespace
@@ -48,8 +49,7 @@ std::size_t default_fiber_stack_bytes() {
     char* end = nullptr;
     const unsigned long long v = std::strtoull(env, &end, 10);
     if (end != env && *end == '\0' && v > 0) {
-      const auto bytes = static_cast<std::size_t>(v);
-      return bytes < kMinStackBytes ? kMinStackBytes : bytes;
+      return std::max(static_cast<std::size_t>(v), kMinStackBytes);
     }
   }
   return kFallbackStackBytes;
@@ -57,7 +57,7 @@ std::size_t default_fiber_stack_bytes() {
 
 Fiber::Fiber(Fn fn, std::size_t stack_bytes)
     : fn_(std::move(fn)),
-      stack_bytes_(stack_bytes != 0 ? stack_bytes
+      stack_bytes_(stack_bytes != 0 ? std::max(stack_bytes, kMinStackBytes)
                                     : default_fiber_stack_bytes()) {
   if (!fn_) throw std::invalid_argument("Fiber requires a callable");
   stack_ = allocate_stack(stack_bytes_);

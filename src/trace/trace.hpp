@@ -92,7 +92,7 @@ enum class Ctr : std::uint8_t {
   MsgsDupDeliveries,      ///< duplicate deliveries discarded by dedup
   MsgsSendFailures,       ///< sends declared failed (retries exhausted)
   NbcFallbacks,           ///< ops restarted on the fallback algorithm
-  SimFibersCreated,       ///< fibers constructed (0 in machine-mode runs)
+  SimFibersCreated,       ///< fibers constructed
   WorldPeakArenaBytes,    ///< flat per-rank World arenas at destruction
   RailPinnedMsgs,         ///< inter-node messages on a pinned NIC rail
   RailAutoMsgs,           ///< inter-node messages on the default rail spread

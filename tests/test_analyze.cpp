@@ -100,35 +100,19 @@ TEST(AnalyzeLabel, ParsesMicrobenchConvention) {
 }
 
 TEST(AnalyzeLabel, SplitsPlanAndExecSuffixes) {
-  // Suffixes stack as "<what>[+plan=NAME][+exec=MODE]" (microbench.cpp).
+  // A fault plan rides as "<what>+plan=NAME" (microbench.cpp).
   const analyze::LabelKey k = analyze::parse_label(
-      "ialltoall crill np8 1024B fixed:linear+plan=lossy+exec=machine");
+      "ialltoall crill np8 1024B fixed:linear+plan=lossy");
   ASSERT_TRUE(k.valid);
   EXPECT_EQ(k.what, "fixed:linear");
   EXPECT_EQ(k.plan, "lossy");
-  EXPECT_EQ(k.exec, "machine");
-  EXPECT_EQ(k.group(), "ialltoall crill np8 1024B plan=lossy exec=machine");
-  EXPECT_EQ(k.size_group(),
-            "ialltoall crill np8 fixed:linear plan=lossy exec=machine");
-
-  // Exec tag without a plan; the fiber default stays untagged so fiber
-  // and machine runs land in distinct G2/G3 comparison groups.
-  const analyze::LabelKey m = analyze::parse_label(
-      "ibcast mega np1024 1024B fixed:binomial/seg32k+exec=machine");
-  ASSERT_TRUE(m.valid);
-  EXPECT_EQ(m.what, "fixed:binomial/seg32k");
-  EXPECT_TRUE(m.plan.empty());
-  EXPECT_EQ(m.exec, "machine");
-  const analyze::LabelKey f = analyze::parse_label(
-      "ibcast mega np1024 1024B fixed:binomial/seg32k");
-  ASSERT_TRUE(f.valid);
-  EXPECT_TRUE(f.exec.empty());
-  EXPECT_NE(f.group(), m.group());
+  EXPECT_EQ(k.group(), "ialltoall crill np8 1024B plan=lossy");
+  EXPECT_EQ(k.size_group(), "ialltoall crill np8 fixed:linear plan=lossy");
 }
 
 TEST(AnalyzeLabel, SplitsTopoSuffix) {
   // The topology tag is the outermost suffix ("+topo=<tag>" appended
-  // last) and must be stripped before the plan/exec tags.
+  // last) and must be stripped before the plan tag.
   const analyze::LabelKey k = analyze::parse_label(
       "iscatter crill np96 65536B fixed:striped+plan=lossy+topo=rails2");
   ASSERT_TRUE(k.valid);
@@ -148,14 +132,6 @@ TEST(AnalyzeLabel, SplitsTopoSuffix) {
   ASSERT_TRUE(u.valid);
   EXPECT_TRUE(u.topo.empty());
   EXPECT_NE(u.group(), k.group());
-
-  // Stacked with the exec tag: exec still parses, topo strips first.
-  const analyze::LabelKey m = analyze::parse_label(
-      "ibcast whale np32 4096B fixed:2lvl-binomial+exec=machine+topo=hier");
-  ASSERT_TRUE(m.valid);
-  EXPECT_EQ(m.what, "fixed:2lvl-binomial");
-  EXPECT_EQ(m.exec, "machine");
-  EXPECT_EQ(m.topo, "hier");
 }
 
 TEST(AnalyzeLabel, RejectsOtherShapes) {

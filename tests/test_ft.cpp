@@ -2,8 +2,8 @@
 // round-trip fuzzer), ULFM-style lease detection, the agreement round and
 // communicator shrink, harness-level shrink-and-retune recovery under
 // every canned kill plan, the no-resurrection rule for traffic addressed
-// to dead ranks under combined kill+drops plans, machine-mode rejection,
-// and byte-determinism of killed sweeps across pool thread counts.
+// to dead ranks under combined kill+drops plans, and byte-determinism of
+// killed sweeps across pool thread counts.
 
 #include <gtest/gtest.h>
 
@@ -320,20 +320,6 @@ TEST(FtRecovery, FinishedRanksStandAtTerminationAgreement) {
   // The agreed redo point is the minimum over interrupted survivors: 4.
   EXPECT_EQ(resumed[0], 4);
   EXPECT_EQ(resumed[1], 4);
-}
-
-TEST(FtRecovery, MachineModeRejectsKillPlans) {
-  harness::MicroScenario s;
-  s.platform = kIb;
-  s.nprocs = 4;
-  s.op = harness::OpKind::Ibcast;
-  s.bytes = 1024;
-  s.iterations = 2;
-  s.noise_scale = 0.0;
-  s.fault_plan = "kill=1@0.001;lease=1e-3";
-  s.fault_plan_name = "kill";
-  s.exec = harness::ExecMode::Machine;
-  EXPECT_THROW((void)harness::run_fixed(s, 0), std::invalid_argument);
 }
 
 // --------------------------------------- no resurrection of dead traffic

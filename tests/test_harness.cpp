@@ -1,13 +1,18 @@
 // Micro-benchmark harness: accounting identities, fixed-vs-tuned runs,
-// verification-run scoring, and table formatting.
+// verification-run scoring, fiber stack sizing, and table formatting.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "harness/microbench.hpp"
 #include "harness/table.hpp"
 #include "net/platform.hpp"
+#include "sim/fiber.hpp"
+#include "trace/trace.hpp"
 
 using namespace nbctune;
 using namespace nbctune::harness;
@@ -123,6 +128,109 @@ TEST(Microbench, ZeroProgressCallsStillCompletes) {
   s.bytes = 64 * 1024;  // rendezvous: all work lands in wait()
   auto out = run_fixed(s, 2);
   EXPECT_GT(out.loop_time, s.iterations * s.compute_per_iter);
+}
+
+// ------------------------------------------------------- fiber stacks
+
+namespace {
+
+void expect_same_outcome(const RunOutcome& a, const RunOutcome& b) {
+  EXPECT_EQ(a.impl, b.impl);
+  EXPECT_EQ(a.loop_time, b.loop_time);
+  EXPECT_EQ(a.decision_iteration, b.decision_iteration);
+  EXPECT_EQ(std::isnan(a.decision_time), std::isnan(b.decision_time));
+  if (!std::isnan(a.decision_time)) {
+    EXPECT_EQ(a.decision_time, b.decision_time);
+  }
+  EXPECT_EQ(a.post_decision_time, b.post_decision_time);
+  EXPECT_EQ(a.post_decision_iterations, b.post_decision_iterations);
+}
+
+}  // namespace
+
+TEST(FiberStack, ScenarioKnobReachesWorldFibers) {
+  MicroScenario s;
+  s.platform = net::crill();
+  s.nprocs = 4;
+  s.bytes = 1024;
+  s.compute_per_iter = 200e-6;
+  s.iterations = 2;
+  s.progress_calls = 3;
+  s.seed = 7;
+  s.noise_scale = 0.0;
+  s.payload = true;
+  s.fiber_stack_bytes = 64 * 1024;  // small but sufficient for the loop
+  const RunOutcome out = run_fixed(s, 0);
+  EXPECT_GT(out.loop_time, 0.0);
+}
+
+TEST(FiberStack, ExplicitSizesBelowTheFloorAreRaised) {
+  // 4 KiB cannot hold the rank program; an explicit size gets the same
+  // 16 KiB floor as NBCTUNE_FIBER_STACK, so the run matches the default.
+  MicroScenario s;
+  s.platform = net::crill();
+  s.nprocs = 64;
+  s.op = OpKind::Ibcast;
+  s.bytes = 4096;
+  s.compute_per_iter = 100e-6;
+  s.iterations = 4;
+  s.progress_calls = 2;
+  s.noise_scale = 0.0;
+  s.fiber_stack_bytes = 4096;
+  const RunOutcome small = run_fixed(s, 0);
+  s.fiber_stack_bytes = 0;
+  expect_same_outcome(small, run_fixed(s, 0));
+}
+
+TEST(FiberStack, MegaScaleIbcastRunsInTheFloor) {
+  // The premise of bench_scale_sweep: a pinned Ibcast at thousands of ranks
+  // on `mega` behaves identically with 16 KiB stacks and the default.
+  MicroScenario s;
+  s.platform = net::mega();
+  s.nprocs = 4096;
+  s.op = OpKind::Ibcast;
+  s.bytes = 1024;
+  s.compute_per_iter = 100e-6;
+  s.iterations = 2;
+  s.progress_calls = 2;
+  s.seed = 7;
+  s.noise_scale = 0.0;
+  const int pinned = scenario_functionset(s)->find_by_name("binomial/seg32k");
+  ASSERT_GE(pinned, 0);
+  trace::Session::enable();
+  (void)trace::Session::instance().drain();
+  const auto traced = [&](std::size_t stack_bytes) {
+    s.fiber_stack_bytes = stack_bytes;
+    const RunOutcome out = run_fixed(s, pinned);
+    auto finished = trace::Session::instance().drain();
+    EXPECT_EQ(finished.size(), 1u);
+    trace::FinishedTrace t;
+    if (!finished.empty()) t = std::move(finished.front());
+    return std::make_pair(out, std::move(t));
+  };
+  const auto [small_out, small] = traced(16 * 1024);
+  const auto [dflt_out, dflt] = traced(0);
+  expect_same_outcome(small_out, dflt_out);
+  EXPECT_EQ(small.events.size(), dflt.events.size());
+  for (std::size_t c = 0; c < static_cast<std::size_t>(trace::Ctr::kCount);
+       ++c) {
+    EXPECT_EQ(small.counts[c], dflt.counts[c])
+        << trace::ctr_name(static_cast<trace::Ctr>(c));
+  }
+}
+
+TEST(FiberStack, ExhaustionErrorNamesTheRemedies) {
+  // An absurd per-fiber stack must fail with an actionable message, not a
+  // bare bad_alloc.  (Not in test_sim: ASan aborts on such an allocation
+  // instead of throwing.)
+  try {
+    sim::Fiber f([] {}, std::size_t{1} << 48);
+    FAIL() << "expected the stack allocation to fail";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("NBCTUNE_FIBER_STACK"), std::string::npos) << what;
+    EXPECT_NE(what.find("--fiber-stack"), std::string::npos) << what;
+  }
 }
 
 TEST(TableFormat, AlignsAndCsvs) {

@@ -1,8 +1,8 @@
 // Live telemetry subsystem (src/obs): JSONL stream schema and seq
 // monotonicity, terminal-summary byte-identity across pool thread
-// counts, sampler/pool gauge arithmetic, the collapsed-stack and
-// speedscope exporters on the 2-rank ibcast fixture, the trace event
-// cap, and the async-signal-safe abort record.
+// counts, sampler/pool gauge arithmetic, the collapsed-stack exporter
+// on the 2-rank ibcast fixture, the trace event cap, and the
+// async-signal-safe abort record.
 
 #include <gtest/gtest.h>
 
@@ -455,70 +455,6 @@ TEST(ObsProfile, CollapsedStacksMatchBlamePartition) {
   }
   EXPECT_EQ(folded_total, expect_total);
   EXPECT_EQ(obs::profile_total_weight_ns(report), expect_total);
-}
-
-TEST(ObsProfile, SpeedscopeWeightsSumToBlamePartition) {
-  const analyze::Report report = fixture_report();
-  std::ostringstream os;
-  obs::write_speedscope(os, report);
-  const jm::Value v = jm::parse(os.str());
-  ASSERT_NE(v.get("shared"), nullptr);
-  ASSERT_NE(v.get("profiles"), nullptr);
-  const jm::Value* profiles = v.get("profiles");
-  ASSERT_EQ(profiles->arr->size(), 1u);
-  const jm::Value& prof = profiles->arr->front();
-  EXPECT_EQ(prof.get("type")->str, "sampled");
-  EXPECT_EQ(prof.get("unit")->str, "nanoseconds");
-  EXPECT_EQ(prof.get("name")->str, "ibcast whale np2 1024B fixed:binomial");
-  const jm::Value* samples = prof.get("samples");
-  const jm::Value* weights = prof.get("weights");
-  ASSERT_EQ(samples->arr->size(), weights->arr->size());
-  const std::size_t frames = v.get("shared")->get("frames")->arr->size();
-  long long total = 0;
-  for (std::size_t i = 0; i < weights->arr->size(); ++i) {
-    total += static_cast<long long>((*weights->arr)[i].as_num());
-    // Every stack is [rank, op, phase] into the shared frame table.
-    ASSERT_EQ((*samples->arr)[i].arr->size(), 3u);
-    for (const jm::Value& f : *(*samples->arr)[i].arr) {
-      EXPECT_LT(f.as_num(), static_cast<double>(frames));
-    }
-  }
-  EXPECT_EQ(total, obs::profile_total_weight_ns(report));
-  EXPECT_EQ(static_cast<long long>(prof.get("endValue")->as_num()), total);
-}
-
-TEST(ObsProfile, OtlpSpansWhenBuiltIn) {
-  trace::Session::enable();
-  (void)trace::Session::instance().drain();
-  {
-    trace::Scope scope("ibcast whale np2 1024B fixed:binomial");
-    run_ibcast(2, 1024, 2);
-  }
-  std::vector<analyze::ScenarioTrace> traces;
-  for (const trace::FinishedTrace& f : trace::Session::instance().drain()) {
-    traces.push_back(analyze::from_finished(f));
-  }
-  std::ostringstream os;
-  obs::write_otlp(os, traces);
-  if (!obs::otlp_enabled()) {
-    EXPECT_TRUE(os.str().empty());
-    return;
-  }
-  const jm::Value v = jm::parse(os.str());
-  const jm::Value* rs = v.get("resourceSpans");
-  ASSERT_NE(rs, nullptr);
-  const jm::Value* scopes = rs->arr->front().get("scopeSpans");
-  ASSERT_EQ(scopes->arr->size(), traces.size());
-  std::size_t expected_spans = 0;
-  for (const analyze::AEvent& e : traces.front().events) {
-    if (e.is_span()) ++expected_spans;
-  }
-  const jm::Value* spans = scopes->arr->front().get("spans");
-  EXPECT_EQ(spans->arr->size(), expected_spans);
-  const jm::Value& first = spans->arr->front();
-  EXPECT_EQ(first.get("traceId")->str.size(), 32u);
-  EXPECT_EQ(first.get("spanId")->str.size(), 16u);
-  ASSERT_NE(first.get("attributes"), nullptr);
 }
 
 // -------------------------------------------------------- event bounds

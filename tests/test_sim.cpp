@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -156,6 +157,18 @@ TEST(Fiber, NeverResumedMakesNoSwitch) {
   EXPECT_FALSE(ran);
   EXPECT_EQ(tracer.counter(trace::Ctr::SimFibersCreated), 1u);
   EXPECT_EQ(tracer.counter(trace::Ctr::FiberSwitches), 0u);
+}
+
+TEST(FiberStack, EnvOverridesAndClampsDefault) {
+  ASSERT_EQ(unsetenv("NBCTUNE_FIBER_STACK"), 0);
+  EXPECT_EQ(sim::default_fiber_stack_bytes(), 256u * 1024u);
+  ASSERT_EQ(setenv("NBCTUNE_FIBER_STACK", "1048576", 1), 0);
+  EXPECT_EQ(sim::default_fiber_stack_bytes(), 1048576u);
+  ASSERT_EQ(setenv("NBCTUNE_FIBER_STACK", "4096", 1), 0);
+  EXPECT_EQ(sim::default_fiber_stack_bytes(), 16u * 1024u);  // clamped
+  ASSERT_EQ(setenv("NBCTUNE_FIBER_STACK", "garbage", 1), 0);
+  EXPECT_EQ(sim::default_fiber_stack_bytes(), 256u * 1024u);
+  ASSERT_EQ(unsetenv("NBCTUNE_FIBER_STACK"), 0);
 }
 
 // ---------------------------------------------------------------- Engine

@@ -13,11 +13,8 @@
 //   --min-reps N        repetitions below which a scenario's stats are
 //                       flagged as not-a-measurement (default 5)
 //   --flame FILE        write collapsed stacks (rank;op;phase weighted
-//                       by blame nanoseconds) for flamegraph.pl
-//   --speedscope FILE   write a speedscope JSON profile of the same
-//                       blame partition
-//   --otlp-json FILE    write an OTLP/JSON span export of every
-//                       rank/wire track span (requires NBCTUNE_OTLP=ON)
+//                       by blame nanoseconds) for flamegraph.pl or
+//                       speedscope, which imports them natively
 //
 // Reads the Chrome trace-event JSON exported by any bench driver's
 // --trace flag, reconstructs the per-scenario event streams, and runs
@@ -79,8 +76,7 @@ int usage(const char* argv0) {
                "       "
             << argv0
             << " --extract-report live.jsonl [--out FILE]\n"
-               "  profile exporters (analysis mode): [--flame FILE]"
-               " [--speedscope FILE] [--otlp-json FILE]\n";
+               "  profile exporter (analysis mode): [--flame FILE]\n";
   return 2;
 }
 
@@ -190,8 +186,6 @@ int main(int argc, char** argv) {
   std::string counters_path;
   std::string out_path;
   std::string flame_path;
-  std::string speedscope_path;
-  std::string otlp_path;
   bool json = false;
   bool regress_mode = false;
   bool extract_mode = false;
@@ -213,10 +207,6 @@ int main(int argc, char** argv) {
       extract_mode = true;
     } else if (std::strcmp(a, "--flame") == 0 && i + 1 < argc) {
       flame_path = argv[++i];
-    } else if (std::strcmp(a, "--speedscope") == 0 && i + 1 < argc) {
-      speedscope_path = argv[++i];
-    } else if (std::strcmp(a, "--otlp-json") == 0 && i + 1 < argc) {
-      otlp_path = argv[++i];
     } else if (std::strcmp(a, "--tolerance") == 0 && i + 1 < argc) {
       const std::string kv = argv[++i];
       const std::size_t eq = kv.find('=');
@@ -255,11 +245,6 @@ int main(int argc, char** argv) {
   if (inputs.empty()) return usage(argv[0]);
   if (regress_mode) return run_regress(inputs, tol, out_path);
   if (extract_mode) return run_extract(inputs, out_path);
-  if (!otlp_path.empty() && !obs::otlp_enabled()) {
-    std::cerr << "--otlp-json: this build has no OTLP exporter "
-                 "(reconfigure with -DNBCTUNE_OTLP=ON)\n";
-    return 2;
-  }
 
   std::vector<analyze::ScenarioTrace> traces;
   for (const std::string& path : inputs) {
@@ -287,27 +272,6 @@ int main(int argc, char** argv) {
     obs::write_collapsed(os, report);
     std::cerr << "flame: " << obs::profile_total_weight_ns(report)
               << " ns of blame -> " << flame_path << "\n";
-  }
-  if (!speedscope_path.empty()) {
-    std::ofstream os(speedscope_path);
-    if (!os) {
-      std::cerr << "cannot write speedscope profile: " << speedscope_path
-                << "\n";
-      return 1;
-    }
-    obs::write_speedscope(os, report);
-    std::cerr << "speedscope: " << report.scenarios.size()
-              << " profile(s) -> " << speedscope_path << "\n";
-  }
-  if (!otlp_path.empty()) {
-    std::ofstream os(otlp_path);
-    if (!os) {
-      std::cerr << "cannot write OTLP spans: " << otlp_path << "\n";
-      return 1;
-    }
-    obs::write_otlp(os, traces);
-    std::cerr << "otlp: " << traces.size() << " trace(s) -> " << otlp_path
-              << "\n";
   }
   if (!counters_path.empty()) {
     std::ifstream is(counters_path);
