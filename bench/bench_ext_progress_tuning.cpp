@@ -26,26 +26,41 @@ struct GridResult {
   std::string impl;
 };
 
-/// One run; pc < 0 means "ask the request each iteration".  `what` is the
-/// microbench label suffix ("fixed:<grid-point>" / "adcl:<policy>") that
-/// puts the run in the analyzer's comparison group when tracing is on.
-GridResult run_once(const net::Platform& platform, int pinned_fn, int pc,
-                    const std::vector<int>& counts, int iters,
-                    const std::string& what,
+/// The run shape shared by every grid point and tuned run on `platform`.
+MicroScenario grid_scenario(const net::Platform& platform) {
+  MicroScenario s;
+  s.platform = platform;
+  s.nprocs = 32;
+  s.op = OpKind::Ialltoall;
+  s.bytes = 128 * 1024;
+  s.compute_per_iter = 20e-3;
+  s.noise_scale = 0;
+  return s;
+}
+
+/// One run; pc < 0 means "ask the request each iteration".  The trace
+/// key puts every fixed grid point and tuned run of a platform in one
+/// analyzer comparison group: progress calls stay out of it, because the
+/// tuned runs choose them.
+GridResult run_once(const MicroScenario& s, int pinned_fn, int pc,
+                    const std::vector<int>& counts, int iters, bool tuned,
+                    const std::string& impl,
                     adcl::PolicyKind policy = adcl::PolicyKind::BruteForce) {
   GridResult out;
-  trace::Scope scope("ialltoall " + platform.name + " np32 131072B " + what);
+  trace::ScenarioKey key = scenario_key(s, tuned, impl);
+  key.progress_calls = -1;
+  trace::Scope scope(std::move(key));
   sim::Engine engine(5);
-  net::Machine machine(platform);
+  net::Machine machine(s.platform);
   mpi::WorldOptions wopts;
-  wopts.nprocs = 32;
-  wopts.noise_scale = 0;
+  wopts.nprocs = s.nprocs;
+  wopts.noise_scale = s.noise_scale;
   mpi::World world(engine, machine, wopts);
   world.launch([&](mpi::Ctx& ctx) {
     auto comm = ctx.world().comm_world();
     adcl::OpArgs args;
     args.comm = comm;
-    args.bytes = 128 * 1024;
+    args.bytes = s.bytes;
     adcl::TuningOptions opts;
     opts.tests_per_function = 1;
     opts.policy = policy;
@@ -57,7 +72,7 @@ GridResult run_once(const net::Platform& platform, int pinned_fn, int pc,
       const int calls = pc >= 0 ? pc : req->recommended_progress_calls(1);
       req->init();
       for (int p = 0; p < calls; ++p) {
-        ctx.compute(20e-3 / calls);
+        ctx.compute(s.compute_per_iter / calls);
         req->progress();
       }
       req->wait();
@@ -81,6 +96,7 @@ int main(int argc, char** argv) {
   const int iters = drv.full() ? 80 : 40;
 
   for (const auto& platform : {net::whale(), net::whale_tcp()}) {
+    const MicroScenario grid = grid_scenario(platform);
     banner("Extension: joint (algorithm, progress-count) tuning — " +
            platform.name + ", 32 procs, 128 KB, 20 ms compute/iter");
     Table t({"implementation", "loop_time[s]", "vs_best"});
@@ -90,22 +106,21 @@ int main(int argc, char** argv) {
     for (std::size_t f = 0; f < fset->size(); ++f) {
       // Fixed grid point: algorithm + count pinned; drive at its count.
       const int pc = fset->function(f).attrs.at(1);
-      const auto r =
-          run_once(platform, static_cast<int>(f), pc, counts, iters,
-                   "fixed:" + fset->function(f).name);
+      const auto r = run_once(grid, static_cast<int>(f), pc, counts, iters,
+                              /*tuned=*/false, fset->function(f).name);
       rows.emplace_back(fset->function(f).name, r.loop_time);
       if (r.loop_time < best) {
         best = r.loop_time;
         best_name = fset->function(f).name;
       }
     }
-    const auto tuned =
-        run_once(platform, -1, -1, counts, iters, "adcl:brute-force");
+    const auto tuned = run_once(grid, -1, -1, counts, iters,
+                                /*tuned=*/true, "brute-force");
     // The attribute heuristic prunes the 12-function grid to ~one sweep
     // per attribute — a shorter learning phase at the risk of missing
     // algorithm/progress-count interactions.
-    const auto heur = run_once(platform, -1, -1, counts, iters,
-                               "adcl:heuristic",
+    const auto heur = run_once(grid, -1, -1, counts, iters, /*tuned=*/true,
+                               "heuristic",
                                adcl::PolicyKind::AttributeHeuristic);
     for (const auto& [name, time] : rows) {
       t.add_row({name, Table::num(time), Table::num(time / best, 2)});

@@ -17,6 +17,7 @@ namespace nbctune::analyze {
 ScenarioTrace from_finished(const trace::FinishedTrace& t) {
   ScenarioTrace out;
   out.label = t.label;
+  out.key = t.key;
   out.events.reserve(t.events.size());
   for (const trace::Event& e : t.events) {
     AEvent a;
@@ -38,74 +39,6 @@ ScenarioTrace from_finished(const trace::FinishedTrace& t) {
     }
   }
   return out;
-}
-
-// ------------------------------------------------------ label convention
-
-LabelKey parse_label(const std::string& label) {
-  LabelKey k;
-  std::vector<std::string> tok;
-  std::size_t pos = 0;
-  while (pos < label.size()) {
-    const std::size_t sp = label.find(' ', pos);
-    const std::size_t end = sp == std::string::npos ? label.size() : sp;
-    if (end > pos) tok.push_back(label.substr(pos, end - pos));
-    pos = end + 1;
-  }
-  if (tok.size() != 5) return k;
-  const std::string& np = tok[2];
-  const std::string& by = tok[3];
-  if (np.size() < 3 || np.compare(0, 2, "np") != 0) return k;
-  if (by.size() < 2 || by.back() != 'B') return k;
-  for (std::size_t i = 2; i < np.size(); ++i) {
-    if (np[i] < '0' || np[i] > '9') return k;
-  }
-  for (std::size_t i = 0; i + 1 < by.size(); ++i) {
-    if (by[i] < '0' || by[i] > '9') return k;
-  }
-  k.valid = true;
-  k.op = tok[0];
-  k.platform = tok[1];
-  k.nprocs = std::atoi(np.c_str() + 2);
-  k.bytes = std::strtoull(by.substr(0, by.size() - 1).c_str(), nullptr, 10);
-  k.what = tok[4];
-  // Suffixes append in order "<what>[+plan=NAME][+topo=TAG]",
-  // so strip from the outside in or an inner tag would swallow the rest.
-  const std::size_t topo = k.what.find("+topo=");
-  if (topo != std::string::npos) {
-    k.topo = k.what.substr(topo + 6);
-    k.what.resize(topo);
-  }
-  const std::size_t plan = k.what.find("+plan=");
-  if (plan != std::string::npos) {
-    k.plan = k.what.substr(plan + 6);
-    k.what.resize(plan);
-  }
-  return k;
-}
-
-std::string LabelKey::group() const {
-  std::string g = op + " " + platform + " np" + std::to_string(nprocs) +
-                  " " + std::to_string(bytes) + "B";
-  if (!plan.empty()) g += " plan=" + plan;
-  if (!topo.empty()) g += " topo=" + topo;
-  return g;
-}
-
-std::string LabelKey::size_group() const {
-  std::string g =
-      op + " " + platform + " np" + std::to_string(nprocs) + " " + what;
-  if (!plan.empty()) g += " plan=" + plan;
-  if (!topo.empty()) g += " topo=" + topo;
-  return g;
-}
-
-std::string LabelKey::rank_group() const {
-  std::string g =
-      op + " " + platform + " " + std::to_string(bytes) + "B " + what;
-  if (!plan.empty()) g += " plan=" + plan;
-  if (!topo.empty()) g += " topo=" + topo;
-  return g;
 }
 
 // ------------------------------------------------------ order statistics
@@ -737,20 +670,26 @@ std::vector<GuidelineResult> check_guidelines(
     out.push_back(std::move(g));
   }
 
-  // Index microbench-labelled scenarios for the comparative guidelines.
-  struct Cell {
-    const ScenarioReport* s = nullptr;
-    LabelKey key;
-  };
-  std::map<std::string, std::vector<Cell>> groups;       // G2/G3
-  std::map<std::string, std::vector<Cell>> size_groups;  // G4/G5
-  std::map<std::string, std::vector<Cell>> rank_groups;  // G6
+  // Group keyed scenarios for the comparative guidelines.  Each group
+  // holds the scenarios whose keys agree on everything but the projected
+  // field(s): the member (G2/G3/G7), the message size (G4/G5) or the
+  // process count (G6).
+  using Cells = std::vector<const ScenarioReport*>;
+  std::map<trace::ScenarioKey, Cells> groups;       // G2/G3/G7
+  std::map<trace::ScenarioKey, Cells> size_groups;  // G4/G5
+  std::map<trace::ScenarioKey, Cells> rank_groups;  // G6
   for (const ScenarioReport& s : scenarios) {
-    LabelKey k = parse_label(s.label);
-    if (!k.valid || s.ops_completed == 0) continue;
-    groups[k.group()].push_back({&s, k});
-    size_groups[k.size_group()].push_back({&s, k});
-    rank_groups[k.rank_group()].push_back({&s, k});
+    if (!s.key || s.ops_completed == 0) continue;
+    trace::ScenarioKey member = *s.key;
+    member.adcl = false;
+    member.impl.clear();
+    groups[member].push_back(&s);
+    trace::ScenarioKey size = *s.key;
+    size.bytes = 0;
+    size_groups[size].push_back(&s);
+    trace::ScenarioKey ranks = *s.key;
+    ranks.nprocs = 0;
+    rank_groups[ranks].push_back(&s);
   }
 
   // G2: the tuned winner is no slower than the best fixed candidate
@@ -762,22 +701,22 @@ std::vector<GuidelineResult> check_guidelines(
     for (const auto& [key, cells] : groups) {
       double best_fixed = 0.0;
       std::string best_label;
-      for (const Cell& c : cells) {
-        if (c.key.what.rfind("fixed:", 0) != 0) continue;
-        if (best_label.empty() || c.s->mean_op_elapsed < best_fixed) {
-          best_fixed = c.s->mean_op_elapsed;
-          best_label = c.s->label;
+      for (const ScenarioReport* c : cells) {
+        if (c->key->adcl) continue;
+        if (best_label.empty() || c->mean_op_elapsed < best_fixed) {
+          best_fixed = c->mean_op_elapsed;
+          best_label = c->label;
         }
       }
       if (best_label.empty()) continue;
-      for (const Cell& c : cells) {
-        if (c.key.what.rfind("adcl:", 0) != 0) continue;
+      for (const ScenarioReport* c : cells) {
+        if (!c->key->adcl) continue;
         ++g.checked;
-        const double tuned = c.s->post_decision_op_elapsed;
+        const double tuned = c->post_decision_op_elapsed;
         if (tuned <= best_fixed * (1.0 + opts.epsilon)) {
           ++g.passed;
         } else {
-          std::string v = c.s->label + ": tuned ";
+          std::string v = c->label + ": tuned ";
           fmt_ns(v, tuned);
           v += " > best fixed ";
           fmt_ns(v, best_fixed);
@@ -797,23 +736,25 @@ std::vector<GuidelineResult> check_guidelines(
     g.description =
         "non-blocking <= blocking twin at zero compute (tolerance epsilon)";
     for (const auto& [key, cells] : groups) {
-      for (const Cell& blocking : cells) {
-        constexpr std::string_view kPrefix = "fixed:blocking-";
-        if (blocking.key.what.rfind(kPrefix.data(), 0) != 0) continue;
-        const std::string twin =
-            "fixed:" + blocking.key.what.substr(kPrefix.size());
-        for (const Cell& c : cells) {
-          if (c.key.what != twin) continue;
-          if (!c.s->zero_compute || !blocking.s->zero_compute) continue;
+      for (const ScenarioReport* blocking : cells) {
+        constexpr std::string_view kPrefix = "blocking-";
+        if (blocking->key->adcl || !blocking->key->impl.starts_with(kPrefix)) {
+          continue;
+        }
+        const std::string_view twin =
+            std::string_view(blocking->key->impl).substr(kPrefix.size());
+        for (const ScenarioReport* c : cells) {
+          if (c->key->adcl || c->key->impl != twin) continue;
+          if (!c->zero_compute || !blocking->zero_compute) continue;
           ++g.checked;
-          if (c.s->mean_op_elapsed <=
-              blocking.s->mean_op_elapsed * (1.0 + opts.epsilon)) {
+          if (c->mean_op_elapsed <=
+              blocking->mean_op_elapsed * (1.0 + opts.epsilon)) {
             ++g.passed;
           } else {
-            std::string v = c.s->label + ": non-blocking ";
-            fmt_ns(v, c.s->mean_op_elapsed);
+            std::string v = c->label + ": non-blocking ";
+            fmt_ns(v, c->mean_op_elapsed);
             v += " > blocking ";
-            fmt_ns(v, blocking.s->mean_op_elapsed);
+            fmt_ns(v, blocking->mean_op_elapsed);
             g.violations.push_back(std::move(v));
           }
         }
@@ -830,25 +771,25 @@ std::vector<GuidelineResult> check_guidelines(
     g.description = "op time monotone non-decreasing in message size";
     for (const auto& [key, cells] : size_groups) {
       if (cells.size() < 2) continue;
-      std::vector<Cell> sorted = cells;
+      Cells sorted = cells;
       std::sort(sorted.begin(), sorted.end(),
-                [](const Cell& x, const Cell& y) {
-                  return x.key.bytes < y.key.bytes;
+                [](const ScenarioReport* x, const ScenarioReport* y) {
+                  return x->key->bytes < y->key->bytes;
                 });
       for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
-        if (sorted[i].key.bytes == sorted[i + 1].key.bytes) continue;
+        if (sorted[i]->key->bytes == sorted[i + 1]->key->bytes) continue;
         ++g.checked;
-        const double small = sorted[i].s->mean_op_elapsed;
-        const double big = sorted[i + 1].s->mean_op_elapsed;
+        const double small = sorted[i]->mean_op_elapsed;
+        const double big = sorted[i + 1]->mean_op_elapsed;
         if (big >= small * (1.0 - opts.monotonicity_tolerance)) {
           ++g.passed;
         } else {
-          std::string v = sorted[i + 1].s->label + ": ";
+          std::string v = sorted[i + 1]->label + ": ";
           fmt_ns(v, big);
-          v += " at " + std::to_string(sorted[i + 1].key.bytes) +
+          v += " at " + std::to_string(sorted[i + 1]->key->bytes) +
                "B < " ;
           fmt_ns(v, small);
-          v += " at " + std::to_string(sorted[i].key.bytes) + "B";
+          v += " at " + std::to_string(sorted[i]->key->bytes) + "B";
           g.violations.push_back(std::move(v));
         }
       }
@@ -867,24 +808,24 @@ std::vector<GuidelineResult> check_guidelines(
         "doubling the message size at most doubles op time (split mock-up)";
     for (const auto& [key, cells] : size_groups) {
       if (cells.size() < 2) continue;
-      std::vector<Cell> sorted = cells;
+      Cells sorted = cells;
       std::sort(sorted.begin(), sorted.end(),
-                [](const Cell& x, const Cell& y) {
-                  return x.key.bytes < y.key.bytes;
+                [](const ScenarioReport* x, const ScenarioReport* y) {
+                  return x->key->bytes < y->key->bytes;
                 });
       for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
-        if (sorted[i + 1].key.bytes != 2 * sorted[i].key.bytes) continue;
+        if (sorted[i + 1]->key->bytes != 2 * sorted[i]->key->bytes) continue;
         ++g.checked;
-        const double half = sorted[i].s->mean_op_elapsed;
-        const double full = sorted[i + 1].s->mean_op_elapsed;
+        const double half = sorted[i]->mean_op_elapsed;
+        const double full = sorted[i + 1]->mean_op_elapsed;
         if (full <= 2.0 * half * (1.0 + opts.epsilon)) {
           ++g.passed;
         } else {
-          std::string v = sorted[i + 1].s->label + ": ";
+          std::string v = sorted[i + 1]->label + ": ";
           fmt_ns(v, full);
           v += " > 2x ";
           fmt_ns(v, half);
-          v += " at " + std::to_string(sorted[i].key.bytes) + "B";
+          v += " at " + std::to_string(sorted[i]->key->bytes) + "B";
           g.violations.push_back(std::move(v));
         }
       }
@@ -902,24 +843,24 @@ std::vector<GuidelineResult> check_guidelines(
     g.description = "op time monotone non-decreasing in process count";
     for (const auto& [key, cells] : rank_groups) {
       if (cells.size() < 2) continue;
-      std::vector<Cell> sorted = cells;
+      Cells sorted = cells;
       std::sort(sorted.begin(), sorted.end(),
-                [](const Cell& x, const Cell& y) {
-                  return x.key.nprocs < y.key.nprocs;
+                [](const ScenarioReport* x, const ScenarioReport* y) {
+                  return x->key->nprocs < y->key->nprocs;
                 });
       for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
-        if (sorted[i].key.nprocs == sorted[i + 1].key.nprocs) continue;
+        if (sorted[i]->key->nprocs == sorted[i + 1]->key->nprocs) continue;
         ++g.checked;
-        const double small = sorted[i].s->mean_op_elapsed;
-        const double big = sorted[i + 1].s->mean_op_elapsed;
+        const double small = sorted[i]->mean_op_elapsed;
+        const double big = sorted[i + 1]->mean_op_elapsed;
         if (big >= small * (1.0 - opts.monotonicity_tolerance)) {
           ++g.passed;
         } else {
-          std::string v = sorted[i + 1].s->label + ": ";
+          std::string v = sorted[i + 1]->label + ": ";
           fmt_ns(v, big);
-          v += " at np" + std::to_string(sorted[i + 1].key.nprocs) + " < ";
+          v += " at np" + std::to_string(sorted[i + 1]->key->nprocs) + " < ";
           fmt_ns(v, small);
-          v += " at np" + std::to_string(sorted[i].key.nprocs);
+          v += " at np" + std::to_string(sorted[i]->key->nprocs);
           g.violations.push_back(std::move(v));
         }
       }
@@ -937,13 +878,13 @@ std::vector<GuidelineResult> check_guidelines(
     g.description =
         "two-level variant <= flat counterpart on multi-node runs";
     for (const auto& [key, cells] : groups) {
-      for (const Cell& two : cells) {
-        constexpr std::string_view kPrefix = "fixed:2lvl-";
-        if (two.key.what.rfind(kPrefix.data(), 0) != 0) continue;
+      for (const ScenarioReport* two : cells) {
+        constexpr std::string_view kPrefix = "2lvl-";
+        if (two->key->adcl || !two->key->impl.starts_with(kPrefix)) continue;
         bool multi_node = false;
         try {
-          const net::Platform p = net::platform_by_name(two.key.platform);
-          multi_node = two.key.nprocs > p.cores_per_node;
+          const net::Platform p = net::platform_by_name(two->key->platform);
+          multi_node = two->key->nprocs > p.cores_per_node;
         } catch (const std::exception&) {
           continue;  // unknown platform: no node geometry to reason about
         }
@@ -951,26 +892,26 @@ std::vector<GuidelineResult> check_guidelines(
         // Flat twin: same name without the 2lvl- prefix, exactly or as a
         // segmented family ("binomial/seg32k" twins "2lvl-binomial"); the
         // fastest family member is the reference.
-        const std::string flat =
-            "fixed:" + two.key.what.substr(kPrefix.size());
+        const std::string flat = two->key->impl.substr(kPrefix.size());
         const ScenarioReport* best = nullptr;
-        for (const Cell& c : cells) {
-          if (c.key.what != flat && c.key.what.rfind(flat + "/", 0) != 0) {
+        for (const ScenarioReport* c : cells) {
+          if (c->key->adcl || (c->key->impl != flat &&
+                               !c->key->impl.starts_with(flat + "/"))) {
             continue;
           }
           if (best == nullptr ||
-              c.s->mean_op_elapsed < best->mean_op_elapsed) {
-            best = c.s;
+              c->mean_op_elapsed < best->mean_op_elapsed) {
+            best = c;
           }
         }
         if (best == nullptr) continue;
         ++g.checked;
-        if (two.s->mean_op_elapsed <=
+        if (two->mean_op_elapsed <=
             best->mean_op_elapsed * (1.0 + opts.epsilon)) {
           ++g.passed;
         } else {
-          std::string v = two.s->label + ": two-level ";
-          fmt_ns(v, two.s->mean_op_elapsed);
+          std::string v = two->label + ": two-level ";
+          fmt_ns(v, two->mean_op_elapsed);
           v += " > flat ";
           fmt_ns(v, best->mean_op_elapsed);
           v += " (" + best->label + ")";
@@ -995,6 +936,7 @@ Report analyze(const std::vector<ScenarioTrace>& traces,
   for (const ScenarioTrace& t : traces) {
     ScenarioReport sr;
     sr.label = t.label;
+    sr.key = t.key;
     const Index ix = build_index(t);
     sr.ops_started = ix.ops_started;
     sr.zero_compute = !ix.any_compute;

@@ -20,7 +20,9 @@
 //     from adcl.score / adcl.decision events;
 //   * performance-guideline checks over the whole scenario set (G1-G7
 //     below), the trace-level analogue of the self-consistent-performance
-//     rules the paper's tuning results are expected to satisfy;
+//     rules the paper's tuning results are expected to satisfy; G2-G7
+//     compare scenarios whose trace::ScenarioKey agrees on everything
+//     but the member, the message size or the process count;
 //   * repetition-aware statistics per scenario: median and nonparametric
 //     confidence intervals over the op-instance samples, with a
 //     minimum-repetition flag ("MPI Benchmarking Revisited" discipline).
@@ -34,14 +36,13 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
-namespace nbctune::trace {
-struct FinishedTrace;
-}
+#include "trace/trace.hpp"
 
 namespace nbctune::analyze {
 
@@ -85,6 +86,9 @@ using NameStore = std::set<std::string, std::less<>>;
 /// them across scenarios into the separate counter dump).
 struct ScenarioTrace {
   std::string label;
+  /// The scenario's typed identity; absent for unkeyed scopes and for
+  /// Chrome exports that predate keys, which only G1 checks.
+  std::optional<trace::ScenarioKey> key;
   std::vector<AEvent> events;
   std::map<std::string, std::uint64_t> counters;
   /// Owner of the strings the events' names view when they were parsed
@@ -264,6 +268,7 @@ struct BlameStats {
 /// Everything derived from one scenario trace.
 struct ScenarioReport {
   std::string label;
+  std::optional<trace::ScenarioKey> key;  ///< from ScenarioTrace::key
   std::uint64_t ops_started = 0;
   std::uint64_t ops_completed = 0;
   /// Executions abandoned by fail-stop recovery (nbc.abort events); the
@@ -363,35 +368,5 @@ void write_json(std::ostream& os, const Report& report);
 
 /// Human-readable tables (same content, friendlier units).
 void write_table(std::ostream& os, const Report& report);
-
-// ---------------------------------------------------- label conventions
-
-/// Parsed scenario label: "<op> <platform> np<N> <bytes>B <what>"
-/// (microbench convention; see harness/microbench.cpp).  A fault plan
-/// rides in the last token as "<what>+plan=<name>" and is split off into
-/// `plan`; a topology tag rides last as "+topo=<tag>" and is split off
-/// into `topo`.  `valid` is false for labels of other shapes (e.g. the
-/// FFT benches), which then only participate in the universal guideline
-/// G1.
-struct LabelKey {
-  bool valid = false;
-  std::string op;
-  std::string platform;
-  int nprocs = 0;
-  std::uint64_t bytes = 0;
-  std::string what;  ///< "fixed:<impl>" or "adcl:<policy>"
-  std::string plan;  ///< fault-plan name; empty = fault-free
-  std::string topo;  ///< topology tag; empty = untagged
-  /// Group key ignoring the what part (G2/G3 compare within a group).
-  /// Includes the plan: faulted runs only compare against equally
-  /// faulted references.
-  [[nodiscard]] std::string group() const;
-  /// Group key ignoring the message size (G4/G5 sweep sizes).
-  [[nodiscard]] std::string size_group() const;
-  /// Group key ignoring the process count (G6 sweeps ranks).
-  [[nodiscard]] std::string rank_group() const;
-};
-
-[[nodiscard]] LabelKey parse_label(const std::string& label);
 
 }  // namespace nbctune::analyze

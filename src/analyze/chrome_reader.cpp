@@ -3,10 +3,13 @@
 #include "analyze/json_min.hpp"
 
 #include <istream>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 namespace nbctune::analyze {
@@ -19,6 +22,39 @@ using jsonmin::Value;
 std::int32_t track_of_tid(long long tid) {
   return tid >= 1000000 ? static_cast<std::int32_t>(-1 - (tid - 1000000))
                         : static_cast<std::int32_t>(tid);
+}
+
+/// True when `d` converts to the integer type T without overflow.
+template <class T>
+bool fits(double d) {
+  return d >= static_cast<double>(std::numeric_limits<T>::min()) &&
+         d < static_cast<double>(std::numeric_limits<T>::max()) + 1.0;
+}
+
+/// The ScenarioKey a process_name record's args carry, or nullopt when
+/// any field is missing or out of range (an unkeyed scope or a pre-key
+/// export).
+std::optional<trace::ScenarioKey> key_of(const Value& args) {
+  trace::ScenarioKey k;
+  bool complete = true;
+  trace::ScenarioKey::for_each_field(k, [&](const char* name, auto& field) {
+    using T = std::decay_t<decltype(field)>;
+    const Value* v = args.get(name);
+    if constexpr (std::is_same_v<T, std::string>) {
+      if (v == nullptr || v->kind != Value::Kind::Str) {
+        complete = false;
+      } else {
+        field = v->str;
+      }
+    } else if (v == nullptr || v->kind != Value::Kind::Num ||
+               !fits<T>(v->num)) {
+      complete = false;
+    } else {
+      field = static_cast<T>(v->num);
+    }
+  });
+  if (!complete) return std::nullopt;
+  return k;
 }
 
 /// A view of `s` that outlives the parse tree: its copy in `store`.
@@ -64,6 +100,7 @@ std::vector<ScenarioTrace> read_chrome(std::istream& is) {
             n != nullptr && n->kind == Value::Kind::Str) {
           t.label = n->str;
         }
+        t.key = key_of(*args);
       }
       continue;
     }

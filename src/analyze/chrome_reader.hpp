@@ -16,8 +16,9 @@
 namespace nbctune::analyze {
 
 /// Parse an exported Chrome trace: one ScenarioTrace per pid, labelled
-/// from the process_name metadata, ordered by pid (= export order).
-/// Throws std::runtime_error on malformed input.
+/// and keyed from the process_name metadata, ordered by pid (= export
+/// order).  A process_name record without the ScenarioKey fields gives
+/// an unkeyed scenario.  Throws std::runtime_error on malformed input.
 [[nodiscard]] std::vector<ScenarioTrace> read_chrome(std::istream& is);
 
 /// Parse a flat counter dump ("counter <name> <value>" lines) into a

@@ -5,8 +5,10 @@
 // exporter's output (Chrome trace-event files, report JSONs), so only
 // the core grammar is needed — objects, arrays, strings with backslash
 // escapes (`\uXXXX` decoded to UTF-8), numbers, true/false/null.  Shared
-// by the Chrome-trace reader (chrome_reader.cpp) and the report reader of
-// the --regress mode (regress.cpp).
+// by the Chrome-trace reader (chrome_reader.cpp), the report reader of
+// the --regress mode (regress.cpp) and the live-stream readers.  Arrays
+// and objects nest at most kMaxDepth levels: deeper input is rejected
+// with the byte offset instead of overflowing the recursion's stack.
 
 #include <cstdlib>
 #include <memory>
@@ -41,6 +43,10 @@ struct Value {
   }
 };
 
+/// Deepest array/object nesting parse() accepts; our writers nest a
+/// handful of levels.
+inline constexpr int kMaxDepth = 512;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : s_(text) {}
@@ -53,7 +59,7 @@ class Parser {
   }
 
  private:
-  [[noreturn]] void fail(const char* what) const {
+  [[noreturn]] void fail(const std::string& what) const {
     throw std::runtime_error("JSON parse error at byte " +
                              std::to_string(pos_) + ": " + what);
   }
@@ -79,9 +85,14 @@ class Parser {
     skip_ws();
     switch (peek()) {
       case '{':
-        return object();
-      case '[':
-        return array();
+      case '[': {
+        if (++depth_ > kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        }
+        Value v = peek() == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"': {
         Value v;
         v.kind = Value::Kind::Str;
@@ -251,6 +262,7 @@ class Parser {
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays/objects open around the current value
 };
 
 inline Value parse(const std::string& text) { return Parser(text).parse(); }

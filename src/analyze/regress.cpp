@@ -173,10 +173,11 @@ void read_tolerances(std::istream& is, RegressTolerances& tol) {
 
 namespace {
 
+/// The `k`-th (from 0) scenario labelled `label` in `r`, or nullptr.
 const ScenarioDigest* find_scenario(const ReportDigest& r,
-                                    const std::string& label) {
+                                    const std::string& label, std::size_t k) {
   for (const ScenarioDigest& s : r.scenarios) {
-    if (s.label == label) return &s;
+    if (s.label == label && k-- == 0) return &s;
   }
   return nullptr;
 }
@@ -238,8 +239,11 @@ void compare_scenario(const ScenarioDigest& o, const ScenarioDigest& n,
 RegressResult regress(const ReportDigest& old_r, const ReportDigest& new_r,
                       const RegressTolerances& tol) {
   RegressResult res;
+  // Repetitions share a label, so the k-th scenario with a label in one
+  // report pairs with the k-th one with that label in the other.
+  std::map<std::string, std::size_t> seen;
   for (const ScenarioDigest& o : old_r.scenarios) {
-    const ScenarioDigest* n = find_scenario(new_r, o.label);
+    const ScenarioDigest* n = find_scenario(new_r, o.label, seen[o.label]++);
     if (n == nullptr) {
       res.violations.push_back({o.label, "scenario missing from new report"});
       continue;
@@ -247,8 +251,9 @@ RegressResult regress(const ReportDigest& old_r, const ReportDigest& new_r,
     ++res.scenarios_compared;
     compare_scenario(o, *n, tol, res);
   }
+  seen.clear();
   for (const ScenarioDigest& n : new_r.scenarios) {
-    if (find_scenario(old_r, n.label) == nullptr) {
+    if (find_scenario(old_r, n.label, seen[n.label]++) == nullptr) {
       res.violations.push_back({n.label, "scenario absent from old report"});
     }
   }

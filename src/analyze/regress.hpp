@@ -24,6 +24,10 @@
 //                 CIs are disjoint (rel drift alone is not enough);
 //                 0 = fail on relative drift alone
 //
+// Scenarios pair by label and occurrence: the k-th scenario with a label
+// in the old report against the k-th one with that label in the new
+// report, so repetitions that share a label each get their own partner.
+//
 // Structural changes are always violations regardless of tolerance: a
 // scenario missing from / added to the new report, an ADCL winner flip,
 // a guideline that regressed from pass to fail, vanished entirely, or

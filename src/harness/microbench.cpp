@@ -37,25 +37,30 @@ std::shared_ptr<const adcl::FunctionSet> scenario_functionset(
   throw std::invalid_argument("scenario_functionset: bad OpKind");
 }
 
-namespace {
-
-/// Trace-scope label identifying one scenario run.  The fault plan rides
-/// in the last token ("+plan=<name>") so labels stay five space-free
-/// tokens — the analyzer's parse_label contract.
-std::string scenario_label(const MicroScenario& s, const std::string& what) {
-  std::string label = std::string(op_name(s.op)) + " " + s.platform.name +
-                      " np" + std::to_string(s.nprocs) + " " +
-                      std::to_string(s.bytes) + "B " + what;
+trace::ScenarioKey scenario_key(const MicroScenario& s, bool tuned,
+                                std::string impl) {
+  const auto ppm = [](double x) { return std::llround(x * 1e6); };
+  trace::ScenarioKey k;
+  k.op = op_name(s.op);
+  k.platform = s.platform.name;
+  k.nprocs = s.nprocs;
+  k.bytes = s.bytes;
+  k.adcl = tuned;
+  k.impl = std::move(impl);
   if (!s.fault_plan.empty()) {
-    label += "+plan=" +
-             (s.fault_plan_name.empty() ? std::string("spec")
-                                        : s.fault_plan_name);
+    k.plan = s.fault_plan_name.empty() ? "spec" : s.fault_plan_name;
   }
-  // Topology tag is the outermost suffix (stripped first by the analyzer's
-  // parse_label) so hierarchy experiments form their own label groups.
-  if (!s.topo_tag.empty()) label += "+topo=" + s.topo_tag;
-  return label;
+  k.topo = s.topo_tag;
+  k.progress_calls = s.progress_calls;
+  k.compute_ns = std::llround(s.compute_per_iter * 1e9);
+  k.noise_scale_ppm = ppm(s.noise_scale);
+  k.noise_sigma_ppm = ppm(s.platform.noise.rel_sigma);
+  k.outlier_prob_ppm = ppm(s.platform.noise.outlier_prob);
+  k.outlier_factor_ppm = ppm(s.platform.noise.outlier_factor);
+  return k;
 }
+
+namespace {
 
 /// Per-operation request arguments; sizes (and pins into `args`) the
 /// payload buffers when the scenario moves real bytes.
@@ -114,10 +119,10 @@ adcl::OpArgs scenario_args(const MicroScenario& s, mpi::Ctx& ctx,
 /// view, which all ranks agree on).
 RunOutcome run_loop(const MicroScenario& s,
                     const adcl::TuningOptions& tuning_in, int pinned,
-                    const std::string& label) {
+                    trace::ScenarioKey key) {
   // One trace scope per simulated scenario: a no-op unless the process
   // enabled the trace session (bench --trace).
-  trace::Scope scope(label);
+  trace::Scope scope(std::move(key));
   RunOutcome out;
   sim::Engine engine(s.seed);
   net::Machine machine(s.platform);
@@ -229,10 +234,10 @@ RunOutcome run_fixed(const MicroScenario& s, int func_idx) {
   if (func_idx < 0 || func_idx >= static_cast<int>(fset->size())) {
     throw std::invalid_argument("run_fixed: bad function index");
   }
-  const std::string label =
-      scenario_label(s, "fixed:" + fset->function(func_idx).name);
   adcl::TuningOptions tuning;  // irrelevant: selection is forced
-  RunOutcome out = run_loop(s, tuning, func_idx, label);
+  RunOutcome out = run_loop(
+      s, tuning, func_idx,
+      scenario_key(s, /*tuned=*/false, fset->function(func_idx).name));
   out.impl = fset->function(func_idx).name;
   out.post_decision_time = out.loop_time;
   out.post_decision_iterations = s.iterations;
@@ -242,7 +247,7 @@ RunOutcome run_fixed(const MicroScenario& s, int func_idx) {
 RunOutcome run_adcl(const MicroScenario& s, adcl::TuningOptions opts) {
   return run_loop(
       s, opts, -1,
-      scenario_label(s, std::string("adcl:") + adcl::policy_name(opts.policy)));
+      scenario_key(s, /*tuned=*/true, adcl::policy_name(opts.policy)));
 }
 
 VerificationRun run_verification(const MicroScenario& s,

@@ -24,6 +24,7 @@
 #include "adcl/adcl.hpp"
 #include "harness/scenario_pool.hpp"
 #include "net/platform.hpp"
+#include "trace/trace.hpp"
 
 namespace nbctune::harness {
 
@@ -52,16 +53,15 @@ struct MicroScenario {
   /// Include the hierarchy-aware two-level members in the Ibcast /
   /// Iallreduce function-sets (coll/hierarchical.hpp).
   bool include_hierarchical = false;
-  /// Short topology tag folded into trace labels as "+topo=<tag>" (last
-  /// suffix), isolating hierarchy experiments into their own analyzer
-  /// label groups; empty = untagged (labels unchanged).
+  /// Short topology tag (ScenarioKey::topo), isolating hierarchy
+  /// experiments into their own analyzer groups; empty = untagged.
   std::string topo_tag;
   /// Fault-plan spec (see fault/fault.hpp grammar); empty = fault-free.
   /// The plan's rto/retries/op_timeout knobs arm the resilient transport
   /// and NBC recovery; drift knobs arm ADCL re-tuning.
   std::string fault_plan;
-  /// Short name folded into trace labels as "+plan=<name>" (analyzer
-  /// grouping); defaults to "spec" when a plan is set without a name.
+  /// Short plan name (ScenarioKey::plan); defaults to "spec" when a plan
+  /// is set without a name.
   std::string fault_plan_name;
   /// Per-rank fiber stack size; 0 = sim default (the NBCTUNE_FIBER_STACK
   /// env var, else 256 KiB).  The 16 KiB floor is enough for a pinned
@@ -84,6 +84,11 @@ struct RunOutcome {
 /// The per-operation function-set used by the harness for a scenario.
 std::shared_ptr<const adcl::FunctionSet> scenario_functionset(
     const MicroScenario& s);
+
+/// The trace identity of running `s` with member `impl` pinned
+/// (tuned = false) or with ADCL under policy `impl` (tuned = true).
+trace::ScenarioKey scenario_key(const MicroScenario& s, bool tuned,
+                                std::string impl);
 
 /// Run the loop with implementation `func_idx` pinned.
 RunOutcome run_fixed(const MicroScenario& s, int func_idx);

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
-#include <string>
 
 #include "trace/trace.hpp"
 
@@ -13,16 +12,10 @@ Machine::Machine(Platform platform) : platform_(std::move(platform)) {
   if (platform_.nodes <= 0 || platform_.nics_per_node <= 0) {
     throw std::invalid_argument("Machine: platform must have nodes and NICs");
   }
-  tx_.resize(platform_.nodes);
-  rx_.resize(platform_.nodes);
-  mem_.reserve(platform_.nodes);
-  for (int n = 0; n < platform_.nodes; ++n) {
-    for (int i = 0; i < platform_.nics_per_node; ++i) {
-      tx_[n].emplace_back("tx:" + std::to_string(n) + ":" + std::to_string(i));
-      rx_[n].emplace_back("rx:" + std::to_string(n) + ":" + std::to_string(i));
-    }
-    mem_.emplace_back("mem:" + std::to_string(n));
-  }
+  const std::vector<sim::Resource> nics(platform_.nics_per_node);
+  tx_.assign(platform_.nodes, nics);
+  rx_.assign(platform_.nodes, nics);
+  mem_.resize(platform_.nodes);
   inflight_.assign(platform_.nodes, 0);
 }
 

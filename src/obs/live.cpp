@@ -152,6 +152,7 @@ void LiveSink::on_scope_finish(const trace::FinishedTrace& t) {
 
   std::string body = "{\"type\":\"scenario\",\"phase\":\"finished\"";
   body += ",\"label\":\"" + trace::json_escaped(s.label) + "\"";
+  if (s.key) body += ",\"op\":\"" + trace::json_escaped(s.key->op) + "\"";
   body += ",\"ops\":";
   append_u64(body, s.ops_completed);
   body += ",\"ops_started\":";

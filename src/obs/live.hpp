@@ -24,7 +24,8 @@
 //   {"type":"hello","seq":0,"schema":"nbctune-live-v1",...}
 //   {"type":"batch","seq":n,"t_ms":..,"tasks":..,"total_submitted":..}
 //   {"type":"scenario","phase":"started","seq":n,"t_ms":..,"label":".."}
-//   {"type":"scenario","phase":"finished","seq":n,...per-op stats...}
+//   {"type":"scenario","phase":"finished","seq":n,"label":..,["op":..,]
+//    ...per-op stats...}  ("op" only for keyed scenarios)
 //   {"type":"scenario","phase":"failed","seq":n,"index":..,"error":".."}
 //   {"type":"sample","seq":n,...pool/trace/exec/rss gauges...}
 //   {"type":"summary","seq":n,"status":"ok"|"aborted",...}

@@ -104,12 +104,10 @@ bool TopState::feed_line(const std::string& line) {
       }
     } else if (phase == "finished") {
       ++finished_;
-      const std::string label = str_or(v.get("label"), "?");
-      recent_.push_back(label);
+      recent_.push_back(str_or(v.get("label"), "?"));
       if (recent_.size() > 4) recent_.erase(recent_.begin());
-      // Aggregate by the op (first label token; "?" for foreign labels).
-      const std::size_t sp = label.find(' ');
-      OpAgg& agg = ops_[sp == std::string::npos ? label : label.substr(0, sp)];
+      // Aggregate by the keyed scenario's op; "?" for unkeyed scenarios.
+      OpAgg& agg = ops_[str_or(v.get("op"), "?")];
       ++agg.scenarios;
       agg.ops += num_u64(v.get("ops"));
       agg.median_sum_ns += num_i64(v.get("median_op_ns"));

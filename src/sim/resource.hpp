@@ -9,20 +9,17 @@
 // the cost of simulating preemption.
 
 #include <algorithm>
-#include <string>
 
 #include "sim/engine.hpp"
 
 namespace nbctune::sim {
 
-/// A serial FIFO resource identified for tracing by name.
+/// A serial FIFO resource.
 ///
 /// reserve(earliest, duration) books the next available slot that starts at
 /// or after `earliest` and returns the slot's [start, end) interval.
 class Resource {
  public:
-  explicit Resource(std::string name = {}) : name_(std::move(name)) {}
-
   struct Slot {
     Time start;
     Time end;
@@ -33,33 +30,17 @@ class Resource {
     const Time start = std::max(earliest, available_at_);
     const Time end = start + duration;
     available_at_ = end;
-    busy_total_ += duration;
-    ++reservations_;
     return {start, end};
   }
 
   /// Time at which the resource next becomes free.
   [[nodiscard]] Time available_at() const noexcept { return available_at_; }
 
-  /// Cumulative busy time (for utilization reporting).
-  [[nodiscard]] Time busy_total() const noexcept { return busy_total_; }
-  [[nodiscard]] std::uint64_t reservations() const noexcept {
-    return reservations_;
-  }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
-
   /// Reset booking state (e.g. between benchmark repetitions).
-  void reset() noexcept {
-    available_at_ = 0.0;
-    busy_total_ = 0.0;
-    reservations_ = 0;
-  }
+  void reset() noexcept { available_at_ = 0.0; }
 
  private:
-  std::string name_;
   Time available_at_ = 0.0;
-  Time busy_total_ = 0.0;
-  std::uint64_t reservations_ = 0;
 };
 
 }  // namespace nbctune::sim

@@ -8,8 +8,18 @@
 #include <mutex>
 #include <ostream>
 #include <string_view>
+#include <type_traits>
 
 namespace nbctune::trace {
+
+std::string ScenarioKey::label() const {
+  std::string out = op + " " + platform + " np" + std::to_string(nprocs) +
+                    " " + std::to_string(bytes) + "B " +
+                    (adcl ? "adcl:" : "fixed:") + impl;
+  if (!plan.empty()) out += "+plan=" + plan;
+  if (!topo.empty()) out += "+topo=" + topo;
+  return out;
+}
 
 const char* cat_name(Cat c) noexcept {
   switch (c) {
@@ -314,9 +324,28 @@ int chrome_tid(std::int32_t track) {
 /// stream in blocks of about this size.
 constexpr std::size_t kChromeFlushBytes = std::size_t{1} << 20;
 
-void append_int(std::string& out, std::uint64_t v) {
+/// `v` in decimal; 20 bytes fit every 64-bit value, sign included.
+template <class Int>
+void append_int(std::string& out, Int v) {
   char buf[20];
   out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+/// `,"<field>":<value>` for every key field: strings escaped, the rest
+/// as integers (a bool as 0 / 1).
+void append_key_args(std::string& out, const ScenarioKey& k) {
+  ScenarioKey::for_each_field(k, [&](const char* name, const auto& v) {
+    out += ",\"";
+    out += name;
+    out += "\":";
+    if constexpr (std::is_same_v<std::decay_t<decltype(v)>, std::string>) {
+      out += '"';
+      out += json_escaped(v);
+      out += '"';
+    } else {
+      append_int(out, static_cast<std::int64_t>(v));
+    }
+  });
 }
 
 /// Simulated seconds as fixed-point microseconds (nanosecond resolution;
@@ -352,7 +381,9 @@ void Session::write_chrome(std::ostream& os) const {
     append_int(out, pid);
     out += ",\"name\":\"process_name\",\"args\":{\"name\":\"";
     out += json_escaped(t.label);
-    out += "\"}}";
+    out += '"';
+    if (t.key) append_key_args(out, *t.key);
+    out += "}}";
     sep();
     out += "{\"ph\":\"M\",\"pid\":";
     append_int(out, pid);
@@ -491,11 +522,16 @@ Scope::Scope(std::string label) {
   }
 }
 
+Scope::Scope(ScenarioKey key) : Scope(key.label()) {
+  if (tracer_) tracer_->key_ = std::move(key);
+}
+
 Scope::~Scope() {
   if (!tracer_) return;
   set_current(prev_);
   FinishedTrace f;
   f.label = std::move(tracer_->label_);
+  f.key = std::move(tracer_->key_);
   f.events = std::move(tracer_->events_);
   f.counts = tracer_->counts_;
   f.hists = tracer_->hists_;

@@ -29,14 +29,73 @@
 // and stdout is never touched.
 
 #include <array>
+#include <compare>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace nbctune::trace {
+
+// ------------------------------------------------------ scenario identity
+
+/// Typed identity of one micro-benchmark scenario: the (operation,
+/// message size, process count) tuple the performance guidelines are
+/// defined over, the fixed member or ADCL policy that ran it, and every
+/// condition that changes what a run measures.  Runs with equal keys are
+/// repetitions of one scenario; the iteration count and the seed are
+/// left out on purpose.  Conditions are integers (ns, parts per
+/// million), so a Chrome export round-trips a key exactly.
+struct ScenarioKey {
+  std::string op;        ///< "ialltoall", "ibcast", ...
+  std::string platform;  ///< net::Platform::name
+  int nprocs = 0;
+  std::uint64_t bytes = 0;
+  bool adcl = false;  ///< false: `impl` pinned; true: ADCL under policy `impl`
+  std::string impl;   ///< function-set member or ADCL policy name
+  std::string plan;   ///< fault-plan name; empty = fault-free
+  std::string topo;   ///< topology tag; empty = untagged
+  /// Explicit progress calls per iteration; -1 when the scenario tunes
+  /// them instead (bench_ext_progress_tuning).
+  int progress_calls = -1;
+  std::int64_t compute_ns = 0;  ///< compute per iteration
+  // Noise: the World's scale and the platform's NoiseParams.
+  std::int64_t noise_scale_ppm = 0;
+  std::int64_t noise_sigma_ppm = 0;
+  std::int64_t outlier_prob_ppm = 0;
+  std::int64_t outlier_factor_ppm = 0;
+
+  /// Display label "<op> <platform> np<N> <bytes>B (fixed|adcl):<impl>",
+  /// then "+plan=<plan>" and "+topo=<topo>" when set.  Display only:
+  /// nothing parses it back.
+  [[nodiscard]] std::string label() const;
+
+  /// Call f(name, member) for every field in export order (`K` is
+  /// ScenarioKey or const ScenarioKey): the one field list behind the
+  /// Chrome writer and reader.
+  template <class K, class F>
+  static void for_each_field(K& k, F&& f) {
+    f("op", k.op);
+    f("platform", k.platform);
+    f("nprocs", k.nprocs);
+    f("bytes", k.bytes);
+    f("adcl", k.adcl);
+    f("impl", k.impl);
+    f("plan", k.plan);
+    f("topo", k.topo);
+    f("progress_calls", k.progress_calls);
+    f("compute_ns", k.compute_ns);
+    f("noise_scale_ppm", k.noise_scale_ppm);
+    f("noise_sigma_ppm", k.noise_sigma_ppm);
+    f("outlier_prob_ppm", k.outlier_prob_ppm);
+    f("outlier_factor_ppm", k.outlier_factor_ppm);
+  }
+
+  friend auto operator<=>(const ScenarioKey&, const ScenarioKey&) = default;
+};
 
 // ----------------------------------------------------------- event model
 
@@ -197,6 +256,7 @@ class Tracer {
   friend class Session;
   friend class Scope;
   std::string label_;
+  std::optional<ScenarioKey> key_;  ///< set by Scope(ScenarioKey)
   std::size_t max_events_ = 0;  ///< 0 = unbounded
   std::vector<Event> events_;
   std::array<std::uint64_t, static_cast<std::size_t>(Ctr::kCount)> counts_{};
@@ -254,6 +314,7 @@ inline void span(double ts, double dur, std::int32_t track, Cat cat,
 /// A finished per-scenario trace, detached from its Tracer.
 struct FinishedTrace {
   std::string label;
+  std::optional<ScenarioKey> key;  ///< absent for unkeyed scopes
   std::vector<Event> events;
   std::array<std::uint64_t, static_cast<std::size_t>(Ctr::kCount)> counts{};
   std::array<HistData, static_cast<std::size_t>(Hist::kCount)> hists{};
@@ -313,7 +374,8 @@ class Session {
   [[nodiscard]] std::vector<FinishedTrace> drain();
 
   /// Chrome trace-event JSON: one pid per adopted scenario, one tid per
-  /// rank track plus wire tracks.  Loadable in ui.perfetto.dev.
+  /// rank track plus wire tracks.  Loadable in ui.perfetto.dev.  A keyed
+  /// scenario's ScenarioKey fields ride in its process_name args.
   void write_chrome(std::ostream& os) const;
   /// Flat deterministic counter/histogram dump for CI diffing.
   void write_counters(std::ostream& os) const;
@@ -345,6 +407,9 @@ void append_fixed3(std::string& out, double v);
 class Scope {
  public:
   explicit Scope(std::string label);
+  /// A keyed scope: labelled key.label(), and the key rides the finished
+  /// trace into the Chrome export and the analyzer's guideline groups.
+  explicit Scope(ScenarioKey key);
   ~Scope();
   Scope(const Scope&) = delete;
   Scope& operator=(const Scope&) = delete;

@@ -1,8 +1,9 @@
-// Post-hoc analysis layer (src/analyze): a hand-computed golden on the
-// 2-rank ibcast trace, the blame-sums-to-elapsed property, the Chrome
-// trace round-trip, the ADCL decision audit, the guideline checks on
-// synthetic scenarios, and byte-identical report JSON at any pool
-// thread count.
+// Post-hoc analysis layer (src/analyze): scenario-key labels, a
+// hand-computed golden on the 2-rank ibcast trace, the
+// blame-sums-to-elapsed property, the Chrome trace round-trip (keys
+// included), the ADCL decision audit, the guideline checks on synthetic
+// keyed scenarios, the regression gate, the JSON parser's depth limit,
+// and byte-identical report JSON at any pool thread count.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <cmath>
 #include <functional>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,10 +23,12 @@
 #include "analyze/json_min.hpp"
 #include "analyze/regress.hpp"
 #include "coll/ibcast.hpp"
+#include "harness/microbench.hpp"
 #include "harness/scenario_pool.hpp"
 #include "mpi/world.hpp"
 #include "nbc/handle.hpp"
 #include "net/platform.hpp"
+#include "obs/top.hpp"
 #include "testing_util.hpp"
 #include "trace/trace.hpp"
 
@@ -83,65 +87,50 @@ double expected_blame_total(const analyze::ScenarioTrace& t) {
 
 }  // namespace
 
-// --------------------------------------------------------- label parsing
+// ---------------------------------------------------------- scenario key
 
-TEST(AnalyzeLabel, ParsesMicrobenchConvention) {
-  const analyze::LabelKey k =
-      analyze::parse_label("ibcast whale np32 4096B adcl:brute-force");
-  ASSERT_TRUE(k.valid);
-  EXPECT_EQ(k.op, "ibcast");
-  EXPECT_EQ(k.platform, "whale");
-  EXPECT_EQ(k.nprocs, 32);
-  EXPECT_EQ(k.bytes, 4096u);
-  EXPECT_EQ(k.what, "adcl:brute-force");
-  EXPECT_EQ(k.group(), "ibcast whale np32 4096B");
-  EXPECT_EQ(k.size_group(), "ibcast whale np32 adcl:brute-force");
-  EXPECT_EQ(k.rank_group(), "ibcast whale 4096B adcl:brute-force");
+TEST(ScenarioKeyLabel, RendersFixedAndAdcl) {
+  harness::MicroScenario s;
+  s.platform = net::whale();
+  s.nprocs = 32;
+  s.op = harness::OpKind::Ibcast;
+  s.bytes = 4096;
+  EXPECT_EQ(harness::scenario_key(s, /*tuned=*/false, "binomial/seg32k")
+                .label(),
+            "ibcast whale np32 4096B fixed:binomial/seg32k");
+  EXPECT_EQ(harness::scenario_key(s, /*tuned=*/true, "brute-force").label(),
+            "ibcast whale np32 4096B adcl:brute-force");
 }
 
-TEST(AnalyzeLabel, SplitsPlanAndExecSuffixes) {
-  // A fault plan rides as "<what>+plan=NAME" (microbench.cpp).
-  const analyze::LabelKey k = analyze::parse_label(
-      "ialltoall crill np8 1024B fixed:linear+plan=lossy");
-  ASSERT_TRUE(k.valid);
-  EXPECT_EQ(k.what, "fixed:linear");
-  EXPECT_EQ(k.plan, "lossy");
-  EXPECT_EQ(k.group(), "ialltoall crill np8 1024B plan=lossy");
-  EXPECT_EQ(k.size_group(), "ialltoall crill np8 fixed:linear plan=lossy");
+TEST(ScenarioKeyLabel, RendersPlanSuffix) {
+  harness::MicroScenario s;
+  s.platform = net::crill();
+  s.nprocs = 8;
+  s.op = harness::OpKind::Ialltoall;
+  s.bytes = 1024;
+  s.fault_plan = "drop=0.01";
+  s.fault_plan_name = "lossy";
+  EXPECT_EQ(harness::scenario_key(s, /*tuned=*/false, "linear").label(),
+            "ialltoall crill np8 1024B fixed:linear+plan=lossy");
+  // A plan without a name renders as "spec".
+  s.fault_plan_name.clear();
+  EXPECT_EQ(harness::scenario_key(s, /*tuned=*/true, "brute-force").label(),
+            "ialltoall crill np8 1024B adcl:brute-force+plan=spec");
 }
 
-TEST(AnalyzeLabel, SplitsTopoSuffix) {
-  // The topology tag is the outermost suffix ("+topo=<tag>" appended
-  // last) and must be stripped before the plan tag.
-  const analyze::LabelKey k = analyze::parse_label(
-      "iscatter crill np96 65536B fixed:striped+plan=lossy+topo=rails2");
-  ASSERT_TRUE(k.valid);
-  EXPECT_EQ(k.what, "fixed:striped");
-  EXPECT_EQ(k.plan, "lossy");
-  EXPECT_EQ(k.topo, "rails2");
-  EXPECT_EQ(k.group(), "iscatter crill np96 65536B plan=lossy topo=rails2");
-  EXPECT_EQ(k.size_group(),
-            "iscatter crill np96 fixed:striped plan=lossy topo=rails2");
-  EXPECT_EQ(k.rank_group(),
-            "iscatter crill 65536B fixed:striped plan=lossy topo=rails2");
-
-  // A tagged and an untagged run of the same scenario land in different
-  // guideline groups: topology variants never compare against each other.
-  const analyze::LabelKey u = analyze::parse_label(
-      "iscatter crill np96 65536B fixed:striped+plan=lossy");
-  ASSERT_TRUE(u.valid);
-  EXPECT_TRUE(u.topo.empty());
-  EXPECT_NE(u.group(), k.group());
-}
-
-TEST(AnalyzeLabel, RejectsOtherShapes) {
-  EXPECT_FALSE(analyze::parse_label("").valid);
-  EXPECT_FALSE(analyze::parse_label("golden ibcast").valid);
-  // FFT labels have six tokens and an n<grid> field instead of bytes.
-  EXPECT_FALSE(
-      analyze::parse_label("fft3d whale np8 n64 pipelined libnbc").valid);
-  EXPECT_FALSE(analyze::parse_label("ibcast whale npX 4096B f").valid);
-  EXPECT_FALSE(analyze::parse_label("ibcast whale np2 4096 f").valid);
+TEST(ScenarioKeyLabel, RendersPlanThenTopo) {
+  harness::MicroScenario s;
+  s.platform = net::crill();
+  s.nprocs = 96;
+  s.op = harness::OpKind::Iscatter;
+  s.bytes = 65536;
+  s.topo_tag = "rails2";
+  EXPECT_EQ(harness::scenario_key(s, /*tuned=*/false, "striped").label(),
+            "iscatter crill np96 65536B fixed:striped+topo=rails2");
+  s.fault_plan = "drop=0.01";
+  s.fault_plan_name = "lossy";
+  EXPECT_EQ(harness::scenario_key(s, /*tuned=*/false, "striped").label(),
+            "iscatter crill np96 65536B fixed:striped+plan=lossy+topo=rails2");
 }
 
 // ------------------------------------------------- golden 2-rank ibcast
@@ -200,8 +189,8 @@ TEST(AnalyzeGolden, TwoRankIbcastCriticalPath) {
   EXPECT_EQ(s.fibers_created, 2u);
   EXPECT_GT(s.peak_arena_bytes, 0u);
 
-  // G1 evaluated and passing; the label is not microbench-shaped, so the
-  // comparative guidelines stay n/a.
+  // G1 evaluated and passing; the scope is unkeyed, so the comparative
+  // guidelines stay n/a.
   ASSERT_EQ(r.guidelines.size(), 7u);
   EXPECT_EQ(r.guidelines[0].id, "G1");
   EXPECT_EQ(r.guidelines[0].checked, 1);
@@ -388,6 +377,96 @@ TEST(AnalyzeChrome, ParsedNamesOutliveInputMovesAndCopies) {
                           }));
 }
 
+TEST(AnalyzeChrome, KeyedSweepRoundTripsKeysAndGuidelines) {
+  // Verification runs at two message sizes (every fixed alltoall member
+  // plus both ADCL policies) key their scopes; an unkeyed scope follows.
+  // The export carries the keys, so the offline analysis groups exactly
+  // like the in-process one.
+  harness::MicroScenario s;
+  s.platform = net::whale();
+  s.nprocs = 4;
+  s.op = harness::OpKind::Ialltoall;
+  s.compute_per_iter = 1e-4;
+  s.iterations = 8;
+  s.progress_calls = 2;
+  s.noise_scale = 0.0;
+  trace::Session::enable();
+  (void)trace::Session::instance().drain();
+  for (const std::size_t bytes : {1024, 2048}) {
+    s.bytes = bytes;
+    (void)harness::run_verification(s, /*tests_per_function=*/1);
+  }
+  {
+    trace::Scope unkeyed("unkeyed");
+    run_ibcast(2, 4096);
+  }
+  std::ostringstream chrome;
+  trace::Session::instance().write_chrome(chrome);
+  std::vector<analyze::ScenarioTrace> direct;
+  for (const auto& f : trace::Session::instance().drain()) {
+    direct.push_back(analyze::from_finished(f));
+  }
+
+  std::istringstream is(chrome.str());
+  const std::vector<analyze::ScenarioTrace> parsed = analyze::read_chrome(is);
+  ASSERT_EQ(parsed.size(), direct.size());
+  for (std::size_t i = 0; i < parsed.size(); ++i) {
+    EXPECT_EQ(parsed[i].label, direct[i].label);
+    EXPECT_EQ(parsed[i].key, direct[i].key) << direct[i].label;
+    if (direct[i].key) {
+      EXPECT_EQ(direct[i].key->label(), direct[i].label);
+    }
+  }
+  ASSERT_TRUE(direct.front().key.has_value());
+  EXPECT_EQ(direct.front().key->compute_ns, 100000);
+  EXPECT_EQ(direct.front().key->progress_calls, 2);
+  EXPECT_FALSE(parsed.back().key.has_value());
+
+  const analyze::Report ra = analyze::analyze(direct);
+  const analyze::Report rb = analyze::analyze(parsed);
+  ASSERT_EQ(ra.guidelines.size(), rb.guidelines.size());
+  for (std::size_t g = 0; g < ra.guidelines.size(); ++g) {
+    SCOPED_TRACE(ra.guidelines[g].id);
+    EXPECT_EQ(ra.guidelines[g].checked, rb.guidelines[g].checked);
+    EXPECT_EQ(ra.guidelines[g].passed, rb.guidelines[g].passed);
+    EXPECT_EQ(ra.guidelines[g].violations, rb.guidelines[g].violations);
+  }
+  // Both sizes pair the two tuned runs with the fixed members, and the
+  // fixed members pair across the size doubling.
+  EXPECT_EQ(ra.guidelines[1].id, "G2");
+  EXPECT_EQ(ra.guidelines[1].checked, 4);
+  EXPECT_EQ(ra.guidelines[4].id, "G5");
+  EXPECT_EQ(ra.guidelines[4].checked, 5);
+}
+
+TEST(AnalyzeChrome, IncompleteOrOutOfRangeKeyGivesUnkeyedScenario) {
+  const std::string fields =
+      R"("op":"ibcast","platform":"whale","nprocs":4,"bytes":1024,)"
+      R"("adcl":0,"impl":"linear","plan":"","topo":"","progress_calls":5,)"
+      R"("compute_ns":50000000,"noise_scale_ppm":0,"noise_sigma_ppm":0,)"
+      R"("outlier_prob_ppm":0,"outlier_factor_ppm":1000000)";
+  const auto read = [](const std::string& args) {
+    std::istringstream is(
+        R"({"traceEvents":[{"ph":"M","pid":0,"name":"process_name",)"
+        R"("args":{"name":"x",)" + args + "}}]}");
+    return analyze::read_chrome(is).at(0).key;
+  };
+  const std::optional<trace::ScenarioKey> full = read(fields);
+  ASSERT_TRUE(full.has_value());
+  EXPECT_EQ(full->label(), "ibcast whale np4 1024B fixed:linear");
+  EXPECT_EQ(full->outlier_factor_ppm, 1000000);
+  // A missing field, a mistyped one or a number its field cannot hold.
+  std::string missing = fields;
+  missing.replace(missing.find(R"("topo":"",)"), 10, "");
+  EXPECT_FALSE(read(missing).has_value());
+  std::string mistyped = fields;
+  mistyped.replace(mistyped.find("\"nprocs\":4"), 10, "\"nprocs\":\"4\"");
+  EXPECT_FALSE(read(mistyped).has_value());
+  std::string huge = fields;
+  huge.replace(huge.find("\"nprocs\":4"), 10, "\"nprocs\":1e30");
+  EXPECT_FALSE(read(huge).has_value());
+}
+
 TEST(AnalyzeChrome, CountersReaderParsesDump) {
   trace::Session::enable();
   (void)trace::Session::instance().drain();
@@ -474,8 +553,8 @@ TEST(AnalyzeAdcl, LiveSelectionEmitsAuditableScores) {
 
 namespace {
 
-/// Synthetic scenario: `ops` op instances of `dur` seconds on track 0,
-/// plus optional adcl decision metadata.
+/// Synthetic unkeyed scenario: `ops` op instances of `dur` seconds on
+/// track 0, plus optional adcl decision metadata.
 analyze::ScenarioTrace synth(const std::string& label, int ops, double dur,
                              bool with_compute = false,
                              double decision_ts = -1.0) {
@@ -524,6 +603,35 @@ analyze::ScenarioTrace synth(const std::string& label, int ops, double dur,
   return t;
 }
 
+/// The same synthetic scenario, keyed and labelled by `key`.
+analyze::ScenarioTrace synth(const trace::ScenarioKey& key, int ops,
+                             double dur, bool with_compute = false,
+                             double decision_ts = -1.0) {
+  analyze::ScenarioTrace t =
+      synth(key.label(), ops, dur, with_compute, decision_ts);
+  t.key = key;
+  return t;
+}
+
+/// Key of `op` on `platform` with `impl` pinned (or ADCL under policy
+/// `impl`); every condition stays at its default.
+trace::ScenarioKey key(const char* op, const char* platform, int nprocs,
+                       std::uint64_t bytes, bool adcl, const char* impl) {
+  trace::ScenarioKey k;
+  k.op = op;
+  k.platform = platform;
+  k.nprocs = nprocs;
+  k.bytes = bytes;
+  k.adcl = adcl;
+  k.impl = impl;
+  return k;
+}
+
+/// Fixed-member key of an ibcast on whale (the common guideline fixture).
+trace::ScenarioKey bcast(int nprocs, std::uint64_t bytes, const char* impl) {
+  return key("ibcast", "whale", nprocs, bytes, false, impl);
+}
+
 const analyze::GuidelineResult& find_g(const analyze::Report& r,
                                        const std::string& id) {
   for (const auto& g : r.guidelines) {
@@ -537,46 +645,124 @@ const analyze::GuidelineResult& find_g(const analyze::Report& r,
 }  // namespace
 
 TEST(AnalyzeGuidelines, TunedWinnerBeatsOrMatchesFixed) {
-  const std::string grp = "ibcast whale np4 1024B ";
+  const trace::ScenarioKey tuned =
+      key("ibcast", "whale", 4, 1024, true, "brute-force");
   const analyze::Report ok = analyze::analyze({
-      synth(grp + "fixed:fast", 4, 100e-6),
-      synth(grp + "fixed:slow", 4, 200e-6),
-      synth(grp + "adcl:brute-force", 4, 100e-6, false, /*decision=*/0.0),
+      synth(bcast(4, 1024, "fast"), 4, 100e-6),
+      synth(bcast(4, 1024, "slow"), 4, 200e-6),
+      synth(tuned, 4, 100e-6, false, /*decision=*/0.0),
   });
   EXPECT_EQ(find_g(ok, "G2").checked, 1);
   EXPECT_EQ(find_g(ok, "G2").passed, 1);
 
   const analyze::Report bad = analyze::analyze({
-      synth(grp + "fixed:fast", 4, 100e-6),
-      synth(grp + "adcl:brute-force", 4, 200e-6, false, /*decision=*/0.0),
+      synth(bcast(4, 1024, "fast"), 4, 100e-6),
+      synth(tuned, 4, 200e-6, false, /*decision=*/0.0),
   });
   EXPECT_EQ(find_g(bad, "G2").checked, 1);
   EXPECT_EQ(find_g(bad, "G2").passed, 0);
   ASSERT_EQ(find_g(bad, "G2").violations.size(), 1u);
+  EXPECT_EQ(find_g(bad, "G2").violations[0],
+            "ibcast whale np4 1024B adcl:brute-force: tuned 200000ns > best "
+            "fixed 100000ns (ibcast whale np4 1024B fixed:fast)");
   EXPECT_STREQ(find_g(bad, "G2").status(), "FAIL");
 }
 
+TEST(AnalyzeGuidelines, TunedWinnerComparesOnlyUnderEqualConditions) {
+  // The harness keys a run by its conditions, not by its iteration count
+  // or seed: a 14-iteration tuned run and a 6-iteration fixed run with
+  // another seed are the same scenario...
+  harness::MicroScenario s;
+  s.platform = net::whale();
+  s.nprocs = 4;
+  s.op = harness::OpKind::Ibcast;
+  s.bytes = 1024;
+  s.noise_scale = 0.0;
+  harness::MicroScenario fixed_s = s;
+  fixed_s.iterations = 6;
+  fixed_s.seed = 9;
+  harness::MicroScenario tuned_s = s;
+  tuned_s.iterations = 14;
+  tuned_s.seed = 3;
+  const trace::ScenarioKey fixed_k =
+      harness::scenario_key(fixed_s, /*tuned=*/false, "binomial");
+  const trace::ScenarioKey tuned_k =
+      harness::scenario_key(tuned_s, /*tuned=*/true, "brute-force");
+  const analyze::Report paired = analyze::analyze({
+      synth(fixed_k, 4, 100e-6),
+      synth(tuned_k, 4, 200e-6, false, /*decision=*/0.0),
+  });
+  EXPECT_EQ(find_g(paired, "G2").checked, 1);
+  EXPECT_EQ(find_g(paired, "G2").passed, 0);
+
+  // ...but a noisy tuned run is not judged against noise-free fixed runs,
+  // although all three render the same labels.
+  harness::MicroScenario noisy_s = tuned_s;
+  noisy_s.noise_scale = 1.0;
+  const trace::ScenarioKey noisy_k =
+      harness::scenario_key(noisy_s, /*tuned=*/true, "brute-force");
+  EXPECT_EQ(noisy_k.label(), tuned_k.label());
+  EXPECT_NE(noisy_k, tuned_k);
+  const analyze::Report apart = analyze::analyze({
+      synth(fixed_k, 4, 100e-6),
+      synth(noisy_k, 4, 200e-6, false, /*decision=*/0.0),
+  });
+  EXPECT_EQ(find_g(apart, "G2").checked, 0);
+
+  // Neither are runs that differ in progress calls or compute.
+  for (auto vary : {+[](harness::MicroScenario& m) { m.progress_calls = 1; },
+                    +[](harness::MicroScenario& m) {
+                      m.compute_per_iter = 1e-3;
+                    }}) {
+    harness::MicroScenario other = tuned_s;
+    vary(other);
+    const analyze::Report r = analyze::analyze({
+        synth(fixed_k, 4, 100e-6),
+        synth(harness::scenario_key(other, /*tuned=*/true, "brute-force"), 4,
+              200e-6, false, /*decision=*/0.0),
+    });
+    EXPECT_EQ(find_g(r, "G2").checked, 0);
+  }
+}
+
+TEST(AnalyzeGuidelines, UnkeyedScenariosOnlyCheckG1) {
+  // Labels alone carry no identity: scenarios that would form G2, G4 and
+  // G6 pairs if keyed are only checked for conservation.
+  const analyze::Report r = analyze::analyze({
+      synth("ibcast whale np4 1024B fixed:a", 2, 100e-6),
+      synth("ibcast whale np4 2048B fixed:a", 2, 900e-6),
+      synth("ibcast whale np8 1024B fixed:a", 2, 50e-6),
+      synth("ibcast whale np4 1024B adcl:brute-force", 2, 900e-6, false, 0.0),
+  });
+  EXPECT_EQ(find_g(r, "G1").checked, 4);
+  for (const char* id : {"G2", "G3", "G4", "G5", "G6", "G7"}) {
+    EXPECT_EQ(find_g(r, id).checked, 0) << id;
+  }
+}
+
 TEST(AnalyzeGuidelines, NonBlockingVsBlockingAtZeroCompute) {
-  const std::string grp = "ialltoall whale np8 4096B ";
+  const auto a2a = [](const char* impl) {
+    return key("ialltoall", "whale", 8, 4096, false, impl);
+  };
   const analyze::Report ok = analyze::analyze({
-      synth(grp + "fixed:linear", 2, 100e-6),
-      synth(grp + "fixed:blocking-linear", 2, 110e-6),
+      synth(a2a("linear"), 2, 100e-6),
+      synth(a2a("blocking-linear"), 2, 110e-6),
   });
   EXPECT_EQ(find_g(ok, "G3").checked, 1);
   EXPECT_EQ(find_g(ok, "G3").passed, 1);
 
   // A non-blocking run 2x slower than its blocking twin violates G3...
   const analyze::Report bad = analyze::analyze({
-      synth(grp + "fixed:linear", 2, 220e-6),
-      synth(grp + "fixed:blocking-linear", 2, 110e-6),
+      synth(a2a("linear"), 2, 220e-6),
+      synth(a2a("blocking-linear"), 2, 110e-6),
   });
   EXPECT_EQ(find_g(bad, "G3").passed, 0);
 
   // ...but only at zero compute: with compute in the loop the check
   // does not apply.
   const analyze::Report na = analyze::analyze({
-      synth(grp + "fixed:linear", 2, 220e-6, /*with_compute=*/true),
-      synth(grp + "fixed:blocking-linear", 2, 110e-6, /*with_compute=*/true),
+      synth(a2a("linear"), 2, 220e-6, /*with_compute=*/true),
+      synth(a2a("blocking-linear"), 2, 110e-6, /*with_compute=*/true),
   });
   EXPECT_EQ(find_g(na, "G3").checked, 0);
   EXPECT_STREQ(find_g(na, "G3").status(), "n/a");
@@ -584,16 +770,16 @@ TEST(AnalyzeGuidelines, NonBlockingVsBlockingAtZeroCompute) {
 
 TEST(AnalyzeGuidelines, MonotoneInMessageSize) {
   const analyze::Report ok = analyze::analyze({
-      synth("ibcast whale np4 1024B fixed:a", 2, 100e-6),
-      synth("ibcast whale np4 4096B fixed:a", 2, 150e-6),
-      synth("ibcast whale np4 16384B fixed:a", 2, 400e-6),
+      synth(bcast(4, 1024, "a"), 2, 100e-6),
+      synth(bcast(4, 4096, "a"), 2, 150e-6),
+      synth(bcast(4, 16384, "a"), 2, 400e-6),
   });
   EXPECT_EQ(find_g(ok, "G4").checked, 2);
   EXPECT_EQ(find_g(ok, "G4").passed, 2);
 
   const analyze::Report bad = analyze::analyze({
-      synth("ibcast whale np4 1024B fixed:a", 2, 100e-6),
-      synth("ibcast whale np4 4096B fixed:a", 2, 50e-6),
+      synth(bcast(4, 1024, "a"), 2, 100e-6),
+      synth(bcast(4, 4096, "a"), 2, 50e-6),
   });
   EXPECT_EQ(find_g(bad, "G4").checked, 1);
   EXPECT_EQ(find_g(bad, "G4").passed, 0);
@@ -603,16 +789,16 @@ TEST(AnalyzeGuidelines, SplitMockupBoundsDoubledSize) {
   // G5: the full-size op may cost at most 2x the half-size op (+epsilon),
   // because running the op twice at half size is a valid mock-up.
   const analyze::Report ok = analyze::analyze({
-      synth("ibcast whale np4 1024B fixed:a", 2, 100e-6),
-      synth("ibcast whale np4 2048B fixed:a", 2, 190e-6),
+      synth(bcast(4, 1024, "a"), 2, 100e-6),
+      synth(bcast(4, 2048, "a"), 2, 190e-6),
   });
   EXPECT_EQ(find_g(ok, "G5").checked, 1);
   EXPECT_EQ(find_g(ok, "G5").passed, 1);
 
   // 2.6x the half-size time exceeds 2x(1 + 0.25): a split would win.
   const analyze::Report bad = analyze::analyze({
-      synth("ibcast whale np4 1024B fixed:a", 2, 100e-6),
-      synth("ibcast whale np4 2048B fixed:a", 2, 260e-6),
+      synth(bcast(4, 1024, "a"), 2, 100e-6),
+      synth(bcast(4, 2048, "a"), 2, 260e-6),
   });
   EXPECT_EQ(find_g(bad, "G5").checked, 1);
   EXPECT_EQ(find_g(bad, "G5").passed, 0);
@@ -620,8 +806,8 @@ TEST(AnalyzeGuidelines, SplitMockupBoundsDoubledSize) {
 
   // Non-doubling adjacent sizes (1 KiB -> 4 KiB) are not split pairs.
   const analyze::Report na = analyze::analyze({
-      synth("ibcast whale np4 1024B fixed:a", 2, 100e-6),
-      synth("ibcast whale np4 4096B fixed:a", 2, 900e-6),
+      synth(bcast(4, 1024, "a"), 2, 100e-6),
+      synth(bcast(4, 4096, "a"), 2, 900e-6),
   });
   EXPECT_EQ(find_g(na, "G5").checked, 0);
 }
@@ -630,24 +816,24 @@ TEST(AnalyzeGuidelines, MonotoneInProcessCount) {
   // G6: growing np at fixed size/impl may not make the collective faster
   // (beyond the monotonicity tolerance).
   const analyze::Report ok = analyze::analyze({
-      synth("ibcast whale np4 1024B fixed:a", 2, 100e-6),
-      synth("ibcast whale np8 1024B fixed:a", 2, 140e-6),
-      synth("ibcast whale np16 1024B fixed:a", 2, 200e-6),
+      synth(bcast(4, 1024, "a"), 2, 100e-6),
+      synth(bcast(8, 1024, "a"), 2, 140e-6),
+      synth(bcast(16, 1024, "a"), 2, 200e-6),
   });
   EXPECT_EQ(find_g(ok, "G6").checked, 2);
   EXPECT_EQ(find_g(ok, "G6").passed, 2);
 
   const analyze::Report bad = analyze::analyze({
-      synth("ibcast whale np4 1024B fixed:a", 2, 100e-6),
-      synth("ibcast whale np8 1024B fixed:a", 2, 50e-6),
+      synth(bcast(4, 1024, "a"), 2, 100e-6),
+      synth(bcast(8, 1024, "a"), 2, 50e-6),
   });
   EXPECT_EQ(find_g(bad, "G6").checked, 1);
   EXPECT_EQ(find_g(bad, "G6").passed, 0);
 
   // Different sizes land in different rank groups: nothing to compare.
   const analyze::Report na = analyze::analyze({
-      synth("ibcast whale np4 1024B fixed:a", 2, 100e-6),
-      synth("ibcast whale np8 2048B fixed:a", 2, 50e-6),
+      synth(bcast(4, 1024, "a"), 2, 100e-6),
+      synth(bcast(8, 2048, "a"), 2, 50e-6),
   });
   EXPECT_EQ(find_g(na, "G6").checked, 0);
 }
@@ -656,19 +842,19 @@ TEST(AnalyzeGuidelines, TwoLevelBeatsOrMatchesFlatOnMultiNode) {
   // G7: on a multi-node run (whale has 8 cores/node, so np32 spans 4
   // nodes) the two-level variant must stay within epsilon of the fastest
   // flat member of its family.
-  const std::string grp = "ibcast whale np32 65536B ";
+  const auto b32 = [](const char* impl) { return bcast(32, 65536, impl); };
   const analyze::Report ok = analyze::analyze({
-      synth(grp + "fixed:binomial/seg32k", 2, 110e-6),
-      synth(grp + "fixed:binomial/seg64k", 2, 100e-6),
-      synth(grp + "fixed:2lvl-binomial", 2, 90e-6),
+      synth(b32("binomial/seg32k"), 2, 110e-6),
+      synth(b32("binomial/seg64k"), 2, 100e-6),
+      synth(b32("2lvl-binomial"), 2, 90e-6),
   });
   EXPECT_EQ(find_g(ok, "G7").checked, 1);
   EXPECT_EQ(find_g(ok, "G7").passed, 1);
 
   // 2x the flat time exceeds epsilon: hierarchy awareness did not pay.
   const analyze::Report bad = analyze::analyze({
-      synth(grp + "fixed:binomial/seg32k", 2, 100e-6),
-      synth(grp + "fixed:2lvl-binomial", 2, 200e-6),
+      synth(b32("binomial/seg32k"), 2, 100e-6),
+      synth(b32("2lvl-binomial"), 2, 200e-6),
   });
   EXPECT_EQ(find_g(bad, "G7").checked, 1);
   EXPECT_EQ(find_g(bad, "G7").passed, 0);
@@ -676,10 +862,12 @@ TEST(AnalyzeGuidelines, TwoLevelBeatsOrMatchesFlatOnMultiNode) {
   EXPECT_STREQ(find_g(bad, "G7").status(), "FAIL");
 
   // Exact-name twin (unsegmented families like iallreduce).
-  const std::string agrp = "iallreduce whale np32 65536B ";
+  const auto r32 = [](const char* impl) {
+    return key("iallreduce", "whale", 32, 65536, false, impl);
+  };
   const analyze::Report exact = analyze::analyze({
-      synth(agrp + "fixed:reduce-bcast", 2, 100e-6),
-      synth(agrp + "fixed:2lvl-reduce-bcast", 2, 100e-6),
+      synth(r32("reduce-bcast"), 2, 100e-6),
+      synth(r32("2lvl-reduce-bcast"), 2, 100e-6),
   });
   EXPECT_EQ(find_g(exact, "G7").checked, 1);
   EXPECT_EQ(find_g(exact, "G7").passed, 1);
@@ -687,16 +875,18 @@ TEST(AnalyzeGuidelines, TwoLevelBeatsOrMatchesFlatOnMultiNode) {
   // Single-node runs are skipped: np4 fits inside one whale node, where
   // the two-level shape degenerates to the flat one.
   const analyze::Report single = analyze::analyze({
-      synth("ibcast whale np4 65536B fixed:binomial/seg32k", 2, 100e-6),
-      synth("ibcast whale np4 65536B fixed:2lvl-binomial", 2, 400e-6),
+      synth(bcast(4, 65536, "binomial/seg32k"), 2, 100e-6),
+      synth(bcast(4, 65536, "2lvl-binomial"), 2, 400e-6),
   });
   EXPECT_EQ(find_g(single, "G7").checked, 0);
   EXPECT_STREQ(find_g(single, "G7").status(), "n/a");
 
   // Unknown platforms carry no node geometry: nothing to check.
   const analyze::Report unknown = analyze::analyze({
-      synth("ibcast lab9 np32 65536B fixed:binomial/seg32k", 2, 100e-6),
-      synth("ibcast lab9 np32 65536B fixed:2lvl-binomial", 2, 400e-6),
+      synth(key("ibcast", "lab9", 32, 65536, false, "binomial/seg32k"), 2,
+            100e-6),
+      synth(key("ibcast", "lab9", 32, 65536, false, "2lvl-binomial"), 2,
+            400e-6),
   });
   EXPECT_EQ(find_g(unknown, "G7").checked, 0);
 }
@@ -840,6 +1030,31 @@ TEST(AnalyzeRegress, InjectedDriftFails) {
   EXPECT_NE(os.str().find("REGRESSION:"), std::string::npos);
 }
 
+TEST(AnalyzeRegress, SameLabelScenariosPairInOrder) {
+  // Repetitions share a label.  Only the second of two drifts, which a
+  // pairing of every scenario with the first same-label one misses.
+  const std::string label = "ibcast whale np4 1024B fixed:a";
+  const analyze::ReportDigest old_d = digest_of(analyze::analyze(
+      {synth(label, 6, 100e-6), synth(label, 6, 100e-6)}));
+  const analyze::ReportDigest new_d = digest_of(analyze::analyze(
+      {synth(label, 6, 100e-6), synth(label, 6, 300e-6)}));
+  const analyze::RegressResult res =
+      analyze::regress(old_d, new_d, analyze::RegressTolerances{});
+  EXPECT_EQ(res.scenarios_compared, 2u);
+  ASSERT_EQ(res.violations.size(), 1u);
+  EXPECT_NE(res.violations[0].what.find("mean op time drifted"),
+            std::string::npos);
+
+  // A third repetition in the new report has no partner in the old one.
+  const analyze::ReportDigest more = digest_of(analyze::analyze(
+      {synth(label, 6, 100e-6), synth(label, 6, 100e-6),
+       synth(label, 6, 100e-6)}));
+  const analyze::RegressResult extra =
+      analyze::regress(old_d, more, analyze::RegressTolerances{});
+  ASSERT_EQ(extra.violations.size(), 1u);
+  EXPECT_EQ(extra.violations[0].what, "scenario absent from old report");
+}
+
 TEST(AnalyzeRegress, CiOverlapForgivesSubstantialDrift) {
   // With CI arbitration off, a 40% drift fails outright...
   analyze::ReportDigest o;
@@ -923,6 +1138,58 @@ TEST(AnalyzeRegress, ToleranceParsing) {
 TEST(AnalyzeRegress, RejectsForeignJson) {
   std::istringstream not_a_report("{\"traceEvents\":[]}");
   EXPECT_THROW(analyze::read_report_json(not_a_report), std::runtime_error);
+}
+
+// ------------------------------------------------------ parser limits
+
+namespace {
+
+/// The input that used to overflow the parser's stack: 200,000 `[`.
+const std::string kDeep(200000, '[');
+
+std::string depth_error(std::size_t offset) {
+  return "JSON parse error at byte " + std::to_string(offset) +
+         ": nesting deeper than " +
+         std::to_string(analyze::jsonmin::kMaxDepth) + " levels";
+}
+
+}  // namespace
+
+TEST(JsonMin, RejectsNestingBeyondTheLimitWithItsOffset) {
+  const std::size_t limit = analyze::jsonmin::kMaxDepth;
+  EXPECT_NO_THROW((void)analyze::jsonmin::parse(std::string(limit, '[') +
+                                                std::string(limit, ']')));
+  try {
+    (void)analyze::jsonmin::parse(kDeep);
+    FAIL() << "expected a depth error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(e.what(), depth_error(limit));
+  }
+  // Objects nest against the same limit.
+  std::string objects;
+  for (std::size_t i = 0; i <= limit; ++i) objects += "{\"k\":";
+  try {
+    (void)analyze::jsonmin::parse(objects);
+    FAIL() << "expected a depth error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(e.what(), depth_error(5 * limit));
+  }
+}
+
+TEST(JsonMin, EveryReaderRejectsDeepInput) {
+  std::istringstream chrome("{\"traceEvents\":" + kDeep);
+  try {
+    (void)analyze::read_chrome(chrome);
+    FAIL() << "expected a depth error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(e.what(), depth_error(15 + analyze::jsonmin::kMaxDepth - 1));
+  }
+  std::istringstream report(kDeep);
+  EXPECT_THROW((void)analyze::read_report_json(report), std::runtime_error);
+  // The live-stream intake skips the line like any other foreign line.
+  obs::TopState top;
+  EXPECT_FALSE(top.feed_line("{\"type\":" + kDeep));
+  EXPECT_EQ(top.finished(), 0u);
 }
 
 // ------------------------------------------------- report determinism

@@ -329,15 +329,20 @@ TEST(FaultCannedPlans, LabelCarriesPlanAndAnalyzerSplitsIt) {
   (void)harness::run_adcl(s, sweep_tuning());
   auto finished = trace::Session::instance().drain();
   ASSERT_EQ(finished.size(), 1u);
-  const analyze::LabelKey k = analyze::parse_label(finished.at(0).label);
-  ASSERT_TRUE(k.valid);
-  EXPECT_EQ(k.plan, "drops");
-  EXPECT_EQ(k.what, "adcl:brute-force");
+  const trace::FinishedTrace& f = finished.at(0);
+  ASSERT_TRUE(f.key.has_value());
+  EXPECT_EQ(f.key->plan, "drops");
+  EXPECT_TRUE(f.key->adcl);
+  EXPECT_EQ(f.key->impl, "brute-force");
+  EXPECT_EQ(f.label, f.key->label());
+  EXPECT_NE(f.label.find("+plan=drops"), std::string::npos);
   // Faulted and fault-free runs of the same shape land in different
   // comparison groups: guidelines never compare across plans.
-  EXPECT_NE(k.group(), analyze::parse_label(
-                           "ialltoall whale np16 65536B adcl:brute-force")
-                           .group());
+  harness::MicroScenario clean = s;
+  clean.fault_plan.clear();
+  clean.fault_plan_name.clear();
+  EXPECT_NE(*f.key, harness::scenario_key(clean, /*tuned=*/true,
+                                          "brute-force"));
 }
 
 // --------------------------------------------------- ADCL drift re-tuning

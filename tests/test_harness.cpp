@@ -245,55 +245,3 @@ TEST(TableFormat, AlignsAndCsvs) {
   EXPECT_EQ(csv.str(), "impl,time\nlinear,1.50\npairwise,2.00\n");
   EXPECT_EQ(t.rows(), 2u);
 }
-
-// ------------------------------------------------------- utilization
-
-#include "harness/utilization.hpp"
-#include "mpi/world.hpp"
-#include "net/machine.hpp"
-#include "sim/engine.hpp"
-
-TEST(Utilization, ReportsBusyResources) {
-  sim::Engine engine(1);
-  net::Machine machine(net::whale());
-  mpi::WorldOptions o;
-  o.nprocs = 9;
-  o.noise_scale = 0;
-  mpi::World world(engine, machine, o);
-  world.launch([&](mpi::Ctx& ctx) {
-    auto comm = ctx.world().comm_world();
-    std::vector<std::byte> buf(64 * 1024);
-    if (ctx.world_rank() == 0) {
-      for (int i = 0; i < 4; ++i) ctx.send(comm, buf.data(), buf.size(), 8, i);
-    } else if (ctx.world_rank() == 8) {
-      for (int i = 0; i < 4; ++i) ctx.recv(comm, buf.data(), buf.size(), 0, i);
-    }
-  });
-  engine.run();
-  auto report = utilization_report(world, engine.now());
-  ASSERT_NE(report.hottest(), nullptr);
-  EXPECT_GT(report.hottest()->busy_fraction, 0.0);
-  EXPECT_LE(report.hottest()->busy_fraction, 1.0);
-  EXPECT_EQ(report.data_messages, 4u);
-  EXPECT_EQ(report.ctrl_messages, 8u);  // 4 rendezvous handshakes
-  // Only resources that actually served traffic appear.
-  for (const auto& u : report.resources) EXPECT_GT(u.reservations, 0u);
-  // The busiest resources are node 0's transmit and node 1's receive NICs.
-  bool saw_tx0 = false;
-  for (const auto& u : report.resources) saw_tx0 |= (u.name == "tx:0:0");
-  EXPECT_TRUE(saw_tx0);
-  std::ostringstream oss;
-  print_utilization(report, 4, oss);
-  EXPECT_NE(oss.str().find("tx:0:0"), std::string::npos);
-}
-
-TEST(Utilization, EmptyWorldEmptyReport) {
-  sim::Engine engine(1);
-  net::Machine machine(net::whale());
-  mpi::WorldOptions o;
-  o.nprocs = 2;
-  mpi::World world(engine, machine, o);
-  auto report = utilization_report(world, 0.0);
-  EXPECT_EQ(report.hottest(), nullptr);
-  EXPECT_EQ(report.data_messages, 0u);
-}

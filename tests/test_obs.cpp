@@ -535,7 +535,7 @@ TEST(ObsTop, FeedsStreamAndSkipsForeignLines) {
   EXPECT_TRUE(top.feed_line(
       R"({"seq":2,"t_ms":2,"type":"scenario","phase":"started","label":"ibcast whale np2 1024B fixed:binomial"})"));
   EXPECT_TRUE(top.feed_line(
-      R"({"seq":3,"t_ms":500,"type":"scenario","phase":"finished","label":"ibcast whale np2 1024B fixed:binomial","ops":3,"ops_started":3,"mean_op_ns":1000,"median_op_ns":900,"op_ci_lo_ns":800,"op_ci_hi_ns":1100,"min_reps_met":false,"blame_bp":{"compute":5000,"progress":1000,"wire":2000,"late_sender":1500,"missing_progress":0,"other":500},"guidelines":{"checked":1,"passed":1,"status":"pass","ids":["G1=pass","G2=n/a"]}})"));
+      R"({"seq":3,"t_ms":500,"type":"scenario","phase":"finished","label":"ibcast whale np2 1024B fixed:binomial","op":"ibcast","ops":3,"ops_started":3,"mean_op_ns":1000,"median_op_ns":900,"op_ci_lo_ns":800,"op_ci_hi_ns":1100,"min_reps_met":false,"blame_bp":{"compute":5000,"progress":1000,"wire":2000,"late_sender":1500,"missing_progress":0,"other":500},"guidelines":{"checked":1,"passed":1,"status":"pass","ids":["G1=pass","G2=n/a"]}})"));
   EXPECT_TRUE(top.feed_line(
       R"({"seq":4,"t_ms":600,"type":"sample","pool":{"submitted":4,"completed":1,"steals":0,"queued":2,"inflight":1},"scenarios":{"started":2,"finished":1},"trace":{"events":100,"dropped":0},"exec":{"fibers":4,"peak_arena_bytes":4096},"rss_bytes":1048576})"));
 

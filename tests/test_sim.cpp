@@ -463,7 +463,7 @@ TEST(Engine, DeterministicAcrossRuns) {
 // -------------------------------------------------------------- Resource
 
 TEST(Resource, SerializesReservations) {
-  sim::Resource r("nic");
+  sim::Resource r;
   auto a = r.reserve(0.0, 2.0);
   auto b = r.reserve(0.0, 3.0);
   EXPECT_DOUBLE_EQ(a.start, 0.0);
@@ -478,8 +478,7 @@ TEST(Resource, IdleGapsRespectEarliest) {
   auto b = r.reserve(10.0, 1.0);  // resource idle 1..10
   EXPECT_DOUBLE_EQ(a.end, 1.0);
   EXPECT_DOUBLE_EQ(b.start, 10.0);
-  EXPECT_DOUBLE_EQ(r.busy_total(), 2.0);
-  EXPECT_EQ(r.reservations(), 2u);
+  EXPECT_DOUBLE_EQ(r.available_at(), 11.0);
 }
 
 TEST(Resource, ResetClearsState) {

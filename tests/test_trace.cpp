@@ -121,6 +121,29 @@ TEST(TraceCounters, CountsAccumulate) {
   EXPECT_EQ(tr.counter(trace::Ctr::MsgsRts), 0u);
 }
 
+TEST(TraceCounters, RendezvousSendsCountHandshakes) {
+  // Four 64 KiB sends between whale nodes (ranks 0 and 8 sit on
+  // different 8-core nodes): each is a rendezvous, so one RTS, one CTS
+  // and one NIC-driven bulk transfer per send, and no eager payload.
+  trace::Tracer tr("rendezvous");
+  {
+    WithTracer with(&tr);
+    t::run_world(net::whale(), 9, [](mpi::Ctx& ctx) {
+      auto comm = ctx.world().comm_world();
+      std::vector<std::byte> buf(64 * 1024);
+      for (int i = 0; i < 4; ++i) {
+        if (ctx.world_rank() == 0) ctx.send(comm, buf.data(), buf.size(), 8, i);
+        if (ctx.world_rank() == 8) ctx.recv(comm, buf.data(), buf.size(), 0, i);
+      }
+    });
+  }
+  EXPECT_EQ(tr.counter(trace::Ctr::MsgsRts), 4u);
+  EXPECT_EQ(tr.counter(trace::Ctr::MsgsCts), 4u);
+  EXPECT_EQ(tr.counter(trace::Ctr::MsgsNicBulks), 4u);
+  EXPECT_EQ(tr.counter(trace::Ctr::MsgsEager), 0u);
+  EXPECT_EQ(tr.counter(trace::Ctr::BytesOnWire), 4u * 64 * 1024 + 8u * 64);
+}
+
 TEST(TraceCounters, HistogramBucketsArePowersOfTwo) {
   trace::Tracer tr("h");
   // bucket 0: v == 0; bucket i >= 1: v in [2^(i-1), 2^i).
