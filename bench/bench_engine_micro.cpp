@@ -47,6 +47,29 @@ static void BM_EventChurnTraced(benchmark::State& state) {
 }
 BENCHMARK(BM_EventChurnTraced)->Arg(0)->Arg(1);
 
+// Host cost of one typed trace hook with tracing on: an instant appended
+// to a live Tracer, buffer growth included (perfbench's trace.emit_ns
+// times the string-named overload instead).  Each iteration records a
+// batch into a fresh Tracer, so the buffer stays bounded.
+static void BM_TraceEmit(benchmark::State& state) {
+  const int n = 65536;
+  for (auto _ : state) {
+    trace::Tracer tracer("bench_engine_micro");
+    trace::Tracer* prev = trace::set_current(&tracer);
+    for (int i = 0; i < n; ++i) {
+      const auto u = static_cast<std::uint64_t>(i);
+      trace::instant(static_cast<double>(i) * 1e-9, i & 7,
+                     trace::Kind::MsgDeliver, u & 7, 64, u);
+    }
+    trace::set_current(prev);
+    benchmark::DoNotOptimize(tracer.events().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+  state.SetLabel("events/s (typed instant, tracing on)");
+}
+BENCHMARK(BM_TraceEmit);
+
 static void BM_EventScheduleAndRun(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {

@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
       out_path = argv[++i];
     }
     if (std::strcmp(argv[i], "--max-ranks") == 0 && i + 1 < argc) {
-      max_ranks = std::atoi(argv[++i]);
+      max_ranks = obs::parse_flag("--max-ranks", argv[++i], 1);
     }
   }
 

@@ -20,6 +20,7 @@
 #include "harness/scenario_pool.hpp"
 #include "harness/table.hpp"
 #include "net/topology.hpp"
+#include "obs/flags.hpp"
 #include "obs/live.hpp"
 #include "obs/sampler.hpp"
 #include "trace/trace.hpp"
@@ -52,7 +53,8 @@ namespace nbctune::bench {
 /// while the sweep runs (watch with nbctune-top); the terminal summary
 /// record embeds the exact --report=json bytes.  `--live-sample-ms N`
 /// sets the gauge sampling period of the live stream (default 100,
-/// 0 = off).
+/// 0 = off).  Numeric values parse strictly (obs::parse_flag): a
+/// malformed one exits with status 2, naming the flag.
 struct Scale {
   enum class ReportMode { None, Table, Json };
   bool full = false;
@@ -74,25 +76,12 @@ struct Scale {
   [[nodiscard]] bool reporting() const noexcept {
     return report != ReportMode::None || !report_path.empty();
   }
-  /// A positive decimal byte count; anything else is an error naming the
-  /// flag (zero would silently mean the default).
-  static std::size_t parse_stack_bytes(const char* arg) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(arg, &end, 10);
-    if (end == arg || *end != '\0' || v == 0 || arg[0] == '-') {
-      throw std::invalid_argument(
-          std::string("--fiber-stack: expected a positive byte count, got '") +
-          arg + "'");
-    }
-    return static_cast<std::size_t>(v);
-  }
-
   static Scale from_args(int argc, char** argv) {
     Scale s;
     for (int i = 1; i < argc; ++i) {
       if (std::strcmp(argv[i], "--full") == 0) s.full = true;
       if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-        s.threads = std::atoi(argv[++i]);
+        s.threads = obs::parse_flag("--threads", argv[++i], 0);
       }
       if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
         s.trace_path = argv[++i];
@@ -112,7 +101,9 @@ struct Scale {
         if (s.report == ReportMode::None) s.report = ReportMode::Json;
       }
       if (std::strcmp(argv[i], "--fiber-stack") == 0 && i + 1 < argc) {
-        s.fiber_stack = parse_stack_bytes(argv[++i]);
+        // Zero would silently mean the default, so it is malformed too.
+        s.fiber_stack =
+            obs::parse_flag<std::size_t>("--fiber-stack", argv[++i], 1);
       }
       if (std::strcmp(argv[i], "--list-platforms") == 0) {
         s.list_platforms = true;
@@ -127,7 +118,7 @@ struct Scale {
         s.live_jsonl = argv[++i];
       }
       if (std::strcmp(argv[i], "--live-sample-ms") == 0 && i + 1 < argc) {
-        s.live_sample_ms = std::atoi(argv[++i]);
+        s.live_sample_ms = obs::parse_flag("--live-sample-ms", argv[++i], 0);
       }
     }
     return s;
@@ -178,7 +169,7 @@ class Driver {
  public:
   Driver(std::string name, int argc, char** argv)
       : name_(std::move(name)),
-        scale_(parse_args(name_, argc, argv)),
+        scale_(Scale::from_args(argc, argv)),
         pool_(scale_.threads) {
     if (scale_.list_platforms) {
       for (const char* p : {"crill", "whale", "whale-tcp", "bgp", "mega"}) {
@@ -244,10 +235,7 @@ class Driver {
       if (scale_.reporting() || sink_ != nullptr) {
         // One analysis pass (submission-order traces, so byte-identical
         // at any thread count) shared by the report and the summary.
-        std::vector<analyze::ScenarioTrace> traces;
-        for (const trace::FinishedTrace& t : session.drain()) {
-          traces.push_back(analyze::from_finished(t));
-        }
+        const std::vector<trace::FinishedTrace> traces = session.drain();
         const analyze::Report report = analyze::analyze(traces);
         if (scale_.reporting()) write_report(report, traces.size());
         if (sink_ != nullptr) {
@@ -281,16 +269,6 @@ class Driver {
   }
 
  private:
-  /// Scale::from_args, exiting with status 2 on a malformed flag value.
-  static Scale parse_args(const std::string& name, int argc, char** argv) {
-    try {
-      return Scale::from_args(argc, argv);
-    } catch (const std::invalid_argument& e) {
-      std::cerr << "[" << name << "] " << e.what() << "\n";
-      std::exit(2);
-    }
-  }
-
   /// Write the post-hoc analysis where --report asked for it.  Traces
   /// are adopted in submission order regardless of the worker count, so
   /// the report bytes are identical at --threads 1 and --threads N.

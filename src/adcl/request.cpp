@@ -136,9 +136,8 @@ void Request::recover(const mpi::Comm& comm, int resume_iteration) {
   state_->reset_for_shrink(ctx_, resume_iteration);
   trace::count(trace::Ctr::NbcRebuilds);
   if (trace::active()) {
-    trace::instant(ctx_.now(), ctx_.world_rank(), trace::Cat::Nbc,
-                   "nbc.rebuild", "size",
-                   static_cast<std::uint64_t>(comm.size()), "tag",
+    trace::instant(ctx_.now(), ctx_.world_rank(), trace::Kind::NbcRebuild,
+                   static_cast<std::uint64_t>(comm.size()),
                    static_cast<std::uint64_t>(tag_));
   }
 }

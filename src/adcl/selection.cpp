@@ -510,14 +510,13 @@ void SelectionState::emit_elimination_events(mpi::Ctx& ctx) {
     if (e.attr >= 0) {
       trace::count(trace::Ctr::AdclEliminations);
       if (trace::active()) {
-        trace::instant(ctx.now(), ctx.world_rank(), trace::Cat::Adcl,
-                       "adcl.eliminate", "attr",
-                       static_cast<std::uint64_t>(e.attr), "value",
+        trace::instant(ctx.now(), ctx.world_rank(), trace::Kind::AdclEliminate,
+                       static_cast<std::uint64_t>(e.attr),
                        static_cast<std::uint64_t>(e.value), iter);
         for (int f : e.pruned) {
-          trace::instant(ctx.now(), ctx.world_rank(), trace::Cat::Adcl,
-                         "adcl.eliminate.func", "func",
-                         static_cast<std::uint64_t>(f), "kept",
+          trace::instant(ctx.now(), ctx.world_rank(),
+                         trace::Kind::AdclEliminateFunc,
+                         static_cast<std::uint64_t>(f),
                          static_cast<std::uint64_t>(e.kept), iter);
         }
       }
@@ -527,9 +526,8 @@ void SelectionState::emit_elimination_events(mpi::Ctx& ctx) {
       trace::count(trace::Ctr::AdclGuidelinePrunes);
       if (trace::active()) {
         for (int f : e.pruned) {
-          trace::instant(ctx.now(), ctx.world_rank(), trace::Cat::Adcl,
-                         "adcl.prune", "func", static_cast<std::uint64_t>(f),
-                         "bound_ns",
+          trace::instant(ctx.now(), ctx.world_rank(), trace::Kind::AdclPrune,
+                         static_cast<std::uint64_t>(f),
                          static_cast<std::uint64_t>(
                              std::llround(e.bound * 1e9)),
                          iter);
@@ -561,8 +559,8 @@ void SelectionState::record(mpi::Ctx& ctx, const mpi::Comm& comm,
     // score_ns: integral nanoseconds so exported traces audit bit-exactly
     // across platforms; corr carries the tuning iteration, linking scores
     // to the adcl.decision event of the same selection run.
-    trace::instant(ctx.now(), ctx.world_rank(), trace::Cat::Adcl, "adcl.score",
-                   "func", static_cast<std::uint64_t>(current_), "score_ns",
+    trace::instant(ctx.now(), ctx.world_rank(), trace::Kind::AdclScore,
+                   static_cast<std::uint64_t>(current_),
                    static_cast<std::uint64_t>(std::llround(agreed * 1e9)),
                    static_cast<std::uint64_t>(iterations_));
   }
@@ -600,10 +598,8 @@ void SelectionState::maybe_drift(mpi::Ctx& ctx, const mpi::Comm& comm,
   retune_iterations_.push_back(iterations_);
   trace::count(trace::Ctr::AdclRetunes);
   if (trace::active()) {
-    trace::instant(ctx.now(), ctx.world_rank(), trace::Cat::Adcl,
-                   "adcl.retune", "observed_ns",
+    trace::instant(ctx.now(), ctx.world_rank(), trace::Kind::AdclRetuneDrift,
                    static_cast<std::uint64_t>(std::llround(agreed * 1e9)),
-                   "baseline_ns",
                    static_cast<std::uint64_t>(
                        std::llround(baseline_score_ * 1e9)),
                    static_cast<std::uint64_t>(iterations_));
@@ -638,9 +634,8 @@ void SelectionState::reset_for_shrink(mpi::Ctx& ctx, int resume_iteration) {
   retune_iterations_.push_back(resume_iteration);
   trace::count(trace::Ctr::AdclRetunes);
   if (trace::active()) {
-    trace::instant(ctx.now(), ctx.world_rank(), trace::Cat::Adcl,
-                   "adcl.retune", "shrink", 1, "iter",
-                   static_cast<std::uint64_t>(resume_iteration),
+    trace::instant(ctx.now(), ctx.world_rank(), trace::Kind::AdclRetuneShrink,
+                   1, static_cast<std::uint64_t>(resume_iteration),
                    static_cast<std::uint64_t>(resume_iteration));
   }
   decided_ = false;
@@ -680,9 +675,8 @@ void SelectionState::finalize(mpi::Ctx& ctx) {
   drift_batch_.clear();
   trace::count(trace::Ctr::AdclDecisions);
   if (trace::active()) {
-    trace::instant(ctx.now(), ctx.world_rank(), trace::Cat::Adcl,
-                   "adcl.decision", "winner",
-                   static_cast<std::uint64_t>(winner_), "iter",
+    trace::instant(ctx.now(), ctx.world_rank(), trace::Kind::AdclDecision,
+                   static_cast<std::uint64_t>(winner_),
                    static_cast<std::uint64_t>(decision_iteration_),
                    static_cast<std::uint64_t>(decision_iteration_));
   }

@@ -1,11 +1,11 @@
 #include "analyze/analyze.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <map>
-#include <set>
 #include <string_view>
 #include <unordered_map>
 
@@ -14,32 +14,8 @@
 
 namespace nbctune::analyze {
 
-ScenarioTrace from_finished(const trace::FinishedTrace& t) {
-  ScenarioTrace out;
-  out.label = t.label;
-  out.key = t.key;
-  out.events.reserve(t.events.size());
-  for (const trace::Event& e : t.events) {
-    AEvent a;
-    a.ts = e.ts;
-    a.dur = e.dur;
-    a.track = e.track;
-    a.cat = trace::cat_name(e.cat);
-    a.name = e.name;
-    if (e.akey != nullptr) a.akey = e.akey;
-    a.aval = e.aval;
-    if (e.bkey != nullptr) a.bkey = e.bkey;
-    a.bval = e.bval;
-    a.corr = e.corr;
-    out.events.push_back(std::move(a));
-  }
-  for (std::size_t c = 0; c < t.counts.size(); ++c) {
-    if (t.counts[c] != 0) {
-      out.counters[trace::ctr_name(static_cast<trace::Ctr>(c))] = t.counts[c];
-    }
-  }
-  return out;
-}
+using trace::Event;
+using trace::Kind;
 
 // ------------------------------------------------------ order statistics
 
@@ -70,6 +46,10 @@ SampleStats order_stats(std::vector<double> samples) {
 // ----------------------------------------------------- scenario indexing
 
 namespace {
+
+std::uint64_t counter(const trace::FinishedTrace& t, trace::Ctr c) {
+  return t.counts[static_cast<std::size_t>(c)];
+}
 
 /// A half-open interval [a, b) tagged with a blame category priority.
 struct Interval {
@@ -160,48 +140,60 @@ struct Index {
   bool any_compute = false;
 };
 
-bool is_post_name(std::string_view n) {
-  return n == "msg.eager" || n == "msg.rts" || n == "msg.cts" ||
-         n == "msg.bulk_nic";
-}
-
-Index build_index(const ScenarioTrace& t) {
+Index build_index(const trace::FinishedTrace& t) {
   Index ix;
-  for (const AEvent& e : t.events) {
+  for (const Event& e : t.events) {
     if (e.track < 0) {
       if (e.is_span() && e.corr != 0) {
         ix.msgs[e.corr].wire.push_back({e.ts, e.ts + e.dur});
       }
       continue;
     }
-    if (e.cat == "progress") {
-      if (e.name == "compute" && e.is_span()) {
-        ix.ranks[e.track].compute.add({e.ts, e.ts + e.dur});
-        ix.any_compute = true;
-      } else if (e.is_span()) {
-        ix.ranks[e.track].progress.add({e.ts, e.ts + e.dur});
-        ix.ranks[e.track].activity_starts.push_back(e.ts);
-      }
-    } else if (e.cat == "nbc") {
-      if (e.name == "nbc.op" && e.is_span()) {
-        ix.ops[e.corr].push_back({e.track, e.ts, e.dur});
-      } else if (e.name == "nbc.start") {
+    switch (e.kind) {
+      case Kind::Compute:
+        if (e.is_span()) {
+          ix.ranks[e.track].compute.add({e.ts, e.ts + e.dur});
+          ix.any_compute = true;
+        }
+        break;
+      case Kind::ProgressCall:
+      case Kind::ProgressPass:
+        if (e.is_span()) {
+          ix.ranks[e.track].progress.add({e.ts, e.ts + e.dur});
+          ix.ranks[e.track].activity_starts.push_back(e.ts);
+        }
+        break;
+      case Kind::NbcOp:
+        if (e.is_span()) ix.ops[e.corr].push_back({e.track, e.ts, e.dur});
+        break;
+      case Kind::NbcStart:
         ++ix.ops_started;
-      } else if (e.name == "nbc.round") {
+        break;
+      case Kind::NbcRound:
         ix.ranks[e.track].activity_starts.push_back(e.ts);
-      }
-    } else if (e.cat == "msg") {
-      if (e.corr == 0) continue;
-      MsgInfo& m = ix.msgs[e.corr];
-      if (is_post_name(e.name)) {
-        m.post_ts = e.ts;
-        m.post_track = e.track;
-      } else if (e.name == "msg.deliver" || e.name == "msg.complete") {
+        break;
+      case Kind::MsgEager:
+      case Kind::MsgRts:
+      case Kind::MsgCts:
+      case Kind::MsgBulkNic:
+        if (e.corr != 0) {
+          MsgInfo& m = ix.msgs[e.corr];
+          m.post_ts = e.ts;
+          m.post_track = e.track;
+        }
+        break;
+      case Kind::MsgDeliver:
+      case Kind::MsgComplete:
         // msg.complete (payload landed) supersedes the control-path
         // deliver of the same transfer if both ever appear.
-        m.arrival_ts = e.ts;
-        m.arrival_track = e.track;
-      }
+        if (e.corr != 0) {
+          MsgInfo& m = ix.msgs[e.corr];
+          m.arrival_ts = e.ts;
+          m.arrival_track = e.track;
+        }
+        break;
+      default:
+        break;
     }
   }
   for (auto& [rank, ri] : ix.ranks) {
@@ -446,55 +438,61 @@ std::vector<RankOverlap> analyze_overlap(const Index& ix) {
 
 // ------------------------------------------------------------ adcl audit
 
-AdclAudit analyze_adcl(const ScenarioTrace& t) {
+AdclAudit analyze_adcl(const trace::FinishedTrace& t) {
   AdclAudit a;
   // Every rank emits the (identical, rank-agreed) adcl events; audit the
   // lowest participating track only.
   int track = -1;
-  for (const AEvent& e : t.events) {
-    if (e.cat == "adcl" && e.track >= 0 &&
+  for (const Event& e : t.events) {
+    if (trace::row(e.kind).cat == trace::Cat::Adcl && e.track >= 0 &&
         (track < 0 || e.track < track)) {
       track = e.track;
     }
   }
   if (track < 0) return a;
   a.present = true;
-  for (const AEvent& e : t.events) {
-    if (e.cat != "adcl" || e.track != track) continue;
-    if (e.name == "adcl.score") {
-      AdclScore s;
-      s.func = static_cast<int>(e.arg("func"));
-      s.score = static_cast<double>(e.arg("score_ns")) * 1e-9;
-      s.iteration = static_cast<int>(e.corr);
-      a.scores.push_back(s);
-    } else if (e.name == "adcl.decision") {
-      // Later decisions (drift re-tunes) supersede earlier ones.
-      a.winner = static_cast<int>(e.arg("winner"));
-      a.decision_iteration = static_cast<int>(e.arg("iter"));
-      a.decision_ts = e.ts;
-    } else if (e.name == "adcl.retune") {
-      ++a.retunes;
-    } else if (e.name == "adcl.eliminate") {
-      AdclElimination el;
-      el.attr = static_cast<int>(e.arg("attr"));
-      el.value = static_cast<int>(e.arg("value"));
-      el.iteration = static_cast<int>(e.corr);
-      a.eliminations.push_back(std::move(el));
-    } else if (e.name == "adcl.prune") {
-      AdclPrune p;
-      p.func = static_cast<int>(e.arg("func"));
-      p.bound = static_cast<double>(e.arg("bound_ns")) * 1e-9;
-      p.iteration = static_cast<int>(e.corr);
-      a.prunes.push_back(p);
-    } else if (e.name == "adcl.eliminate.func") {
-      // Emitted right after its adcl.eliminate; attach to the newest
-      // record (several eliminations may share one iteration when
-      // exhausted phases cascade).
-      if (!a.eliminations.empty()) {
-        a.eliminations.back().pruned.push_back(
-            static_cast<int>(e.arg("func")));
-        a.eliminations.back().kept = static_cast<int>(e.arg("kept"));
+  for (const Event& e : t.events) {
+    if (e.track != track) continue;
+    switch (e.kind) {
+      case Kind::AdclScore:  // func, score_ns
+        a.scores.push_back({static_cast<int>(e.aval),
+                            static_cast<double>(e.bval) * 1e-9,
+                            static_cast<int>(e.corr)});
+        break;
+      case Kind::AdclDecision:  // winner, iter
+        // Later decisions (drift re-tunes) supersede earlier ones.
+        a.winner = static_cast<int>(e.aval);
+        a.decision_iteration = static_cast<int>(e.bval);
+        a.decision_ts = e.ts;
+        break;
+      case Kind::AdclRetuneDrift:
+      case Kind::AdclRetuneShrink:
+        ++a.retunes;
+        break;
+      case Kind::AdclEliminate: {  // attr, value
+        AdclElimination el;
+        el.attr = static_cast<int>(e.aval);
+        el.value = static_cast<int>(e.bval);
+        el.iteration = static_cast<int>(e.corr);
+        a.eliminations.push_back(std::move(el));
+        break;
       }
+      case Kind::AdclPrune:  // func, bound_ns
+        a.prunes.push_back({static_cast<int>(e.aval),
+                            static_cast<double>(e.bval) * 1e-9,
+                            static_cast<int>(e.corr)});
+        break;
+      case Kind::AdclEliminateFunc:  // func, kept
+        // Emitted right after its adcl.eliminate; attach to the newest
+        // record (several eliminations may share one iteration when
+        // exhausted phases cascade).
+        if (!a.eliminations.empty()) {
+          a.eliminations.back().pruned.push_back(static_cast<int>(e.aval));
+          a.eliminations.back().kept = static_cast<int>(e.bval);
+        }
+        break;
+      default:
+        break;
     }
   }
   // Last score per function (later refinements override earlier ones).
@@ -519,12 +517,8 @@ AdclAudit analyze_adcl(const ScenarioTrace& t) {
       }
     }
   }
-  auto ctr = [&](const char* name) -> std::uint64_t {
-    auto it = t.counters.find(name);
-    return it == t.counters.end() ? 0 : it->second;
-  };
-  a.samples_seen = ctr("adcl.samples_seen");
-  a.samples_filtered = ctr("adcl.samples_filtered");
+  a.samples_seen = counter(t, trace::Ctr::AdclSamplesSeen);
+  a.samples_filtered = counter(t, trace::Ctr::AdclSamplesFiltered);
   return a;
 }
 
@@ -533,26 +527,17 @@ AdclAudit analyze_adcl(const ScenarioTrace& t) {
 /// Count injection/recovery events.  Injections (fault.*) are emitted
 /// once globally per incident; recovery events (msg.*, nbc.fallback) are
 /// per-rank, so the sums count incidents and rank-actions respectively.
-FaultSummary analyze_faults(const ScenarioTrace& t) {
-  FaultSummary f;
-  for (const AEvent& e : t.events) {
-    if (e.name == "fault.drop") {
-      ++f.drops;
-    } else if (e.name == "fault.dup") {
-      ++f.dups;
-    } else if (e.name == "msg.dup_drop") {
-      ++f.dup_deliveries;
-    } else if (e.name == "msg.retransmit") {
-      ++f.retransmits;
-    } else if (e.name == "msg.send_failure") {
-      ++f.send_failures;
-    } else if (e.name == "nbc.fallback") {
-      ++f.fallbacks;
-    } else if (e.name == "fault.straggler") {
-      ++f.stragglers;
-    }
-  }
-  return f;
+FaultSummary analyze_faults(const trace::FinishedTrace& t) {
+  std::array<std::uint64_t, std::size(trace::kKindRows)> n{};
+  for (const Event& e : t.events) ++n[static_cast<std::size_t>(e.kind)];
+  const auto count = [&](Kind k) { return n[static_cast<std::size_t>(k)]; };
+  return {.drops = count(Kind::FaultDrop),
+          .dups = count(Kind::FaultDup),
+          .dup_deliveries = count(Kind::MsgDupDrop),
+          .retransmits = count(Kind::MsgRetransmit),
+          .send_failures = count(Kind::MsgSendFailure),
+          .fallbacks = count(Kind::NbcFallback),
+          .stragglers = count(Kind::FaultStraggler)};
 }
 
 // -------------------------------------------------------- recovery audit
@@ -563,7 +548,7 @@ FaultSummary analyze_faults(const ScenarioTrace& t) {
 /// agreement that removed ranks (the "failed" argument is cumulative, so
 /// growth marks a membership change), and closes it at the epoch's last
 /// per-rank handle rebuild.
-RecoverySummary analyze_recovery(const ScenarioTrace& t) {
+RecoverySummary analyze_recovery(const trace::FinishedTrace& t) {
   RecoverySummary r;
   std::map<int, double> death_ts;  // world rank -> death time
   double det_sum = 0.0;
@@ -578,30 +563,38 @@ RecoverySummary analyze_recovery(const ScenarioTrace& t) {
   double pend_first_death = -1.0;
   double pend_first_detect = -1.0;
   std::uint64_t prev_failed = 0;
-  for (const AEvent& e : t.events) {
-    if (e.name == "mpi.rank_death") {
-      ++r.deaths;
-      death_ts[e.track] = e.ts;
-      if (pend_first_death < 0.0) pend_first_death = e.ts;
-    } else if (e.name == "mpi.ft.detect") {
-      const auto it = death_ts.find(e.track);
-      if (it != death_ts.end()) {
-        det_sum += e.ts - it->second;
-        ++det_n;
+  for (const Event& e : t.events) {
+    switch (e.kind) {
+      case Kind::MpiRankDeath:
+        ++r.deaths;
+        death_ts[e.track] = e.ts;
+        if (pend_first_death < 0.0) pend_first_death = e.ts;
+        break;
+      case Kind::MpiFtDetect: {
+        const auto it = death_ts.find(e.track);
+        if (it != death_ts.end()) {
+          det_sum += e.ts - it->second;
+          ++det_n;
+        }
+        if (pend_first_detect < 0.0) pend_first_detect = e.ts;
+        break;
       }
-      if (pend_first_detect < 0.0) pend_first_detect = e.ts;
-    } else if (e.name == "mpi.ft.agree") {
-      const std::uint64_t failed = e.arg("failed");
-      if (failed > prev_failed) {
-        prev_failed = failed;
-        epochs.push_back({pend_first_death, pend_first_detect, e.ts, -1.0});
-        pend_first_death = pend_first_detect = -1.0;
-      }
-    } else if (e.name == "nbc.rebuild") {
-      ++r.rebuilds;
-      if (!epochs.empty()) epochs.back().last_rebuild = e.ts;
-    } else if (e.name == "nbc.abort") {
-      ++r.aborted_ops;
+      case Kind::MpiFtAgree:  // epoch, failed
+        if (e.bval > prev_failed) {
+          prev_failed = e.bval;
+          epochs.push_back({pend_first_death, pend_first_detect, e.ts, -1.0});
+          pend_first_death = pend_first_detect = -1.0;
+        }
+        break;
+      case Kind::NbcRebuild:
+        ++r.rebuilds;
+        if (!epochs.empty()) epochs.back().last_rebuild = e.ts;
+        break;
+      case Kind::NbcAbort:
+        ++r.aborted_ops;
+        break;
+      default:
+        break;
     }
   }
   r.epochs = epochs.size();
@@ -929,11 +922,11 @@ std::vector<GuidelineResult> check_guidelines(
 
 // ---------------------------------------------------------------- driver
 
-Report analyze(const std::vector<ScenarioTrace>& traces,
+Report analyze(std::span<const trace::FinishedTrace> traces,
                const Options& opts) {
   Report report;
   report.scenarios.reserve(traces.size());
-  for (const ScenarioTrace& t : traces) {
+  for (const trace::FinishedTrace& t : traces) {
     ScenarioReport sr;
     sr.label = t.label;
     sr.key = t.key;
@@ -996,15 +989,9 @@ Report analyze(const std::vector<ScenarioTrace>& traces,
     sr.faults = analyze_faults(t);
     sr.recovery = analyze_recovery(t);
     sr.ops_aborted = sr.recovery.aborted_ops;
-    {
-      auto ctr = [&](const char* name) -> std::uint64_t {
-        auto it = t.counters.find(name);
-        return it == t.counters.end() ? 0 : it->second;
-      };
-      sr.fibers_created = ctr("sim.fibers_created");
-      sr.peak_arena_bytes = ctr("world.peak_arena_bytes");
-      sr.dropped_events = ctr("trace.dropped_events");
-    }
+    sr.fibers_created = counter(t, trace::Ctr::SimFibersCreated);
+    sr.peak_arena_bytes = counter(t, trace::Ctr::WorldPeakArenaBytes);
+    sr.dropped_events = counter(t, trace::Ctr::TraceDroppedEvents);
 
     // Post-decision performance: ops starting after the decision event.
     sr.post_decision_op_elapsed = sr.mean_op_elapsed;

@@ -1,8 +1,9 @@
 #pragma once
 
 // Post-hoc trace analysis (the "why was it slow" layer).  Consumes
-// finished per-scenario traces — either in-process trace::FinishedTrace
-// objects or a previously exported Chrome trace-event JSON — and derives:
+// finished per-scenario traces — trace::FinishedTrace objects, from the
+// live session or read back from an exported Chrome trace-event JSON —
+// and derives:
 //
 //   * critical-path extraction per collective operation: the chain of
 //     "rank finished last <- message it waited for <- sender posted it"
@@ -32,74 +33,32 @@
 // tools/nbctune-analyze from an exported trace file.
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <map>
-#include <memory>
 #include <optional>
-#include <set>
+#include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "trace/trace.hpp"
 
 namespace nbctune::analyze {
 
-// ------------------------------------------------------------------- IR
+// ---------------------------------------------------------------- input
 
-/// One trace event, populated either from a live trace or from a parsed
-/// Chrome JSON file.  The four names are views: on the live path they
-/// view the tracer's string literals, and read_chrome points them into
-/// the ScenarioTrace::names store, so an event owns no string.
-struct AEvent {
-  double ts = 0.0;    ///< start, simulated seconds
-  double dur = -1.0;  ///< span duration; < 0 encodes an instant
-  std::int32_t track = 0;  ///< >= 0 rank; < 0 wire lane (trace::wire_track)
-  std::string_view cat;
-  std::string_view name;
-  std::string_view akey;  ///< empty = absent
-  std::uint64_t aval = 0;
-  std::string_view bkey;
-  std::uint64_t bval = 0;
-  std::uint64_t corr = 0;  ///< causal-chain id (0 = unlinked)
+// The analyzer reads trace::FinishedTrace directly: the live session's
+// traces as they are, and read_chrome's reconstruction of an export.
 
-  [[nodiscard]] bool is_span() const noexcept { return dur >= 0.0; }
-  [[nodiscard]] double end() const noexcept {
-    return is_span() ? ts + dur : ts;
-  }
-  /// Value of argument `key`, or `fallback` when absent.
-  [[nodiscard]] std::uint64_t arg(std::string_view key,
-                                  std::uint64_t fallback = 0) const noexcept {
-    if (akey == key) return aval;
-    if (bkey == key) return bval;
-    return fallback;
-  }
-};
+/// perfbench's name for the analyzer input; an alias of the one trace
+/// type.
+using ScenarioTrace = trace::FinishedTrace;
 
-/// Interned event names parsed from a file; set nodes never move, so
-/// views into them stay valid while the store lives.
-using NameStore = std::set<std::string, std::less<>>;
-
-/// One scenario's events plus its per-scenario counters (counters are
-/// only available on the in-process path; the Chrome export aggregates
-/// them across scenarios into the separate counter dump).
-struct ScenarioTrace {
-  std::string label;
-  /// The scenario's typed identity; absent for unkeyed scopes and for
-  /// Chrome exports that predate keys, which only G1 checks.
-  std::optional<trace::ScenarioKey> key;
-  std::vector<AEvent> events;
-  std::map<std::string, std::uint64_t> counters;
-  /// Owner of the strings the events' names view when they were parsed
-  /// by read_chrome, shared by every trace of one parse so copies and
-  /// moves keep the views valid.  Null on the live path (from_finished),
-  /// whose names are string literals.
-  std::shared_ptr<const NameStore> names;
-};
-
-/// Convert a live finished trace into the analyzer IR.
-[[nodiscard]] ScenarioTrace from_finished(const trace::FinishedTrace& t);
+/// An identity copy, kept for perfbench, which copies each drained
+/// trace through it before analysis.
+[[nodiscard]] inline ScenarioTrace from_finished(
+    const trace::FinishedTrace& t) {
+  return t;
+}
 
 // -------------------------------------------------------------- results
 
@@ -268,7 +227,7 @@ struct BlameStats {
 /// Everything derived from one scenario trace.
 struct ScenarioReport {
   std::string label;
-  std::optional<trace::ScenarioKey> key;  ///< from ScenarioTrace::key
+  std::optional<trace::ScenarioKey> key;  ///< from FinishedTrace::key
   std::uint64_t ops_started = 0;
   std::uint64_t ops_completed = 0;
   /// Executions abandoned by fail-stop recovery (nbc.abort events); the
@@ -330,7 +289,7 @@ struct Report {
   std::vector<GuidelineResult> guidelines;
   /// Session-wide counter totals (filled by the CLI from the flat
   /// counter dump; empty on the in-process path, where counters live
-  /// per-scenario in ScenarioTrace::counters instead).
+  /// per-scenario in FinishedTrace::counts instead).
   std::map<std::string, std::uint64_t> session_counters;
 };
 
@@ -355,7 +314,7 @@ struct Options {
 
 /// Analyze a batch of scenario traces (one bench run).  Deterministic:
 /// output depends only on the trace contents and options.
-[[nodiscard]] Report analyze(const std::vector<ScenarioTrace>& traces,
+[[nodiscard]] Report analyze(std::span<const trace::FinishedTrace> traces,
                              const Options& opts = {});
 
 // -------------------------------------------------------------- writers

@@ -2,13 +2,14 @@
 
 #include "analyze/json_min.hpp"
 
+#include <concepts>
 #include <istream>
-#include <limits>
 #include <map>
-#include <memory>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 
@@ -19,16 +20,23 @@ namespace {
 using jsonmin::Value;
 
 /// Invert trace.cpp's chrome_tid mapping.
-std::int32_t track_of_tid(long long tid) {
-  return tid >= 1000000 ? static_cast<std::int32_t>(-1 - (tid - 1000000))
-                        : static_cast<std::int32_t>(tid);
+std::int32_t track_of_tid(std::int32_t tid) {
+  return tid >= 1000000 ? -1 - (tid - 1000000) : tid;
 }
 
-/// True when `d` converts to the integer type T without overflow.
-template <class T>
-bool fits(double d) {
-  return d >= static_cast<double>(std::numeric_limits<T>::min()) &&
-         d < static_cast<double>(std::numeric_limits<T>::max()) + 1.0;
+/// `v` as a T; a number outside T's range, or no number at all, is an
+/// error naming event `index` and `field`.
+template <std::integral T>
+T checked(const Value& v, std::size_t index, const char* field) {
+  if (const std::optional<T> n = v.as_int<T>()) return *n;
+  throw std::runtime_error("chrome trace: event " + std::to_string(index) +
+                           ": " + field + " is not an integer in range");
+}
+
+/// Argument `key` of event `index` (0 when absent).
+std::uint64_t arg(const Value* args, const char* key, std::size_t index) {
+  const Value* v = args != nullptr ? args->get(key) : nullptr;
+  return v != nullptr ? checked<std::uint64_t>(*v, index, key) : 0;
 }
 
 /// The ScenarioKey a process_name record's args carry, or nullopt when
@@ -46,27 +54,20 @@ std::optional<trace::ScenarioKey> key_of(const Value& args) {
       } else {
         field = v->str;
       }
-    } else if (v == nullptr || v->kind != Value::Kind::Num ||
-               !fits<T>(v->num)) {
-      complete = false;
+    } else if (const std::optional<T> n =
+                   v != nullptr ? v->as_int<T>() : std::nullopt) {
+      field = *n;
     } else {
-      field = static_cast<T>(v->num);
+      complete = false;
     }
   });
   if (!complete) return std::nullopt;
   return k;
 }
 
-/// A view of `s` that outlives the parse tree: its copy in `store`.
-std::string_view intern(NameStore& store, std::string_view s) {
-  auto it = store.find(s);
-  if (it == store.end()) it = store.emplace(s).first;
-  return *it;
-}
-
 }  // namespace
 
-std::vector<ScenarioTrace> read_chrome(std::istream& is) {
+std::vector<trace::FinishedTrace> read_chrome(std::istream& is) {
   std::ostringstream buf;
   buf << is.rdbuf();
   const std::string text = buf.str();
@@ -75,14 +76,13 @@ std::vector<ScenarioTrace> read_chrome(std::istream& is) {
   if (events == nullptr || events->kind != Value::Kind::Arr) {
     throw std::runtime_error("chrome trace: no traceEvents array");
   }
-  auto names = std::make_shared<NameStore>();
-  std::map<long long, ScenarioTrace> by_pid;  // ordered = export order
-  for (const Value& ev : *events->arr) {
+  std::map<long long, trace::FinishedTrace> by_pid;  // ordered = export order
+  for (std::size_t i = 0; i < events->arr->size(); ++i) {
+    const Value& ev = (*events->arr)[i];
     if (ev.kind != Value::Kind::Obj) continue;
     const Value* pid = ev.get("pid");
     if (pid == nullptr) continue;
-    const long long p = static_cast<long long>(pid->as_num(-1));
-    ScenarioTrace& t = by_pid[p];
+    trace::FinishedTrace& t = by_pid[checked<long long>(*pid, i, "pid")];
     const Value* ph = ev.get("ph");
     const std::string_view phase =
         ph != nullptr && ph->kind == Value::Kind::Str
@@ -104,47 +104,43 @@ std::vector<ScenarioTrace> read_chrome(std::istream& is) {
       }
       continue;
     }
-    AEvent a;
-    a.name = intern(*names, ename);
-    if (const Value* cat = ev.get("cat");
-        cat != nullptr && cat->kind == Value::Kind::Str) {
-      a.cat = intern(*names, cat->str);
+    const std::span<const trace::Kind> kinds = trace::kinds_named(ename);
+    if (kinds.empty()) {
+      // Outside the schema: not stored, but counted, so the report
+      // flags the scenario as truncated.
+      ++t.counts[static_cast<std::size_t>(trace::Ctr::TraceDroppedEvents)];
+      continue;
+    }
+    trace::Event e;
+    // A name two kinds share (adcl.retune) resolves to the kind whose
+    // first argument the event carries.
+    e.kind = kinds.front();
+    for (const trace::Kind k : kinds) {
+      const char* akey = trace::row(k).akey;
+      if (akey != nullptr && args != nullptr && args->get(akey) != nullptr) {
+        e.kind = k;
+        break;
+      }
     }
     if (const Value* tid = ev.get("tid"); tid != nullptr) {
-      a.track = track_of_tid(static_cast<long long>(tid->as_num(0)));
+      e.track = track_of_tid(checked<std::int32_t>(*tid, i, "tid"));
     }
     if (const Value* ts = ev.get("ts"); ts != nullptr) {
-      a.ts = ts->as_num(0) * 1e-6;  // exported in microseconds
+      e.ts = ts->as_num(0) * 1e-6;  // exported in microseconds
     }
     if (phase == "X") {
-      if (const Value* dur = ev.get("dur"); dur != nullptr) {
-        a.dur = dur->as_num(0) * 1e-6;
-      } else {
-        a.dur = 0.0;
-      }
+      const Value* dur = ev.get("dur");
+      e.dur = dur != nullptr ? dur->as_num(0) * 1e-6 : 0.0;
     }
-    if (args != nullptr && args->kind == Value::Kind::Obj) {
-      for (const auto& [k, v] : *args->obj) {
-        const std::uint64_t u = static_cast<std::uint64_t>(v.as_num(0));
-        if (k == "corr") {
-          a.corr = u;
-        } else if (a.akey.empty()) {
-          a.akey = intern(*names, k);
-          a.aval = u;
-        } else if (a.bkey.empty()) {
-          a.bkey = intern(*names, k);
-          a.bval = u;
-        }
-      }
-    }
-    t.events.push_back(std::move(a));
+    const trace::KindRow& r = trace::row(e.kind);
+    if (r.akey != nullptr) e.aval = arg(args, r.akey, i);
+    if (r.bkey != nullptr) e.bval = arg(args, r.bkey, i);
+    e.corr = arg(args, "corr", i);
+    t.events.push_back(e);
   }
-  std::vector<ScenarioTrace> out;
+  std::vector<trace::FinishedTrace> out;
   out.reserve(by_pid.size());
-  for (auto& [p, t] : by_pid) {
-    t.names = names;
-    out.push_back(std::move(t));
-  }
+  for (auto& [p, t] : by_pid) out.push_back(std::move(t));
   return out;
 }
 

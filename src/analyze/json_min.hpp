@@ -4,14 +4,20 @@
 // dependencies are allowed in this repo, and every input is our own
 // exporter's output (Chrome trace-event files, report JSONs), so only
 // the core grammar is needed — objects, arrays, strings with backslash
-// escapes (`\uXXXX` decoded to UTF-8), numbers, true/false/null.  Shared
-// by the Chrome-trace reader (chrome_reader.cpp), the report reader of
-// the --regress mode (regress.cpp) and the live-stream readers.  Arrays
-// and objects nest at most kMaxDepth levels: deeper input is rejected
-// with the byte offset instead of overflowing the recursion's stack.
+// escapes (`\uXXXX` decoded to UTF-8), numbers, true/false/null.
+// Shared by the Chrome-trace reader (chrome_reader.cpp), the report
+// reader of the --regress mode (regress.cpp) and the live-stream
+// readers.  Arrays and objects nest at most kMaxDepth levels: deeper
+// input is rejected with the byte offset instead of overflowing the
+// recursion's stack.  A number token that strtod does not consume whole
+// is rejected at its offset too, and Value::as_int range-checks every
+// integer a reader takes.
 
+#include <concepts>
 #include <cstdlib>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -40,6 +46,19 @@ struct Value {
   }
   [[nodiscard]] double as_num(double fallback = 0.0) const {
     return kind == Kind::Num ? num : fallback;
+  }
+  /// The number as a T, when this is a number in T's range (truncated
+  /// toward zero); nullopt for anything else.  Casting a double outside
+  /// the range is undefined behaviour, so every integer a reader takes
+  /// from parsed JSON comes through here.
+  template <std::integral T>
+  [[nodiscard]] std::optional<T> as_int() const noexcept {
+    if (kind != Kind::Num ||
+        !(num >= static_cast<double>(std::numeric_limits<T>::min()) &&
+          num < static_cast<double>(std::numeric_limits<T>::max()) + 1.0)) {
+      return std::nullopt;
+    }
+    return static_cast<T>(num);
   }
 };
 
@@ -141,9 +160,15 @@ class Parser {
       }
     }
     if (pos_ == start) fail("expected a number");
+    const std::string token = s_.substr(start, pos_ - start);
+    char* end = nullptr;
     Value v;
     v.kind = Value::Kind::Num;
-    v.num = std::strtod(s_.substr(start, pos_ - start).c_str(), nullptr);
+    v.num = std::strtod(token.c_str(), &end);
+    if (end != token.c_str() + token.size()) {
+      pos_ = start;
+      fail("malformed number '" + token + "'");
+    }
     return v;
   }
 

@@ -1,7 +1,9 @@
 #include "analyze/regress.hpp"
 
 #include <cmath>
+#include <concepts>
 #include <cstdio>
+#include <optional>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -26,6 +28,17 @@ double num_at(const Value& obj, const char* key, double fallback = 0.0) {
   return v != nullptr ? v->as_num(fallback) : fallback;
 }
 
+/// Integer `key` of `obj` (`fallback` when absent); anything but a
+/// number in T's range is an error naming `where` and the key.
+template <std::integral T>
+T int_at(const Value& obj, const char* key, T fallback,
+         const std::string& where) {
+  const Value* v = obj.get(key);
+  if (v == nullptr) return fallback;
+  if (const std::optional<T> n = v->as_int<T>()) return *n;
+  throw std::runtime_error(where + ": " + key + " is not an integer in range");
+}
+
 std::string fmt(double v) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.4g", v);
@@ -44,7 +57,8 @@ ScenarioDigest digest_scenario(const Value& s) {
       label != nullptr && label->kind == Value::Kind::Str) {
     d.label = label->str;
   }
-  d.ops = static_cast<std::uint64_t>(num_at(s, "ops_completed"));
+  const std::string where = "scenario '" + d.label + "'";
+  d.ops = int_at<std::uint64_t>(s, "ops_completed", 0, where);
   d.mean_op = num_at(s, "mean_op_ns") * 1e-9;
   if (const Value* blame = s.get("blame_ns");
       blame != nullptr && blame->kind == Value::Kind::Obj) {
@@ -68,7 +82,7 @@ ScenarioDigest digest_scenario(const Value& s) {
     }
     if (const Value* op = stats->get("op");
         op != nullptr && op->kind == Value::Kind::Obj) {
-      d.stat_n = static_cast<std::uint64_t>(num_at(*op, "n"));
+      d.stat_n = int_at<std::uint64_t>(*op, "n", 0, where);
       d.median_op = num_at(*op, "median_ns") * 1e-9;
       d.ci_lo = num_at(*op, "lo_ns") * 1e-9;
       d.ci_hi = num_at(*op, "hi_ns") * 1e-9;
@@ -77,7 +91,7 @@ ScenarioDigest digest_scenario(const Value& s) {
   if (const Value* adcl = s.get("adcl");
       adcl != nullptr && adcl->kind == Value::Kind::Obj) {
     d.has_adcl = true;
-    d.adcl_winner = static_cast<int>(num_at(*adcl, "winner", -1));
+    d.adcl_winner = int_at(*adcl, "winner", -1, where);
     if (const Value* el = adcl->get("eliminations");
         el != nullptr && el->kind == Value::Kind::Arr) {
       d.adcl_eliminations = el->arr->size();
@@ -118,8 +132,9 @@ ReportDigest read_report_json(std::istream& is) {
           id != nullptr && id->kind == Value::Kind::Str) {
         gd.id = id->str;
       }
-      gd.checked = static_cast<std::uint64_t>(num_at(g, "checked"));
-      gd.passed = static_cast<std::uint64_t>(num_at(g, "passed"));
+      const std::string where = "guideline '" + gd.id + "'";
+      gd.checked = int_at<std::uint64_t>(g, "checked", 0, where);
+      gd.passed = int_at<std::uint64_t>(g, "passed", 0, where);
       if (const Value* v = g.get("violations");
           v != nullptr && v->kind == Value::Kind::Arr) {
         gd.violations = v->arr->size();

@@ -132,7 +132,7 @@ nbc::Schedule build_ibcast_two_level(int me, int n, void* buf,
   nbc::Schedule s;
   if (n == 1 || bytes == 0) {
     s.finalize();
-    nbc::trace_built(s, "ibcast.two_level", me);
+    nbc::trace_built(s, trace::Kind::IbcastTwoLevel, me);
     return s;
   }
   const std::vector<int> leader_of = node_leaders(node_of, root);
@@ -166,7 +166,7 @@ nbc::Schedule build_ibcast_two_level(int me, int n, void* buf,
     s.send(buf, bytes, local[static_cast<std::size_t>(c)]);
   }
   s.finalize();
-  nbc::trace_built(s, "ibcast.two_level", me);
+  nbc::trace_built(s, trace::Kind::IbcastTwoLevel, me);
   return s;
 }
 
@@ -184,7 +184,7 @@ nbc::Schedule build_iallreduce_two_level(int me, int n, const void* sbuf,
   s.copy(sbuf, acc, bytes);
   if (n == 1 || bytes == 0) {
     s.finalize();
-    nbc::trace_built(s, "iallreduce.two_level", me);
+    nbc::trace_built(s, trace::Kind::IallreduceTwoLevel, me);
     return s;
   }
   // Rank 0's node leader is rank 0 itself (the lowest rank of its node),
@@ -212,7 +212,7 @@ nbc::Schedule build_iallreduce_two_level(int me, int n, const void* sbuf,
   s.barrier();
   binomial_bcast(s, local, lv, acc, bytes);
   s.finalize();
-  nbc::trace_built(s, "iallreduce.two_level", me);
+  nbc::trace_built(s, trace::Kind::IallreduceTwoLevel, me);
   return s;
 }
 

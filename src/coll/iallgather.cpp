@@ -23,7 +23,7 @@ nbc::Schedule build_iallgather_linear(int me, int n, const void* sbuf,
     s.send(sbuf, block, to);
   }
   s.finalize();
-  nbc::trace_built(s, "iallgather.linear", me);
+  nbc::trace_built(s, trace::Kind::IallgatherLinear, me);
   return s;
 }
 
@@ -42,7 +42,7 @@ nbc::Schedule build_iallgather_ring(int me, int n, const void* sbuf,
     s.barrier();
   }
   s.finalize();
-  nbc::trace_built(s, "iallgather.ring", me);
+  nbc::trace_built(s, trace::Kind::IallgatherRing, me);
   return s;
 }
 
@@ -66,7 +66,7 @@ nbc::Schedule build_iallgather_recursive_doubling(int me, int n,
     s.barrier();
   }
   s.finalize();
-  nbc::trace_built(s, "iallgather.recursive_doubling", me);
+  nbc::trace_built(s, trace::Kind::IallgatherRecursiveDoubling, me);
   return s;
 }
 

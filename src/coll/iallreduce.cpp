@@ -48,7 +48,7 @@ nbc::Schedule build_iallreduce_recursive_doubling(int me, int n,
   }
   if (pending_fold) s.op(tmp, acc, count, dtype, op);
   s.finalize();
-  nbc::trace_built(s, "iallreduce.recursive_doubling", me);
+  nbc::trace_built(s, trace::Kind::IallreduceRecursiveDoubling, me);
   return s;
 }
 
@@ -98,7 +98,7 @@ nbc::Schedule build_iallreduce_reduce_bcast(int me, int n, const void* sbuf,
     mask >>= 1;
   }
   s.finalize();
-  nbc::trace_built(s, "iallreduce.reduce_bcast", me);
+  nbc::trace_built(s, trace::Kind::IallreduceReduceBcast, me);
   return s;
 }
 
@@ -122,7 +122,7 @@ nbc::Schedule build_iallreduce_ring(int me, int n, const void* sbuf,
   s.barrier();
   if (n == 1) {
     s.finalize();
-    nbc::trace_built(s, "iallreduce.ring", me);
+    nbc::trace_built(s, trace::Kind::IallreduceRing, me);
     return s;
   }
   // --- reduce-scatter: after step s every rank has folded one more
@@ -156,7 +156,7 @@ nbc::Schedule build_iallreduce_ring(int me, int n, const void* sbuf,
     s.barrier();
   }
   s.finalize();
-  nbc::trace_built(s, "iallreduce.ring", me);
+  nbc::trace_built(s, trace::Kind::IallreduceRing, me);
   return s;
 }
 

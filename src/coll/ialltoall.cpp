@@ -28,7 +28,7 @@ nbc::Schedule build_ialltoall_linear(int me, int n, const void* sbuf,
     s.send(blk(sbuf, block, to), block, to);
   }
   s.finalize();
-  nbc::trace_built(s, "ialltoall.linear", me);
+  nbc::trace_built(s, trace::Kind::IalltoallLinear, me);
   return s;
 }
 
@@ -45,7 +45,7 @@ nbc::Schedule build_ialltoall_pairwise(int me, int n, const void* sbuf,
     s.barrier();
   }
   s.finalize();
-  nbc::trace_built(s, "ialltoall.pairwise", me);
+  nbc::trace_built(s, trace::Kind::IalltoallPairwise, me);
   return s;
 }
 
@@ -96,7 +96,7 @@ nbc::Schedule build_ialltoall_bruck(int me, int n, const void* sbuf,
            blk(rbuf, block, (me - i + n) % n), block);
   }
   s.finalize();
-  nbc::trace_built(s, "ialltoall.bruck", me);
+  nbc::trace_built(s, trace::Kind::IalltoallBruck, me);
   return s;
 }
 

@@ -49,7 +49,7 @@ nbc::Schedule build_ibcast(int me, int n, void* buf, std::size_t bytes,
   nbc::Schedule s;
   if (n == 1 || bytes == 0) {
     s.finalize();
-    nbc::trace_built(s, "ibcast", me);
+    nbc::trace_built(s, trace::Kind::Ibcast, me);
     return s;
   }
   const int v = (me - root + n) % n;
@@ -96,7 +96,7 @@ nbc::Schedule build_ibcast(int me, int n, void* buf, std::size_t bytes,
     s.barrier();
   }
   s.finalize();
-  nbc::trace_built(s, "ibcast", me);
+  nbc::trace_built(s, trace::Kind::Ibcast, me);
   return s;
 }
 

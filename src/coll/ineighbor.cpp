@@ -90,7 +90,7 @@ nbc::Schedule build_ineighbor_all_at_once(const CartTopo& topo, int me,
     post_dim(s, topo, me, dim, sbuf, rbuf, block);
   }
   s.finalize();
-  nbc::trace_built(s, "ineighbor.all_at_once", me);
+  nbc::trace_built(s, trace::Kind::IneighborAllAtOnce, me);
   return s;
 }
 
@@ -103,7 +103,7 @@ nbc::Schedule build_ineighbor_dimension_ordered(const CartTopo& topo, int me,
     s.barrier();  // finish this dimension before starting the next
   }
   s.finalize();
-  nbc::trace_built(s, "ineighbor.dimension_ordered", me);
+  nbc::trace_built(s, trace::Kind::IneighborDimensionOrdered, me);
   return s;
 }
 
@@ -134,7 +134,7 @@ nbc::Schedule build_ineighbor_even_odd(const CartTopo& topo, int me,
     }
   }
   s.finalize();
-  nbc::trace_built(s, "ineighbor.even_odd", me);
+  nbc::trace_built(s, trace::Kind::IneighborEvenOdd, me);
   return s;
 }
 

@@ -47,7 +47,7 @@ nbc::Schedule build_ireduce_binomial(int me, int n, const void* sbuf,
     s.send(acc, bytes, parent);
   }
   s.finalize();
-  nbc::trace_built(s, "ireduce.binomial", me);
+  nbc::trace_built(s, trace::Kind::IreduceBinomial, me);
   return s;
 }
 
@@ -93,7 +93,7 @@ nbc::Schedule build_ireduce_chain(int me, int n, const void* sbuf, void* rbuf,
     }
   }
   s.finalize();
-  nbc::trace_built(s, "ireduce.chain", me);
+  nbc::trace_built(s, trace::Kind::IreduceChain, me);
   return s;
 }
 

@@ -22,7 +22,7 @@ template <typename RailOf>
 nbc::Schedule build(int me, int n, const void* sbuf, void* rbuf,
                     std::size_t bytes, int root,
                     const std::vector<net::Stripe>& stripes, RailOf rail_of,
-                    const char* what) {
+                    trace::Kind what) {
   check_args(n, root);
   nbc::Schedule s;
   if (bytes > 0 && n > 1) {
@@ -71,7 +71,8 @@ std::vector<net::Stripe> whole_block(std::size_t bytes) {
 nbc::Schedule build_iscatter_linear(int me, int n, const void* sbuf,
                                     void* rbuf, std::size_t bytes, int root) {
   return build(me, n, sbuf, rbuf, bytes, root, whole_block(bytes),
-               [](int, const net::Stripe&) { return -1; }, "iscatter.linear");
+               [](int, const net::Stripe&) { return -1; },
+               trace::Kind::IscatterLinear);
 }
 
 nbc::Schedule build_iscatter_fan(int me, int n, const void* sbuf, void* rbuf,
@@ -79,7 +80,7 @@ nbc::Schedule build_iscatter_fan(int me, int n, const void* sbuf, void* rbuf,
   if (rail < 0) throw std::invalid_argument("iscatter fan: bad rail");
   return build(me, n, sbuf, rbuf, bytes, root, whole_block(bytes),
                [rail](int, const net::Stripe&) { return rail; },
-               "iscatter.fan");
+               trace::Kind::IscatterFan);
 }
 
 nbc::Schedule build_iscatter_rail(int me, int n, const void* sbuf, void* rbuf,
@@ -87,7 +88,7 @@ nbc::Schedule build_iscatter_rail(int me, int n, const void* sbuf, void* rbuf,
   if (nrails <= 0) throw std::invalid_argument("iscatter rail: bad nrails");
   return build(me, n, sbuf, rbuf, bytes, root, whole_block(bytes),
                [nrails](int d, const net::Stripe&) { return d % nrails; },
-               "iscatter.rail");
+               trace::Kind::IscatterRail);
 }
 
 nbc::Schedule build_iscatter_striped(int me, int n, const void* sbuf,
@@ -103,7 +104,7 @@ nbc::Schedule build_iscatter_striped(int me, int n, const void* sbuf,
   }
   return build(me, n, sbuf, rbuf, bytes, root, stripes,
                [](int, const net::Stripe& st) { return st.rail; },
-               "iscatter.striped");
+               trace::Kind::IscatterStriped);
 }
 
 }  // namespace nbctune::coll

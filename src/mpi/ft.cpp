@@ -28,8 +28,7 @@ void RecoveryService::on_kill(int wrank) {
   rs.dead = true;
   trace::count(trace::Ctr::MpiRankDeaths);
   if (trace::active()) {
-    trace::instant(world_.engine_.now(), wrank, trace::Cat::Msg,
-                   "mpi.rank_death", "node",
+    trace::instant(world_.engine_.now(), wrank, trace::Kind::MpiRankDeath,
                    static_cast<std::uint64_t>(rs.node));
   }
   // Wake the dying fiber so it unwinds promptly (RankKilled at its next
@@ -42,8 +41,7 @@ void RecoveryService::on_detect(int wrank) {
   detectable_dead_[static_cast<std::size_t>(wrank)] = 1;
   ++detectable_;
   if (trace::active()) {
-    trace::instant(world_.engine_.now(), wrank, trace::Cat::Msg,
-                   "mpi.ft.detect", "lease_ns",
+    trace::instant(world_.engine_.now(), wrank, trace::Kind::MpiFtDetect,
                    static_cast<std::uint64_t>(lease_ * 1e9));
   }
   // Every survivor blocked in the library re-evaluates its interruption
@@ -124,9 +122,9 @@ void RecoveryService::deliver() {
     trace::count(trace::Ctr::MpiShrinks);
   }
   if (trace::active()) {
-    trace::instant(world_.engine_.now(), c.world_rank(0), trace::Cat::Msg,
-                   "mpi.ft.agree", "epoch",
-                   static_cast<std::uint64_t>(decision_.epoch), "failed",
+    trace::instant(world_.engine_.now(), c.world_rank(0),
+                   trace::Kind::MpiFtAgree,
+                   static_cast<std::uint64_t>(decision_.epoch),
                    static_cast<std::uint64_t>(decision_.failed.size()));
   }
   for (int i = 0; i < c.size(); ++i) {

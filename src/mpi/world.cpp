@@ -180,36 +180,36 @@ sim::Time World::ship(Envelope env, sim::Time earliest) {
   env.seq = ++next_msg_seq_;
   const std::size_t wire_bytes =
       env.kind == Envelope::Kind::Eager ? env.bytes : kCtrlBytes;
-  const char* wire_what;
+  trace::Kind wire_what;
+  trace::Kind post_what;
   if (env.kind == Envelope::Kind::Eager) {
     ++src.data_msgs;
-    wire_what = "wire.eager";
+    wire_what = trace::Kind::WireEager;
+    post_what = trace::Kind::MsgEager;
     trace::count(trace::Ctr::MsgsEager);
   } else {
     ++src.ctrl_msgs;
     switch (env.kind) {
       case Envelope::Kind::Rts:
-        wire_what = "wire.rts";
+        wire_what = trace::Kind::WireRts;
+        post_what = trace::Kind::MsgRts;
         trace::count(trace::Ctr::MsgsRts);
         break;
       case Envelope::Kind::Cts:
-        wire_what = "wire.cts";
+        wire_what = trace::Kind::WireCts;
+        post_what = trace::Kind::MsgCts;
         trace::count(trace::Ctr::MsgsCts);
         break;
       default:
-        wire_what = "wire.ack";
+        wire_what = trace::Kind::WireAck;
+        post_what = trace::Kind::MsgAck;
         trace::count(trace::Ctr::MsgsAcks);
         break;
     }
   }
   if (trace::active()) {
-    trace::instant(earliest, env.src, trace::Cat::Msg,
-                   env.kind == Envelope::Kind::Eager ? "msg.eager"
-                   : env.kind == Envelope::Kind::Rts ? "msg.rts"
-                   : env.kind == Envelope::Kind::Cts ? "msg.cts"
-                                                     : "msg.ack",
-                   "dst", static_cast<std::uint64_t>(env.dst), "bytes",
-                   env.bytes, env.seq);
+    trace::instant(earliest, env.src, post_what,
+                   static_cast<std::uint64_t>(env.dst), env.bytes, env.seq);
     // Hierarchy accounting: message-size distribution per endpoint-pair
     // level, and (inter-node only) whether the NIC rail was pinned by the
     // schedule or chosen by the default per-peer spread.
@@ -253,9 +253,8 @@ sim::Time World::ship(Envelope env, sim::Time earliest) {
       tx_earliest = release;
       trace::count(trace::Ctr::FaultNicStalls);
       if (trace::active()) {
-        trace::instant(earliest, env.src, trace::Cat::Msg, "fault.stall",
-                       "node", static_cast<std::uint64_t>(src_node), nullptr,
-                       0, env.seq);
+        trace::instant(earliest, env.src, trace::Kind::FaultStall,
+                       static_cast<std::uint64_t>(src_node), 0, env.seq);
       }
     }
     // The control plane (tag >= kReliableTagBase) rides a reliable
@@ -302,9 +301,9 @@ sim::Time World::ship(Envelope env, sim::Time earliest) {
       // The sender's NIC transmitted; the packet died in the network.
       trace::count(trace::Ctr::FaultDrops);
       if (trace::active()) {
-        trace::instant(tx.end, env.src, trace::Cat::Msg, "fault.drop", "dst",
-                       static_cast<std::uint64_t>(env.dst), "bytes",
-                       env.bytes, env.seq);
+        trace::instant(tx.end, env.src, trace::Kind::FaultDrop,
+                       static_cast<std::uint64_t>(env.dst), env.bytes,
+                       env.seq);
       }
       return local_done;
     }
@@ -324,12 +323,13 @@ sim::Time World::ship(Envelope env, sim::Time earliest) {
       // receive-side dedup table discards it on arrival.
       trace::count(trace::Ctr::FaultDups);
       if (trace::active()) {
-        trace::instant(rx.end, env.dst, trace::Cat::Msg, "fault.dup", "src",
-                       static_cast<std::uint64_t>(env.src), "bytes",
-                       env.bytes, env.seq);
+        trace::instant(rx.end, env.dst, trace::Kind::FaultDup,
+                       static_cast<std::uint64_t>(env.src), env.bytes,
+                       env.seq);
       }
       auto rx2 = machine_.reserve_rx(dst_node, rnic, rx.end, rx_time,
-                                     "wire.dup", wire_bytes, env.seq);
+                                     trace::Kind::WireDup, wire_bytes,
+                                     env.seq);
       auto boxed2 = std::make_shared<Envelope>(env);
       engine_.schedule_at(rx2.end,
                           [this, boxed2] { deliver(std::move(*boxed2)); });
@@ -365,10 +365,8 @@ void World::deliver(Envelope env) {
         // the network ate.
         trace::count(trace::Ctr::MsgsDupDeliveries);
         if (trace::active()) {
-          trace::instant(engine_.now(), dst_rank, trace::Cat::Msg,
-                         "msg.dup_drop", "src",
-                         static_cast<std::uint64_t>(env.src), nullptr, 0,
-                         env.seq);
+          trace::instant(engine_.now(), dst_rank, trace::Kind::MsgDupDrop,
+                         static_cast<std::uint64_t>(env.src), 0, env.seq);
         }
         send_ack(env);
         return;
@@ -378,9 +376,8 @@ void World::deliver(Envelope env) {
   }
   env.arrival_seq = dst.next_arrival_seq++;
   if (trace::active()) {
-    trace::instant(engine_.now(), dst_rank, trace::Cat::Msg, "msg.deliver",
-                   "src", static_cast<std::uint64_t>(env.src), "bytes",
-                   env.bytes, env.seq);
+    trace::instant(engine_.now(), dst_rank, trace::Kind::MsgDeliver,
+                   static_cast<std::uint64_t>(env.src), env.bytes, env.seq);
   }
   dst.inbound.push_back(std::move(env));
   notify(dst_rank);
@@ -397,8 +394,8 @@ void World::start_nic_bulk(int src, int dst, Req sreq, std::uint64_t dst_match,
   const std::uint64_t seq = ++next_msg_seq_;
   trace::count(trace::Ctr::MsgsNicBulks);
   if (trace::active()) {
-    trace::instant(earliest, src, trace::Cat::Msg, "msg.bulk_nic", "dst",
-                   static_cast<std::uint64_t>(dst), "bytes", bytes, seq);
+    trace::instant(earliest, src, trace::Kind::MsgBulkNic,
+                   static_cast<std::uint64_t>(dst), bytes, seq);
   }
   machine_.add_inflight(dst_node);
   sim::Time send_done, recv_done;
@@ -407,7 +404,7 @@ void World::start_nic_bulk(int src, int dst, Req sreq, std::uint64_t dst_match,
     const double factor = machine_.congestion_factor(dst_node, /*intra=*/true);
     auto slot = machine_.reserve_mem(
         src_node, earliest, static_cast<double>(bytes) * p.mem_byte_time * factor,
-        "wire.bulk", bytes, seq);
+        trace::Kind::WireBulk, bytes, seq);
     send_done = slot.end;
     recv_done = slot.end + p.intra.latency;
   } else {
@@ -430,7 +427,7 @@ void World::start_nic_bulk(int src, int dst, Req sreq, std::uint64_t dst_match,
         src_node, nic, earliest,
         static_cast<double>(bytes) * p.inter.byte_time * bt_mult +
             p.inter.msg_gap,
-        "wire.bulk", bytes, seq);
+        trace::Kind::WireBulk, bytes, seq);
     const double lat = machine_.latency(src_node, dst_node) * lat_mult;
     const double factor = machine_.congestion_factor(dst_node, /*intra=*/false);
     auto rx = machine_.reserve_rx(
@@ -438,7 +435,7 @@ void World::start_nic_bulk(int src, int dst, Req sreq, std::uint64_t dst_match,
         (static_cast<double>(bytes) * p.inter.byte_time * bt_mult +
          p.inter.msg_gap) *
             factor,
-        "wire.bulk", bytes, seq);
+        trace::Kind::WireBulk, bytes, seq);
     send_done = tx.end;
     recv_done = rx.end;
   }
@@ -455,9 +452,8 @@ void World::start_nic_bulk(int src, int dst, Req sreq, std::uint64_t dst_match,
                                   seq32 = static_cast<std::uint32_t>(seq)] {
     machine_.remove_inflight(dst_node);
     if (trace::active()) {
-      trace::instant(engine_.now(), dst, trace::Cat::Msg, "msg.complete",
-                     "src", static_cast<std::uint64_t>(src), nullptr, 0,
-                     seq32);
+      trace::instant(engine_.now(), dst, trace::Kind::MsgComplete,
+                     static_cast<std::uint64_t>(src), 0, seq32);
     }
     complete_request(dst, dst_match, sbuf);
     RankState& rs = ranks_[src];
@@ -509,9 +505,8 @@ void World::on_rto(int wrank, Req h) {
     r.rexmit = RexmitKind::None;
     trace::count(trace::Ctr::MsgsSendFailures);
     if (trace::active()) {
-      trace::instant(engine_.now(), wrank, trace::Cat::Msg,
-                     "msg.send_failure", "peer",
-                     static_cast<std::uint64_t>(r.peer), "tag",
+      trace::instant(engine_.now(), wrank, trace::Kind::MsgSendFailure,
+                     static_cast<std::uint64_t>(r.peer),
                      static_cast<std::uint64_t>(r.tag), pack_match(h));
     }
     notify(wrank);
@@ -522,9 +517,8 @@ void World::on_rto(int wrank, Req h) {
     r.rexmit = RexmitKind::None;
     trace::count(trace::Ctr::MsgsSendFailures);
     if (trace::active()) {
-      trace::instant(engine_.now(), wrank, trace::Cat::Msg,
-                     "msg.send_failure", "peer",
-                     static_cast<std::uint64_t>(r.peer), "tag",
+      trace::instant(engine_.now(), wrank, trace::Kind::MsgSendFailure,
+                     static_cast<std::uint64_t>(r.peer),
                      static_cast<std::uint64_t>(r.tag), pack_match(h));
     }
     notify(wrank);
@@ -538,8 +532,8 @@ void World::on_rto(int wrank, Req h) {
   if (trace::active()) {
     // next_msg_seq_ holds the seq ship() just assigned: the retransmit
     // instant correlates with the new wire message.
-    trace::instant(t, wrank, trace::Cat::Msg, "msg.retransmit", "peer",
-                   static_cast<std::uint64_t>(r.peer), "left",
+    trace::instant(t, wrank, trace::Kind::MsgRetransmit,
+                   static_cast<std::uint64_t>(r.peer),
                    static_cast<std::uint64_t>(r.retries_left), next_msg_seq_);
   }
   r.rto *= 2.0;  // exponential backoff
@@ -638,8 +632,7 @@ double Ctx::compute_cost(double seconds) {
       t *= dilation;
       trace::count(trace::Ctr::FaultStragglerBursts);
       if (trace::active()) {
-        trace::instant(now(), wrank_, trace::Cat::Progress, "fault.straggler",
-                       "factor_x1000",
+        trace::instant(now(), wrank_, trace::Kind::FaultStraggler,
                        static_cast<std::uint64_t>(dilation * 1000.0));
       }
     }
@@ -655,7 +648,7 @@ void Ctx::compute(double seconds) {
   const sim::Time t0 = now();
   st().process->sleep(t);
   if (trace::active()) {
-    trace::span(t0, now() - t0, wrank_, trace::Cat::Progress, "compute");
+    trace::span(t0, now() - t0, wrank_, trace::Kind::Compute);
   }
 }
 
@@ -1032,8 +1025,8 @@ void Ctx::push_chunks(double& cpu_cost) {
           world_.machine().congestion_factor(dst_node, /*intra=*/true);
       auto slot = world_.machine().reserve_mem(
           rs.node, now() + cpu_cost,
-          static_cast<double>(chunk) * p.mem_byte_time * factor, "wire.chunk",
-          chunk, r.xfer_seq);
+          static_cast<double>(chunk) * p.mem_byte_time * factor,
+          trace::Kind::WireChunk, chunk, r.xfer_seq);
       drain_end = slot.end;
       arrival = slot.end + p.intra.latency;
     } else {
@@ -1056,7 +1049,7 @@ void Ctx::push_chunks(double& cpu_cost) {
           rs.node, nic, now() + cpu_cost,
           static_cast<double>(chunk) * p.inter.byte_time * bt_mult +
               p.inter.msg_gap,
-          "wire.chunk", chunk, r.xfer_seq);
+          trace::Kind::WireChunk, chunk, r.xfer_seq);
       const double factor =
           world_.machine().congestion_factor(dst_node, /*intra=*/false);
       auto rx = world_.machine().reserve_rx(
@@ -1065,7 +1058,7 @@ void Ctx::push_chunks(double& cpu_cost) {
           (static_cast<double>(chunk) * p.inter.byte_time * bt_mult +
            p.inter.msg_gap) *
               factor,
-          "wire.chunk", chunk, r.xfer_seq);
+          trace::Kind::WireChunk, chunk, r.xfer_seq);
       drain_end = tx.end;
       arrival = rx.end;
     }
@@ -1091,9 +1084,8 @@ void Ctx::push_chunks(double& cpu_cost) {
       world_.engine().schedule_at(arrival, [w = &world_, self, h, dst,
                                             dst_match, sbuf, xfer] {
         if (trace::active()) {
-          trace::instant(w->engine_.now(), dst, trace::Cat::Msg,
-                         "msg.complete", "src",
-                         static_cast<std::uint64_t>(self), nullptr, 0, xfer);
+          trace::instant(w->engine_.now(), dst, trace::Kind::MsgComplete,
+                         static_cast<std::uint64_t>(self), 0, xfer);
         }
         // Receiver gets the data...
         w->complete_request(dst, dst_match, sbuf);
@@ -1144,8 +1136,9 @@ void Ctx::progress_pass(bool explicit_call) {
   const double cost = progress_work(explicit_call);
   charge(cost);
   if (cost > 0.0 && trace::active()) {
-    trace::span(t0, now() - t0, wrank_, trace::Cat::Progress,
-                explicit_call ? "progress.call" : "progress.pass");
+    trace::span(t0, now() - t0, wrank_,
+                explicit_call ? trace::Kind::ProgressCall
+                              : trace::Kind::ProgressPass);
   }
 }
 

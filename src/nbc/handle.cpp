@@ -56,9 +56,8 @@ void Handle::abort() {
   completion_emitted_ = true;
   trace::count(trace::Ctr::NbcOpsAborted);
   if (trace::active()) {
-    trace::instant(ctx_.now(), ctx_.world_rank(), trace::Cat::Nbc,
-                   "nbc.abort", "round", round_, "tag",
-                   static_cast<std::uint64_t>(tag_), op_corr_);
+    trace::instant(ctx_.now(), ctx_.world_rank(), trace::Kind::NbcAbort,
+                   round_, static_cast<std::uint64_t>(tag_), op_corr_);
   }
 }
 
@@ -77,8 +76,8 @@ void Handle::trace_completion() {
   trace::record(trace::Hist::RoundsPerOp, round_);
   if (trace::active()) {
     trace::span(start_time_, ctx_.now() - start_time_, ctx_.world_rank(),
-                trace::Cat::Nbc, "nbc.op", "rounds", round_, "tag",
-                static_cast<std::uint64_t>(tag_), op_corr_);
+                trace::Kind::NbcOp, round_, static_cast<std::uint64_t>(tag_),
+                op_corr_);
   }
 }
 
@@ -87,8 +86,7 @@ double Handle::post_round(std::size_t r) {
   const auto& p = ctx_.world().platform();
   trace::count(trace::Ctr::NbcRoundsPosted);
   if (trace::active()) {
-    trace::instant(ctx_.now(), ctx_.world_rank(), trace::Cat::Nbc,
-                   "nbc.round", "round", r, "actions",
+    trace::instant(ctx_.now(), ctx_.world_rank(), trace::Kind::NbcRound, r,
                    schedule_->round(r).size(), op_corr_);
   }
   for (const Action& a : schedule_->round(r)) {
@@ -133,9 +131,9 @@ void Handle::start() {
   op_corr_ = ctx_.alloc_op_corr();
   trace::count(trace::Ctr::NbcOpsStarted);
   if (trace::active()) {
-    trace::instant(start_time_, ctx_.world_rank(), trace::Cat::Nbc,
-                   "nbc.start", "rounds", schedule_->num_rounds(), "tag",
-                   static_cast<std::uint64_t>(tag_), op_corr_);
+    trace::instant(start_time_, ctx_.world_rank(), trace::Kind::NbcStart,
+                   schedule_->num_rounds(), static_cast<std::uint64_t>(tag_),
+                   op_corr_);
   }
   done_ = schedule_->num_rounds() == 0;
   active_ = !done_;
@@ -217,9 +215,8 @@ void Handle::recover() {
   ++fallbacks_;
   trace::count(trace::Ctr::NbcFallbacks);
   if (trace::active()) {
-    trace::instant(ctx_.now(), ctx_.world_rank(), trace::Cat::Nbc,
-                   "nbc.fallback", "attempt",
-                   static_cast<std::uint64_t>(fallbacks_), "tag",
+    trace::instant(ctx_.now(), ctx_.world_rank(), trace::Kind::NbcFallback,
+                   static_cast<std::uint64_t>(fallbacks_),
                    static_cast<std::uint64_t>(tag_), op_corr_);
   }
   // Restart on the fallback schedule with a fresh tag.  Every rank

@@ -128,15 +128,14 @@ class Schedule {
 };
 
 /// Record construction of a finalized schedule.  Every collective builder
-/// calls this just before returning; `what` names the algorithm (string
-/// literal) and `me` is the building rank's track.  Construction happens
-/// outside simulated time, so the instant lands at t = 0.
-inline void trace_built(const Schedule& s, const char* what, int me) {
+/// calls this just before returning; `what` is the algorithm's kind (a
+/// Cat::Coll row) and `me` is the building rank's track.  Construction
+/// happens outside simulated time, so the instant lands at t = 0.
+inline void trace_built(const Schedule& s, trace::Kind what, int me) {
   trace::count(trace::Ctr::CollSchedulesBuilt);
   trace::record(trace::Hist::ScheduleRounds, s.num_rounds());
   if (trace::active()) {
-    trace::instant(0.0, me, trace::Cat::Coll, what, "rounds", s.num_rounds(),
-                   "sends", s.total_sends());
+    trace::instant(0.0, me, what, s.num_rounds(), s.total_sends());
   }
 }
 

@@ -27,11 +27,11 @@ namespace {
 // Emit the serialization interval on the node's wire track.  Injection
 // sides (tx / mem) also account the payload bytes; receive sides do not,
 // so each transfer is counted once.
-void trace_slot(int node, const sim::Resource::Slot& slot, const char* what,
+void trace_slot(int node, const sim::Resource::Slot& slot, trace::Kind what,
                 std::uint64_t bytes, bool injects, std::uint64_t corr) {
   if (!trace::active()) return;
   trace::span(slot.start, slot.end - slot.start, trace::wire_track(node),
-              trace::Cat::Wire, what, "bytes", bytes, nullptr, 0, corr);
+              what, bytes, 0, corr);
   if (injects) {
     trace::count(trace::Ctr::BytesOnWire, bytes);
     trace::record(trace::Hist::WireBytes, bytes);
@@ -40,7 +40,7 @@ void trace_slot(int node, const sim::Resource::Slot& slot, const char* what,
 }  // namespace
 
 sim::Resource::Slot Machine::reserve_tx(int node, int nic, double earliest,
-                                        double seconds, const char* what,
+                                        double seconds, trace::Kind what,
                                         std::uint64_t bytes,
                                         std::uint64_t corr) {
   const auto slot = nic_tx(node, nic).reserve(earliest, seconds);
@@ -49,7 +49,7 @@ sim::Resource::Slot Machine::reserve_tx(int node, int nic, double earliest,
 }
 
 sim::Resource::Slot Machine::reserve_rx(int node, int nic, double earliest,
-                                        double seconds, const char* what,
+                                        double seconds, trace::Kind what,
                                         std::uint64_t bytes,
                                         std::uint64_t corr) {
   const auto slot = nic_rx(node, nic).reserve(earliest, seconds);
@@ -58,7 +58,7 @@ sim::Resource::Slot Machine::reserve_rx(int node, int nic, double earliest,
 }
 
 sim::Resource::Slot Machine::reserve_mem(int node, double earliest,
-                                         double seconds, const char* what,
+                                         double seconds, trace::Kind what,
                                          std::uint64_t bytes,
                                          std::uint64_t corr) {
   const auto slot = mem(node).reserve(earliest, seconds);

@@ -9,6 +9,7 @@
 #include "net/platform.hpp"
 #include "net/topology.hpp"
 #include "sim/resource.hpp"
+#include "trace/trace.hpp"
 
 namespace nbctune::net {
 
@@ -32,16 +33,17 @@ class Machine {
 
   // Traced reservations: identical to reserve() on the raw resource, but
   // emit a wire-track span (and, for the injecting side, byte counters)
-  // when tracing is active.  `what` must be a string literal; `corr`
-  // parents the span under its message's causal chain (0 = unlinked).
+  // when tracing is active.  `what` is the span's kind (a Cat::Wire
+  // row); `corr` parents it under its message's causal chain (0 =
+  // unlinked).
   sim::Resource::Slot reserve_tx(int node, int nic, double earliest,
-                                 double seconds, const char* what,
+                                 double seconds, trace::Kind what,
                                  std::uint64_t bytes, std::uint64_t corr = 0);
   sim::Resource::Slot reserve_rx(int node, int nic, double earliest,
-                                 double seconds, const char* what,
+                                 double seconds, trace::Kind what,
                                  std::uint64_t bytes, std::uint64_t corr = 0);
   sim::Resource::Slot reserve_mem(int node, double earliest, double seconds,
-                                  const char* what, std::uint64_t bytes,
+                                  trace::Kind what, std::uint64_t bytes,
                                   std::uint64_t corr = 0);
 
   /// Which NIC a message from `node` to remote `peer_node` uses; stripes

@@ -144,9 +144,7 @@ void LiveSink::on_scope_finish(const trace::FinishedTrace& t) {
   // machinery the terminal report runs, restricted to this trace.  The
   // cost is a second analysis pass per scenario, amortized to noise at
   // sweep granularity.
-  std::vector<analyze::ScenarioTrace> one;
-  one.push_back(analyze::from_finished(t));
-  const analyze::Report rep = analyze::analyze(one);
+  const analyze::Report rep = analyze::analyze(std::span(&t, 1));
   if (rep.scenarios.empty()) return;
   const analyze::ScenarioReport& s = rep.scenarios.front();
 

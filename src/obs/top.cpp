@@ -1,5 +1,6 @@
 #include "obs/top.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <ostream>
 
@@ -11,14 +12,31 @@ namespace {
 
 using analyze::jsonmin::Value;
 
-std::uint64_t num_u64(const Value* v) {
-  if (v == nullptr) return 0;
-  const double d = v->as_num();
-  return d > 0.0 ? static_cast<std::uint64_t>(d) : 0;
+/// True when every number in `v` lies in long long's range.  The live
+/// stream writes only such integers, so a record failing this is skipped
+/// as malformed, and the reads below never cast out of range.
+bool integers_fit(const Value& v) {
+  switch (v.kind) {
+    case Value::Kind::Num:
+      return v.as_int<long long>().has_value();
+    case Value::Kind::Arr:
+      return std::all_of(v.arr->begin(), v.arr->end(), integers_fit);
+    case Value::Kind::Obj:
+      return std::all_of(v.obj->begin(), v.obj->end(), [](const auto& kv) {
+        return integers_fit(kv.second);
+      });
+    default:
+      return true;
+  }
 }
 
 long long num_i64(const Value* v) {
-  return v == nullptr ? 0 : static_cast<long long>(v->as_num());
+  return v == nullptr ? 0 : v->as_int<long long>().value_or(0);
+}
+
+std::uint64_t num_u64(const Value* v) {
+  const long long n = num_i64(v);
+  return n > 0 ? static_cast<std::uint64_t>(n) : 0;
 }
 
 std::string str_or(const Value* v, const char* fallback) {
@@ -78,7 +96,10 @@ bool TopState::feed_line(const std::string& line) {
     return false;  // foreign line (e.g. a bench table on shared stdout)
   }
   const Value* type = v.get("type");
-  if (type == nullptr || type->kind != Value::Kind::Str) return false;
+  if (type == nullptr || type->kind != Value::Kind::Str ||
+      !integers_fit(v)) {
+    return false;
+  }
 
   const long long seq = num_i64(v.get("seq"));
   if (seq <= last_seq_ && last_seq_ >= 0) ++seq_errors_;

@@ -20,7 +20,9 @@ namespace nbctune::obs {
 class TopState {
  public:
   /// Consume one line of input.  Returns true when the line was a live
-  /// record (any type), false for blank/foreign lines (skipped).
+  /// record (any type), false for blank/foreign lines and for records
+  /// carrying a number outside long long's range (skipped, state
+  /// untouched).
   bool feed_line(const std::string& line);
 
   /// Render the dashboard.  With `ansi`, guideline tiles and the

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <mutex>
 #include <ostream>
@@ -23,10 +24,6 @@ std::string ScenarioKey::label() const {
 
 const char* cat_name(Cat c) noexcept {
   switch (c) {
-    case Cat::Engine:
-      return "engine";
-    case Cat::Fiber:
-      return "fiber";
     case Cat::Msg:
       return "msg";
     case Cat::Wire:
@@ -39,10 +36,52 @@ const char* cat_name(Cat c) noexcept {
       return "progress";
     case Cat::Adcl:
       return "adcl";
-    case Cat::Harness:
-      return "harness";
   }
   return "?";
+}
+
+namespace {
+
+constexpr std::string_view name_of(Kind k) noexcept { return row(k).name; }
+
+/// Every kind, sorted by Chrome name; kinds sharing a name stay in
+/// schema order.
+constexpr auto kKindsByName = [] {
+  std::array<Kind, std::size(kKindRows)> kinds{};
+  for (std::size_t i = 0; i < kinds.size(); ++i) {
+    kinds[i] = static_cast<Kind>(i);
+  }
+  std::ranges::sort(kinds, [](Kind a, Kind b) {
+    return name_of(a) != name_of(b) ? name_of(a) < name_of(b) : a < b;
+  });
+  return kinds;
+}();
+
+}  // namespace
+
+std::span<const Kind> kinds_named(std::string_view name) noexcept {
+  const auto lo = std::ranges::lower_bound(kKindsByName, name, {}, name_of);
+  auto hi = lo;
+  while (hi != kKindsByName.end() && name_of(*hi) == name) ++hi;
+  return {lo, hi};
+}
+
+void instant(double ts, std::int32_t track, Cat /*cat*/, const char* name,
+             const char* akey, std::uint64_t aval, const char* /*bkey*/,
+             std::uint64_t bval, std::uint64_t corr) {
+  Tracer* t = current();
+  if (t == nullptr) return;
+  const std::span<const Kind> kinds = kinds_named(name);
+  if (kinds.empty()) {
+    t->count(Ctr::TraceDroppedEvents);
+    return;
+  }
+  const auto keyed = std::ranges::find_if(kinds, [&](Kind k) {
+    return akey != nullptr && row(k).akey != nullptr &&
+           std::strcmp(row(k).akey, akey) == 0;
+  });
+  t->emit(Event{ts, -1.0, track, keyed != kinds.end() ? *keyed : kinds[0],
+                aval, bval, corr});
 }
 
 const char* ctr_name(Ctr c) noexcept {
@@ -418,43 +457,32 @@ void Session::write_chrome(std::ostream& os) const {
       append_int(out, pid);
       out += ",\"tid\":";
       append_int(out, static_cast<std::uint64_t>(chrome_tid(e.track)));
+      const KindRow& r = row(e.kind);
       out += ",\"cat\":\"";
-      out += cat_name(e.cat);
+      out += cat_name(r.cat);
       out += "\",\"name\":\"";
-      out += e.name;
+      out += r.name;
       out += "\",\"ts\":";
       append_us(out, e.ts);
-      if (e.dur >= 0.0) {
+      if (e.is_span()) {
         out += ",\"ph\":\"X\",\"dur\":";
         append_us(out, e.dur);
       } else {
         out += ",\"ph\":\"i\",\"s\":\"t\"";
       }
-      if (e.akey != nullptr || e.bkey != nullptr || e.corr != 0) {
-        out += ",\"args\":{";
-        bool any = false;
-        if (e.akey != nullptr) {
-          out += '"';
-          out += e.akey;
-          out += "\":";
-          append_int(out, e.aval);
-          any = true;
-        }
-        if (e.bkey != nullptr) {
-          if (any) out += ',';
-          out += '"';
-          out += e.bkey;
-          out += "\":";
-          append_int(out, e.bval);
-          any = true;
-        }
-        if (e.corr != 0) {
-          if (any) out += ',';
-          out += "\"corr\":";
-          append_int(out, e.corr);
-        }
-        out += '}';
-      }
+      // Each argument the row has a key for, then a non-zero corr.
+      bool any = false;
+      const auto arg = [&](const char* key, std::uint64_t v) {
+        out += any ? ",\"" : ",\"args\":{\"";
+        any = true;
+        out += key;
+        out += "\":";
+        append_int(out, v);
+      };
+      if (r.akey != nullptr) arg(r.akey, e.aval);
+      if (r.bkey != nullptr) arg(r.bkey, e.bval);
+      if (e.corr != 0) arg("corr", e.corr);
+      if (any) out += '}';
       out += '}';
     }
   }

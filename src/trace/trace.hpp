@@ -7,10 +7,10 @@
 // tuner's selection decisions — so every layer of the stack can record
 // *why* a run behaved the way it did:
 //
-//   * a per-scenario event buffer of spans and instants (engine events,
-//     fiber switches, message lifecycle, NBC rounds, progress passes,
-//     ADCL decisions), one logical track per simulated rank plus wire
-//     tracks per node;
+//   * a per-scenario event buffer of typed spans and instants (message
+//     lifecycle, wire serialization, NBC rounds, progress passes, ADCL
+//     decisions; one trace::Kind each, see NBCTUNE_TRACE_KINDS), one
+//     logical track per simulated rank plus wire tracks per node;
 //   * a registry of monotonic counters and power-of-two histograms
 //     (bytes on wire, events popped, rounds per collective, ...);
 //   * two exporters: Chrome trace-event JSON (loads in ui.perfetto.dev /
@@ -34,6 +34,7 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -101,17 +102,128 @@ struct ScenarioKey {
 
 /// Event category (the Chrome `cat` field; filterable in Perfetto).
 enum class Cat : std::uint8_t {
-  Engine,    ///< discrete-event engine internals
-  Fiber,     ///< fiber/process lifecycle
   Msg,       ///< message lifecycle (post, match, handshake, delivery)
   Wire,      ///< NIC / memory-port serialization intervals
   Nbc,       ///< schedule rounds and operation lifetimes
   Coll,      ///< collective schedule construction
   Progress,  ///< progress-engine passes and application compute
   Adcl,      ///< selection, filtering, decisions
-  Harness,   ///< scenario-level markers
 };
 [[nodiscard]] const char* cat_name(Cat c) noexcept;
+
+/// The event schema, one line per event the tree emits: enumerator,
+/// category, Chrome name, and the keys of the first and second integer
+/// argument (nullptr = none).  One Chrome name backs two kinds when the
+/// arguments differ (adcl.retune after drift and after a shrink);
+/// readers tell them apart by argument key.
+#define NBCTUNE_TRACE_KINDS(X)                                          \
+  /* Message lifecycle on rank tracks; corr = the message sequence. */  \
+  X(MsgEager, Msg, "msg.eager", "dst", "bytes")                         \
+  X(MsgRts, Msg, "msg.rts", "dst", "bytes")                             \
+  X(MsgCts, Msg, "msg.cts", "dst", "bytes")                             \
+  X(MsgAck, Msg, "msg.ack", "dst", "bytes")                             \
+  X(MsgBulkNic, Msg, "msg.bulk_nic", "dst", "bytes")                    \
+  X(MsgDeliver, Msg, "msg.deliver", "src", "bytes")                     \
+  X(MsgComplete, Msg, "msg.complete", "src", nullptr)                   \
+  X(MsgDupDrop, Msg, "msg.dup_drop", "src", nullptr)                    \
+  X(MsgRetransmit, Msg, "msg.retransmit", "peer", "left")               \
+  X(MsgSendFailure, Msg, "msg.send_failure", "peer", "tag")             \
+  X(FaultStall, Msg, "fault.stall", "node", nullptr)                    \
+  X(FaultDrop, Msg, "fault.drop", "dst", "bytes")                       \
+  X(FaultDup, Msg, "fault.dup", "src", "bytes")                         \
+  X(MpiRankDeath, Msg, "mpi.rank_death", "node", nullptr)               \
+  X(MpiFtDetect, Msg, "mpi.ft.detect", "lease_ns", nullptr)             \
+  X(MpiFtAgree, Msg, "mpi.ft.agree", "epoch", "failed")                 \
+  /* Serialization spans on wire tracks. */                             \
+  X(WireEager, Wire, "wire.eager", "bytes", nullptr)                    \
+  X(WireRts, Wire, "wire.rts", "bytes", nullptr)                        \
+  X(WireCts, Wire, "wire.cts", "bytes", nullptr)                        \
+  X(WireAck, Wire, "wire.ack", "bytes", nullptr)                        \
+  X(WireDup, Wire, "wire.dup", "bytes", nullptr)                        \
+  X(WireBulk, Wire, "wire.bulk", "bytes", nullptr)                      \
+  X(WireChunk, Wire, "wire.chunk", "bytes", nullptr)                    \
+  /* Rank time: compute and progress spans. */                          \
+  X(Compute, Progress, "compute", nullptr, nullptr)                     \
+  X(ProgressCall, Progress, "progress.call", nullptr, nullptr)          \
+  X(ProgressPass, Progress, "progress.pass", nullptr, nullptr)          \
+  X(FaultStraggler, Progress, "fault.straggler", "factor_x1000",        \
+    nullptr)                                                            \
+  /* NBC operations; corr = the per-rank operation id. */               \
+  X(NbcStart, Nbc, "nbc.start", "rounds", "tag")                        \
+  X(NbcRound, Nbc, "nbc.round", "round", "actions")                     \
+  X(NbcOp, Nbc, "nbc.op", "rounds", "tag")                              \
+  X(NbcAbort, Nbc, "nbc.abort", "round", "tag")                         \
+  X(NbcFallback, Nbc, "nbc.fallback", "attempt", "tag")                 \
+  X(NbcRebuild, Nbc, "nbc.rebuild", "size", "tag")                      \
+  /* ADCL tuning; corr = the tuning iteration. */                       \
+  X(AdclScore, Adcl, "adcl.score", "func", "score_ns")                  \
+  X(AdclDecision, Adcl, "adcl.decision", "winner", "iter")              \
+  X(AdclRetuneDrift, Adcl, "adcl.retune", "observed_ns", "baseline_ns") \
+  X(AdclRetuneShrink, Adcl, "adcl.retune", "shrink", "iter")            \
+  X(AdclEliminate, Adcl, "adcl.eliminate", "attr", "value")             \
+  X(AdclEliminateFunc, Adcl, "adcl.eliminate.func", "func", "kept")     \
+  X(AdclPrune, Adcl, "adcl.prune", "func", "bound_ns")                  \
+  /* Schedule builds, one per algorithm. */                             \
+  X(IallgatherLinear, Coll, "iallgather.linear", "rounds", "sends")     \
+  X(IallgatherRing, Coll, "iallgather.ring", "rounds", "sends")         \
+  X(IallgatherRecursiveDoubling, Coll, "iallgather.recursive_doubling", \
+    "rounds", "sends")                                                  \
+  X(IallreduceRecursiveDoubling, Coll, "iallreduce.recursive_doubling", \
+    "rounds", "sends")                                                  \
+  X(IallreduceReduceBcast, Coll, "iallreduce.reduce_bcast", "rounds",   \
+    "sends")                                                            \
+  X(IallreduceRing, Coll, "iallreduce.ring", "rounds", "sends")         \
+  X(IallreduceTwoLevel, Coll, "iallreduce.two_level", "rounds", "sends") \
+  X(IalltoallLinear, Coll, "ialltoall.linear", "rounds", "sends")       \
+  X(IalltoallPairwise, Coll, "ialltoall.pairwise", "rounds", "sends")   \
+  X(IalltoallBruck, Coll, "ialltoall.bruck", "rounds", "sends")         \
+  X(Ibcast, Coll, "ibcast", "rounds", "sends")                          \
+  X(IbcastTwoLevel, Coll, "ibcast.two_level", "rounds", "sends")        \
+  X(IneighborAllAtOnce, Coll, "ineighbor.all_at_once", "rounds",        \
+    "sends")                                                            \
+  X(IneighborDimensionOrdered, Coll, "ineighbor.dimension_ordered",     \
+    "rounds", "sends")                                                  \
+  X(IneighborEvenOdd, Coll, "ineighbor.even_odd", "rounds", "sends")    \
+  X(IreduceBinomial, Coll, "ireduce.binomial", "rounds", "sends")       \
+  X(IreduceChain, Coll, "ireduce.chain", "rounds", "sends")             \
+  X(IscatterLinear, Coll, "iscatter.linear", "rounds", "sends")         \
+  X(IscatterFan, Coll, "iscatter.fan", "rounds", "sends")               \
+  X(IscatterRail, Coll, "iscatter.rail", "rounds", "sends")             \
+  X(IscatterStriped, Coll, "iscatter.striped", "rounds", "sends")
+
+/// What an event is: one enumerator per line of NBCTUNE_TRACE_KINDS.
+enum class Kind : std::uint8_t {
+#define NBCTUNE_TRACE_KIND_ENUM(id, cat, name, akey, bkey) id,
+  NBCTUNE_TRACE_KINDS(NBCTUNE_TRACE_KIND_ENUM)
+#undef NBCTUNE_TRACE_KIND_ENUM
+};
+
+/// A kind's schema row: everything an exported event spells out that
+/// the in-memory Event leaves to its kind.
+struct KindRow {
+  Cat cat;
+  std::string_view name;  ///< Chrome `name`
+  const char* akey;  ///< key of Event::aval; nullptr = no argument
+  const char* bkey;  ///< key of Event::bval; nullptr = no argument
+};
+
+/// Every kind's row, indexed by the enumerator.
+inline constexpr KindRow kKindRows[] = {
+#define NBCTUNE_TRACE_KIND_ROW(id, cat, name, akey, bkey) \
+  {Cat::cat, name, akey, bkey},
+    NBCTUNE_TRACE_KINDS(NBCTUNE_TRACE_KIND_ROW)
+#undef NBCTUNE_TRACE_KIND_ROW
+};
+#undef NBCTUNE_TRACE_KINDS
+
+[[nodiscard]] constexpr const KindRow& row(Kind k) noexcept {
+  return kKindRows[static_cast<std::size_t>(k)];
+}
+
+/// The kinds exported under Chrome name `name`, in schema order: one for
+/// most names, two for adcl.retune, none for a name outside the schema.
+/// The name lookup of read_chrome and of the string-named instant().
+[[nodiscard]] std::span<const Kind> kinds_named(std::string_view name) noexcept;
 
 /// Monotonic counters.  A fixed enum (not a string registry) keeps the
 /// hot-path increment at one array add after the null-tracer branch.
@@ -181,25 +293,26 @@ enum class Hist : std::uint8_t {
 };
 [[nodiscard]] const char* hist_name(Hist h) noexcept;
 
-/// One recorded event.  `name` / arg keys must have static storage
-/// duration (string literals at the instrumentation sites).
+/// One recorded event.  Its category, name and argument keys are its
+/// kind's row, so an event is 48 bytes of plain data.
 struct Event {
   double ts = 0.0;    ///< start, simulated seconds
   double dur = -1.0;  ///< span duration; < 0 encodes an instant event
   std::int32_t track = 0;  ///< >= 0: rank; < 0: wire track (see wire_track)
-  Cat cat = Cat::Harness;
-  const char* name = "";
-  const char* akey = nullptr;  ///< optional first argument
-  std::uint64_t aval = 0;
-  const char* bkey = nullptr;  ///< optional second argument
-  std::uint64_t bval = 0;
+  Kind kind{};
+  std::uint64_t aval = 0;  ///< value of the row's first argument
+  std::uint64_t bval = 0;  ///< value of the row's second argument
   /// Correlation id parenting events into causal chains (0 = none).
   /// Message lifecycles share one id across post instant, wire span(s) and
   /// delivery/completion instant; NBC events share the per-rank operation
   /// id; ADCL events carry the learning iteration.  Exported to Chrome
   /// JSON as args.corr — the graph edge the analyzer reconstructs.
   std::uint64_t corr = 0;
+
+  [[nodiscard]] bool is_span() const noexcept { return dur >= 0.0; }
+  friend bool operator==(const Event&, const Event&) = default;
 };
+static_assert(sizeof(Event) == 48, "trace::Event grew past 48 bytes");
 
 /// Track id of node `n`'s wire (NIC / memory-port) serialization lane.
 [[nodiscard]] constexpr std::int32_t wire_track(int node) noexcept {
@@ -287,26 +400,30 @@ inline void count(Ctr c, std::uint64_t d = 1) noexcept {
 inline void record(Hist h, std::uint64_t v) noexcept {
   if (Tracer* t = current()) t->record(h, v);
 }
-inline void emit(const Event& e) {
-  if (Tracer* t = current()) t->emit(e);
-}
-inline void instant(double ts, std::int32_t track, Cat cat, const char* name,
-                    const char* akey = nullptr, std::uint64_t aval = 0,
-                    const char* bkey = nullptr, std::uint64_t bval = 0,
+inline void instant(double ts, std::int32_t track, Kind kind,
+                    std::uint64_t aval = 0, std::uint64_t bval = 0,
                     std::uint64_t corr = 0) {
   if (Tracer* t = current()) {
-    t->emit(Event{ts, -1.0, track, cat, name, akey, aval, bkey, bval, corr});
+    t->emit(Event{ts, -1.0, track, kind, aval, bval, corr});
   }
 }
-inline void span(double ts, double dur, std::int32_t track, Cat cat,
-                 const char* name, const char* akey = nullptr,
-                 std::uint64_t aval = 0, const char* bkey = nullptr,
-                 std::uint64_t bval = 0, std::uint64_t corr = 0) {
+inline void span(double ts, double dur, std::int32_t track, Kind kind,
+                 std::uint64_t aval = 0, std::uint64_t bval = 0,
+                 std::uint64_t corr = 0) {
   if (Tracer* t = current()) {
-    t->emit(Event{ts, dur < 0.0 ? 0.0 : dur, track, cat, name, akey, aval,
-                  bkey, bval, corr});
+    t->emit(Event{ts, dur < 0.0 ? 0.0 : dur, track, kind, aval, bval, corr});
   }
 }
+/// String-named instant, kept for perfbench's trace.emit_ns probe,
+/// which names its event instead of passing a Kind.  `name` resolves
+/// through kinds_named, `akey` choosing between kinds that share a name,
+/// and `aval` / `bval` land under the row's keys (`cat` and `bkey` are
+/// ignored).  A name outside the schema records nothing and is counted
+/// in Ctr::TraceDroppedEvents.
+void instant(double ts, std::int32_t track, Cat cat, const char* name,
+             const char* akey = nullptr, std::uint64_t aval = 0,
+             const char* bkey = nullptr, std::uint64_t bval = 0,
+             std::uint64_t corr = 0);
 [[nodiscard]] inline bool active() noexcept { return current() != nullptr; }
 
 // --------------------------------------------------------------- session

@@ -1,9 +1,11 @@
 // Post-hoc analysis layer (src/analyze): scenario-key labels, a
 // hand-computed golden on the 2-rank ibcast trace, the
-// blame-sums-to-elapsed property, the Chrome trace round-trip (keys
-// included), the ADCL decision audit, the guideline checks on synthetic
-// keyed scenarios, the regression gate, the JSON parser's depth limit,
-// and byte-identical report JSON at any pool thread count.
+// blame-sums-to-elapsed property, the Chrome trace round-trip (keys and
+// every event kind included, foreign names dropped and counted), the
+// ADCL decision audit, the guideline checks on synthetic keyed
+// scenarios, the regression gate, the JSON parser's limits (depth,
+// malformed and out-of-range numbers), and byte-identical report JSON
+// at any pool thread count.
 
 #include <gtest/gtest.h>
 
@@ -54,9 +56,9 @@ void run_ibcast(int nprocs, std::size_t bytes, int ops = 1,
   }, /*noise_scale=*/0.0, seed);
 }
 
-/// One traced scenario, drained out of the session and converted.
-analyze::ScenarioTrace traced(const std::string& label,
-                              const std::function<void()>& body) {
+/// One traced scenario, drained out of the session.
+trace::FinishedTrace traced(const std::string& label,
+                            const std::function<void()>& body) {
   trace::Session::enable();
   (void)trace::Session::instance().drain();
   {
@@ -65,19 +67,26 @@ analyze::ScenarioTrace traced(const std::string& label,
   }
   auto traces = trace::Session::instance().drain();
   EXPECT_EQ(traces.size(), 1u);
-  return analyze::from_finished(traces.at(0));
+  return traces.at(0);
+}
+
+/// analyze() over a braced list of traces.
+analyze::Report analyze_all(const std::vector<trace::FinishedTrace>& traces,
+                            const analyze::Options& opts = {}) {
+  return analyze::analyze(traces, opts);
 }
 
 /// Expected aggregate blame: per op instance, the duration of the
 /// last-finishing nbc.op span — recomputed here independently of the
 /// analyzer's grouping code.
-double expected_blame_total(const analyze::ScenarioTrace& t) {
+double expected_blame_total(const trace::FinishedTrace& t) {
   std::map<std::uint64_t, std::pair<double, double>> by_corr;  // end, dur
-  for (const analyze::AEvent& e : t.events) {
-    if (e.name != "nbc.op" || !e.is_span()) continue;
-    auto [it, fresh] = by_corr.try_emplace(e.corr, e.end(), e.dur);
-    if (!fresh && e.end() > it->second.first) {
-      it->second = {e.end(), e.dur};
+  for (const trace::Event& e : t.events) {
+    if (e.kind != trace::Kind::NbcOp || !e.is_span()) continue;
+    const double end = e.ts + e.dur;
+    auto [it, fresh] = by_corr.try_emplace(e.corr, end, e.dur);
+    if (!fresh && end > it->second.first) {
+      it->second = {end, e.dur};
     }
   }
   double sum = 0.0;
@@ -136,9 +145,9 @@ TEST(ScenarioKeyLabel, RendersPlanThenTopo) {
 // ------------------------------------------------- golden 2-rank ibcast
 
 TEST(AnalyzeGolden, TwoRankIbcastCriticalPath) {
-  const analyze::ScenarioTrace tr =
+  const trace::FinishedTrace tr =
       traced("golden", [] { run_ibcast(2, 4096); });
-  const analyze::Report r = analyze::analyze({tr});
+  const analyze::Report r = analyze_all({tr});
   ASSERT_EQ(r.scenarios.size(), 1u);
   const analyze::ScenarioReport& s = r.scenarios[0];
 
@@ -213,9 +222,9 @@ TEST(AnalyzeProperty, BlameComponentsSumToOpElapsed) {
   const Case cases[] = {
       {2, 64, 3}, {4, 4096, 2}, {8, 65536, 1}, {4, 1 << 20, 2}};
   for (const Case& c : cases) {
-    const analyze::ScenarioTrace tr =
+    const trace::FinishedTrace tr =
         traced("prop", [&] { run_ibcast(c.nprocs, c.bytes, c.ops); });
-    const analyze::Report r = analyze::analyze({tr});
+    const analyze::Report r = analyze_all({tr});
     ASSERT_EQ(r.scenarios.size(), 1u);
     const analyze::ScenarioReport& s = r.scenarios[0];
     SCOPED_TRACE("np" + std::to_string(c.nprocs) + " " +
@@ -245,14 +254,11 @@ TEST(AnalyzeChrome, RoundTripMatchesInProcessAnalysis) {
   }
   std::ostringstream chrome;
   trace::Session::instance().write_chrome(chrome);
-  std::vector<analyze::ScenarioTrace> direct;
-  for (const auto& f : trace::Session::instance().drain()) {
-    direct.push_back(analyze::from_finished(f));
-  }
+  const std::vector<trace::FinishedTrace> direct =
+      trace::Session::instance().drain();
 
   std::istringstream is(chrome.str());
-  const std::vector<analyze::ScenarioTrace> parsed =
-      analyze::read_chrome(is);
+  const std::vector<trace::FinishedTrace> parsed = analyze::read_chrome(is);
   ASSERT_EQ(parsed.size(), direct.size());
   for (std::size_t i = 0; i < parsed.size(); ++i) {
     EXPECT_EQ(parsed[i].label, direct[i].label);
@@ -291,8 +297,7 @@ TEST(AnalyzeChrome, ControlCharactersInLabelsRoundTrip) {
       trace::Session::instance().drain();
   ASSERT_EQ(finished.size(), 1u);
   std::ostringstream json;
-  analyze::write_json(json,
-                      analyze::analyze({analyze::from_finished(finished[0])}));
+  analyze::write_json(json, analyze::analyze(finished));
   // Valid JSON carries no raw control character inside a string; the
   // only one either writer emits is the newline between records.
   for (const std::string& out : {chrome.str(), json.str()}) {
@@ -305,7 +310,7 @@ TEST(AnalyzeChrome, ControlCharactersInLabelsRoundTrip) {
   }
 
   std::istringstream is(chrome.str());
-  const std::vector<analyze::ScenarioTrace> parsed = analyze::read_chrome(is);
+  const std::vector<trace::FinishedTrace> parsed = analyze::read_chrome(is);
   ASSERT_EQ(parsed.size(), 1u);
   EXPECT_EQ(parsed[0].label, label);
 
@@ -316,65 +321,89 @@ TEST(AnalyzeChrome, ControlCharactersInLabelsRoundTrip) {
   EXPECT_EQ(scenarios->arr->front().get("label")->str, label);
 }
 
-TEST(AnalyzeChrome, ParsedNamesOutliveInputMovesAndCopies) {
+TEST(AnalyzeChrome, EveryKindRoundTripsAsAnEqualEvent) {
+  // One event of every kind, cycling through instants and spans on rank
+  // and wire tracks, with distinct arguments and correlation ids.  Times
+  // are whole microseconds and values stay below 2^53, so the export's
+  // microsecond decimals and the reader's doubles carry them exactly.
+  trace::FinishedTrace sent;
+  sent.label = "every kind";
+  for (std::size_t i = 0; i < std::size(trace::kKindRows); ++i) {
+    const auto kind = static_cast<trace::Kind>(i);
+    trace::Event e;
+    e.kind = kind;
+    e.ts = static_cast<double>(1000 + 7 * i) * 1e-6;
+    if (i % 4 == 1 || i % 4 == 2) e.dur = static_cast<double>(30 + i) * 1e-6;
+    e.track = i % 4 < 2 ? static_cast<std::int32_t>(i)
+                        : trace::wire_track(static_cast<int>(i % 3));
+    if (trace::row(kind).akey != nullptr) e.aval = (1ull << 40) + i;
+    if (trace::row(kind).bkey != nullptr) e.bval = 200 + i;
+    e.corr = 300 + i;
+    sent.events.push_back(e);
+  }
+  trace::Session::enable();
+  (void)trace::Session::instance().drain();
+  trace::Session::instance().adopt(sent);
+  std::ostringstream chrome;
+  trace::Session::instance().write_chrome(chrome);
+  (void)trace::Session::instance().drain();
+
+  std::istringstream is(chrome.str());
+  const std::vector<trace::FinishedTrace> parsed = analyze::read_chrome(is);
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].label, sent.label);
+  ASSERT_EQ(parsed[0].events.size(), sent.events.size());
+  for (std::size_t i = 0; i < sent.events.size(); ++i) {
+    EXPECT_EQ(parsed[0].events[i], sent.events[i])
+        << trace::row(sent.events[i].kind).name;
+  }
+  // Both adcl.retune shapes come back as their own kinds.
+  const auto count = [&](trace::Kind k) {
+    return std::count_if(
+        parsed[0].events.begin(), parsed[0].events.end(),
+        [k](const trace::Event& e) { return e.kind == k; });
+  };
+  EXPECT_EQ(count(trace::Kind::AdclRetuneDrift), 1);
+  EXPECT_EQ(count(trace::Kind::AdclRetuneShrink), 1);
+  EXPECT_EQ(parsed[0].counts, trace::FinishedTrace{}.counts);
+}
+
+TEST(AnalyzeChrome, ForeignEventNameIsDroppedAndCounted) {
   trace::Session::enable();
   (void)trace::Session::instance().drain();
   {
-    trace::Scope a("names one");
-    run_ibcast(4, 65536, 2, /*seed=*/3);
+    trace::Scope a("clean");
+    run_ibcast(2, 4096);
   }
   {
-    trace::Scope b("names two");
+    trace::Scope b("foreign");
     run_ibcast(2, 4096);
   }
   std::ostringstream chrome;
   trace::Session::instance().write_chrome(chrome);
   (void)trace::Session::instance().drain();
-
-  const auto report_of = [](const std::vector<analyze::ScenarioTrace>& ts) {
-    std::ostringstream os;
-    analyze::write_json(os, analyze::analyze(ts));
-    return os.str();
-  };
-  // Reuse freed heap blocks, so a name still viewing the input or the
-  // parse tree would read garbage rather than the old bytes.
-  const auto churn_heap = [] {
-    std::vector<std::string> junk;
-    for (int i = 0; i < 4096; ++i) junk.emplace_back(8 + i % 96, '#');
-  };
-
-  std::vector<analyze::ScenarioTrace> parsed;
-  std::string want;
-  {
-    std::string text = chrome.str();
-    std::istringstream is(text);
-    parsed = analyze::read_chrome(is);
-    want = report_of(parsed);
-    std::fill(text.begin(), text.end(), '#');
-  }
-  churn_heap();
+  // An event no kind is named for, in the second scenario (pid 1).
+  std::string text = chrome.str();
+  text.insert(text.rfind("\n]"),
+              ",\n{\"pid\":1,\"tid\":0,\"cat\":\"engine\",\"name\":"
+              "\"engine.fire\",\"ts\":1.000,\"ph\":\"i\",\"s\":\"t\"}");
+  std::istringstream is(text);
+  const std::vector<trace::FinishedTrace> parsed = analyze::read_chrome(is);
   ASSERT_EQ(parsed.size(), 2u);
-  EXPECT_NE(want.find("\"ops_completed\":8"), std::string::npos) << want;
-  EXPECT_EQ(report_of(parsed), want);
+  EXPECT_EQ(parsed[1].events.size(), parsed[0].events.size());
 
-  std::vector<analyze::ScenarioTrace> moved = std::move(parsed);
-  churn_heap();
-  EXPECT_EQ(report_of(moved), want);
-
-  std::vector<analyze::ScenarioTrace> copied = moved;
-  moved = {};
-  churn_heap();
-  EXPECT_EQ(report_of(copied), want);
-
-  // One trace copied out on its own keeps the shared names alive.
-  analyze::ScenarioTrace last = copied.back();
-  copied = {};
-  churn_heap();
-  ASSERT_FALSE(last.events.empty());
-  EXPECT_TRUE(std::any_of(last.events.begin(), last.events.end(),
-                          [](const analyze::AEvent& e) {
-                            return e.cat == "nbc" && e.name == "nbc.op";
-                          }));
+  const analyze::Report r = analyze::analyze(parsed);
+  EXPECT_EQ(r.scenarios[0].dropped_events, 0u);
+  EXPECT_FALSE(r.scenarios[0].truncated());
+  EXPECT_EQ(r.scenarios[1].dropped_events, 1u);
+  EXPECT_TRUE(r.scenarios[1].truncated());
+  EXPECT_EQ(r.scenarios[1].ops_completed, r.scenarios[0].ops_completed);
+  std::ostringstream json;
+  analyze::write_json(json, r);
+  EXPECT_EQ(json.str().find("\"truncated\":true"),
+            json.str().rfind("\"truncated\":true"));
+  EXPECT_NE(json.str().find("\"trace\":{\"dropped_events\":1,"),
+            std::string::npos);
 }
 
 TEST(AnalyzeChrome, KeyedSweepRoundTripsKeysAndGuidelines) {
@@ -402,13 +431,11 @@ TEST(AnalyzeChrome, KeyedSweepRoundTripsKeysAndGuidelines) {
   }
   std::ostringstream chrome;
   trace::Session::instance().write_chrome(chrome);
-  std::vector<analyze::ScenarioTrace> direct;
-  for (const auto& f : trace::Session::instance().drain()) {
-    direct.push_back(analyze::from_finished(f));
-  }
+  const std::vector<trace::FinishedTrace> direct =
+      trace::Session::instance().drain();
 
   std::istringstream is(chrome.str());
-  const std::vector<analyze::ScenarioTrace> parsed = analyze::read_chrome(is);
+  const std::vector<trace::FinishedTrace> parsed = analyze::read_chrome(is);
   ASSERT_EQ(parsed.size(), direct.size());
   for (std::size_t i = 0; i < parsed.size(); ++i) {
     EXPECT_EQ(parsed[i].label, direct[i].label);
@@ -489,20 +516,16 @@ TEST(AnalyzeChrome, CountersReaderParsesDump) {
 // ----------------------------------------------------------- adcl audit
 
 TEST(AnalyzeAdcl, AuditReplaysScoresAndDecision) {
-  const analyze::ScenarioTrace tr = traced("ibcast whale np2 64B adcl:x", [] {
+  const trace::FinishedTrace tr = traced("ibcast whale np2 64B adcl:x", [] {
     // Synthesized learning phase: three functions scored, func 1 wins.
-    trace::instant(1.0, 0, trace::Cat::Adcl, "adcl.score", "func", 0,
-                   "score_ns", 3000, 8);
-    trace::instant(2.0, 0, trace::Cat::Adcl, "adcl.score", "func", 1,
-                   "score_ns", 1000, 16);
-    trace::instant(3.0, 0, trace::Cat::Adcl, "adcl.score", "func", 2,
-                   "score_ns", 2000, 24);
-    trace::instant(3.0, 0, trace::Cat::Adcl, "adcl.decision", "winner", 1,
-                   "iter", 24, 24);
+    trace::instant(1.0, 0, trace::Kind::AdclScore, 0, 3000, 8);
+    trace::instant(2.0, 0, trace::Kind::AdclScore, 1, 1000, 16);
+    trace::instant(3.0, 0, trace::Kind::AdclScore, 2, 2000, 24);
+    trace::instant(3.0, 0, trace::Kind::AdclDecision, 1, 24, 24);
     trace::count(trace::Ctr::AdclSamplesSeen, 24);
     trace::count(trace::Ctr::AdclSamplesFiltered, 3);
   });
-  const analyze::Report r = analyze::analyze({tr});
+  const analyze::Report r = analyze_all({tr});
   ASSERT_EQ(r.scenarios.size(), 1u);
   const analyze::AdclAudit& a = r.scenarios[0].adcl;
   ASSERT_TRUE(a.present);
@@ -527,7 +550,7 @@ TEST(AnalyzeAdcl, LiveSelectionEmitsAuditableScores) {
   auto fset = adcl::make_ibcast_functionset();
   adcl::TuningOptions opts;
   opts.tests_per_function = 2;
-  const analyze::ScenarioTrace tr = traced("live adcl", [&] {
+  const trace::FinishedTrace tr = traced("live adcl", [&] {
     t::run_world(net::whale(), 2, [&](mpi::Ctx& ctx) {
       adcl::SelectionState sel(fset, opts);
       int guard = 0;
@@ -540,7 +563,7 @@ TEST(AnalyzeAdcl, LiveSelectionEmitsAuditableScores) {
                 sel.iterations() / opts.tests_per_function);
     });
   });
-  const analyze::Report r = analyze::analyze({tr});
+  const analyze::Report r = analyze_all({tr});
   const analyze::AdclAudit& a = r.scenarios.at(0).adcl;
   ASSERT_TRUE(a.present);
   // Functions score proportionally to their index, so func 0 wins.
@@ -555,59 +578,34 @@ namespace {
 
 /// Synthetic unkeyed scenario: `ops` op instances of `dur` seconds on
 /// track 0, plus optional adcl decision metadata.
-analyze::ScenarioTrace synth(const std::string& label, int ops, double dur,
-                             bool with_compute = false,
-                             double decision_ts = -1.0) {
-  analyze::ScenarioTrace t;
+trace::FinishedTrace synth(const std::string& label, int ops, double dur,
+                           bool with_compute = false,
+                           double decision_ts = -1.0) {
+  trace::FinishedTrace t;
   t.label = label;
   double at = 0.0;
   for (int i = 0; i < ops; ++i) {
-    analyze::AEvent start;
-    start.ts = at;
-    start.track = 0;
-    start.cat = "nbc";
-    start.name = "nbc.start";
-    start.corr = static_cast<std::uint64_t>(i + 1);
-    t.events.push_back(start);
+    const auto corr = static_cast<std::uint64_t>(i + 1);
+    t.events.push_back({at, -1.0, 0, trace::Kind::NbcStart, 0, 0, corr});
     if (with_compute) {
-      analyze::AEvent c;
-      c.ts = at;
-      c.dur = dur / 2;
-      c.track = 0;
-      c.cat = "progress";
-      c.name = "compute";
-      t.events.push_back(c);
+      t.events.push_back({at, dur / 2, 0, trace::Kind::Compute, 0, 0, 0});
     }
-    analyze::AEvent op;
-    op.ts = at;
-    op.dur = dur;
-    op.track = 0;
-    op.cat = "nbc";
-    op.name = "nbc.op";
-    op.corr = static_cast<std::uint64_t>(i + 1);
-    t.events.push_back(op);
+    t.events.push_back({at, dur, 0, trace::Kind::NbcOp, 0, 0, corr});
     at += dur * 2;
   }
   if (decision_ts >= 0.0) {
-    analyze::AEvent d;
-    d.ts = decision_ts;
-    d.track = 0;
-    d.cat = "adcl";
-    d.name = "adcl.decision";
-    d.akey = "winner";
-    d.aval = 0;
-    d.bkey = "iter";
-    d.bval = 4;
-    t.events.push_back(d);
+    // winner 0, decided at iteration 4
+    t.events.push_back(
+        {decision_ts, -1.0, 0, trace::Kind::AdclDecision, 0, 4, 0});
   }
   return t;
 }
 
 /// The same synthetic scenario, keyed and labelled by `key`.
-analyze::ScenarioTrace synth(const trace::ScenarioKey& key, int ops,
-                             double dur, bool with_compute = false,
-                             double decision_ts = -1.0) {
-  analyze::ScenarioTrace t =
+trace::FinishedTrace synth(const trace::ScenarioKey& key, int ops,
+                           double dur, bool with_compute = false,
+                           double decision_ts = -1.0) {
+  trace::FinishedTrace t =
       synth(key.label(), ops, dur, with_compute, decision_ts);
   t.key = key;
   return t;
@@ -647,7 +645,7 @@ const analyze::GuidelineResult& find_g(const analyze::Report& r,
 TEST(AnalyzeGuidelines, TunedWinnerBeatsOrMatchesFixed) {
   const trace::ScenarioKey tuned =
       key("ibcast", "whale", 4, 1024, true, "brute-force");
-  const analyze::Report ok = analyze::analyze({
+  const analyze::Report ok = analyze_all({
       synth(bcast(4, 1024, "fast"), 4, 100e-6),
       synth(bcast(4, 1024, "slow"), 4, 200e-6),
       synth(tuned, 4, 100e-6, false, /*decision=*/0.0),
@@ -655,7 +653,7 @@ TEST(AnalyzeGuidelines, TunedWinnerBeatsOrMatchesFixed) {
   EXPECT_EQ(find_g(ok, "G2").checked, 1);
   EXPECT_EQ(find_g(ok, "G2").passed, 1);
 
-  const analyze::Report bad = analyze::analyze({
+  const analyze::Report bad = analyze_all({
       synth(bcast(4, 1024, "fast"), 4, 100e-6),
       synth(tuned, 4, 200e-6, false, /*decision=*/0.0),
   });
@@ -688,7 +686,7 @@ TEST(AnalyzeGuidelines, TunedWinnerComparesOnlyUnderEqualConditions) {
       harness::scenario_key(fixed_s, /*tuned=*/false, "binomial");
   const trace::ScenarioKey tuned_k =
       harness::scenario_key(tuned_s, /*tuned=*/true, "brute-force");
-  const analyze::Report paired = analyze::analyze({
+  const analyze::Report paired = analyze_all({
       synth(fixed_k, 4, 100e-6),
       synth(tuned_k, 4, 200e-6, false, /*decision=*/0.0),
   });
@@ -703,7 +701,7 @@ TEST(AnalyzeGuidelines, TunedWinnerComparesOnlyUnderEqualConditions) {
       harness::scenario_key(noisy_s, /*tuned=*/true, "brute-force");
   EXPECT_EQ(noisy_k.label(), tuned_k.label());
   EXPECT_NE(noisy_k, tuned_k);
-  const analyze::Report apart = analyze::analyze({
+  const analyze::Report apart = analyze_all({
       synth(fixed_k, 4, 100e-6),
       synth(noisy_k, 4, 200e-6, false, /*decision=*/0.0),
   });
@@ -716,7 +714,7 @@ TEST(AnalyzeGuidelines, TunedWinnerComparesOnlyUnderEqualConditions) {
                     }}) {
     harness::MicroScenario other = tuned_s;
     vary(other);
-    const analyze::Report r = analyze::analyze({
+    const analyze::Report r = analyze_all({
         synth(fixed_k, 4, 100e-6),
         synth(harness::scenario_key(other, /*tuned=*/true, "brute-force"), 4,
               200e-6, false, /*decision=*/0.0),
@@ -728,7 +726,7 @@ TEST(AnalyzeGuidelines, TunedWinnerComparesOnlyUnderEqualConditions) {
 TEST(AnalyzeGuidelines, UnkeyedScenariosOnlyCheckG1) {
   // Labels alone carry no identity: scenarios that would form G2, G4 and
   // G6 pairs if keyed are only checked for conservation.
-  const analyze::Report r = analyze::analyze({
+  const analyze::Report r = analyze_all({
       synth("ibcast whale np4 1024B fixed:a", 2, 100e-6),
       synth("ibcast whale np4 2048B fixed:a", 2, 900e-6),
       synth("ibcast whale np8 1024B fixed:a", 2, 50e-6),
@@ -744,7 +742,7 @@ TEST(AnalyzeGuidelines, NonBlockingVsBlockingAtZeroCompute) {
   const auto a2a = [](const char* impl) {
     return key("ialltoall", "whale", 8, 4096, false, impl);
   };
-  const analyze::Report ok = analyze::analyze({
+  const analyze::Report ok = analyze_all({
       synth(a2a("linear"), 2, 100e-6),
       synth(a2a("blocking-linear"), 2, 110e-6),
   });
@@ -752,7 +750,7 @@ TEST(AnalyzeGuidelines, NonBlockingVsBlockingAtZeroCompute) {
   EXPECT_EQ(find_g(ok, "G3").passed, 1);
 
   // A non-blocking run 2x slower than its blocking twin violates G3...
-  const analyze::Report bad = analyze::analyze({
+  const analyze::Report bad = analyze_all({
       synth(a2a("linear"), 2, 220e-6),
       synth(a2a("blocking-linear"), 2, 110e-6),
   });
@@ -760,7 +758,7 @@ TEST(AnalyzeGuidelines, NonBlockingVsBlockingAtZeroCompute) {
 
   // ...but only at zero compute: with compute in the loop the check
   // does not apply.
-  const analyze::Report na = analyze::analyze({
+  const analyze::Report na = analyze_all({
       synth(a2a("linear"), 2, 220e-6, /*with_compute=*/true),
       synth(a2a("blocking-linear"), 2, 110e-6, /*with_compute=*/true),
   });
@@ -769,7 +767,7 @@ TEST(AnalyzeGuidelines, NonBlockingVsBlockingAtZeroCompute) {
 }
 
 TEST(AnalyzeGuidelines, MonotoneInMessageSize) {
-  const analyze::Report ok = analyze::analyze({
+  const analyze::Report ok = analyze_all({
       synth(bcast(4, 1024, "a"), 2, 100e-6),
       synth(bcast(4, 4096, "a"), 2, 150e-6),
       synth(bcast(4, 16384, "a"), 2, 400e-6),
@@ -777,7 +775,7 @@ TEST(AnalyzeGuidelines, MonotoneInMessageSize) {
   EXPECT_EQ(find_g(ok, "G4").checked, 2);
   EXPECT_EQ(find_g(ok, "G4").passed, 2);
 
-  const analyze::Report bad = analyze::analyze({
+  const analyze::Report bad = analyze_all({
       synth(bcast(4, 1024, "a"), 2, 100e-6),
       synth(bcast(4, 4096, "a"), 2, 50e-6),
   });
@@ -788,7 +786,7 @@ TEST(AnalyzeGuidelines, MonotoneInMessageSize) {
 TEST(AnalyzeGuidelines, SplitMockupBoundsDoubledSize) {
   // G5: the full-size op may cost at most 2x the half-size op (+epsilon),
   // because running the op twice at half size is a valid mock-up.
-  const analyze::Report ok = analyze::analyze({
+  const analyze::Report ok = analyze_all({
       synth(bcast(4, 1024, "a"), 2, 100e-6),
       synth(bcast(4, 2048, "a"), 2, 190e-6),
   });
@@ -796,7 +794,7 @@ TEST(AnalyzeGuidelines, SplitMockupBoundsDoubledSize) {
   EXPECT_EQ(find_g(ok, "G5").passed, 1);
 
   // 2.6x the half-size time exceeds 2x(1 + 0.25): a split would win.
-  const analyze::Report bad = analyze::analyze({
+  const analyze::Report bad = analyze_all({
       synth(bcast(4, 1024, "a"), 2, 100e-6),
       synth(bcast(4, 2048, "a"), 2, 260e-6),
   });
@@ -805,7 +803,7 @@ TEST(AnalyzeGuidelines, SplitMockupBoundsDoubledSize) {
   ASSERT_EQ(find_g(bad, "G5").violations.size(), 1u);
 
   // Non-doubling adjacent sizes (1 KiB -> 4 KiB) are not split pairs.
-  const analyze::Report na = analyze::analyze({
+  const analyze::Report na = analyze_all({
       synth(bcast(4, 1024, "a"), 2, 100e-6),
       synth(bcast(4, 4096, "a"), 2, 900e-6),
   });
@@ -815,7 +813,7 @@ TEST(AnalyzeGuidelines, SplitMockupBoundsDoubledSize) {
 TEST(AnalyzeGuidelines, MonotoneInProcessCount) {
   // G6: growing np at fixed size/impl may not make the collective faster
   // (beyond the monotonicity tolerance).
-  const analyze::Report ok = analyze::analyze({
+  const analyze::Report ok = analyze_all({
       synth(bcast(4, 1024, "a"), 2, 100e-6),
       synth(bcast(8, 1024, "a"), 2, 140e-6),
       synth(bcast(16, 1024, "a"), 2, 200e-6),
@@ -823,7 +821,7 @@ TEST(AnalyzeGuidelines, MonotoneInProcessCount) {
   EXPECT_EQ(find_g(ok, "G6").checked, 2);
   EXPECT_EQ(find_g(ok, "G6").passed, 2);
 
-  const analyze::Report bad = analyze::analyze({
+  const analyze::Report bad = analyze_all({
       synth(bcast(4, 1024, "a"), 2, 100e-6),
       synth(bcast(8, 1024, "a"), 2, 50e-6),
   });
@@ -831,7 +829,7 @@ TEST(AnalyzeGuidelines, MonotoneInProcessCount) {
   EXPECT_EQ(find_g(bad, "G6").passed, 0);
 
   // Different sizes land in different rank groups: nothing to compare.
-  const analyze::Report na = analyze::analyze({
+  const analyze::Report na = analyze_all({
       synth(bcast(4, 1024, "a"), 2, 100e-6),
       synth(bcast(8, 2048, "a"), 2, 50e-6),
   });
@@ -843,7 +841,7 @@ TEST(AnalyzeGuidelines, TwoLevelBeatsOrMatchesFlatOnMultiNode) {
   // nodes) the two-level variant must stay within epsilon of the fastest
   // flat member of its family.
   const auto b32 = [](const char* impl) { return bcast(32, 65536, impl); };
-  const analyze::Report ok = analyze::analyze({
+  const analyze::Report ok = analyze_all({
       synth(b32("binomial/seg32k"), 2, 110e-6),
       synth(b32("binomial/seg64k"), 2, 100e-6),
       synth(b32("2lvl-binomial"), 2, 90e-6),
@@ -852,7 +850,7 @@ TEST(AnalyzeGuidelines, TwoLevelBeatsOrMatchesFlatOnMultiNode) {
   EXPECT_EQ(find_g(ok, "G7").passed, 1);
 
   // 2x the flat time exceeds epsilon: hierarchy awareness did not pay.
-  const analyze::Report bad = analyze::analyze({
+  const analyze::Report bad = analyze_all({
       synth(b32("binomial/seg32k"), 2, 100e-6),
       synth(b32("2lvl-binomial"), 2, 200e-6),
   });
@@ -865,7 +863,7 @@ TEST(AnalyzeGuidelines, TwoLevelBeatsOrMatchesFlatOnMultiNode) {
   const auto r32 = [](const char* impl) {
     return key("iallreduce", "whale", 32, 65536, false, impl);
   };
-  const analyze::Report exact = analyze::analyze({
+  const analyze::Report exact = analyze_all({
       synth(r32("reduce-bcast"), 2, 100e-6),
       synth(r32("2lvl-reduce-bcast"), 2, 100e-6),
   });
@@ -874,7 +872,7 @@ TEST(AnalyzeGuidelines, TwoLevelBeatsOrMatchesFlatOnMultiNode) {
 
   // Single-node runs are skipped: np4 fits inside one whale node, where
   // the two-level shape degenerates to the flat one.
-  const analyze::Report single = analyze::analyze({
+  const analyze::Report single = analyze_all({
       synth(bcast(4, 65536, "binomial/seg32k"), 2, 100e-6),
       synth(bcast(4, 65536, "2lvl-binomial"), 2, 400e-6),
   });
@@ -882,7 +880,7 @@ TEST(AnalyzeGuidelines, TwoLevelBeatsOrMatchesFlatOnMultiNode) {
   EXPECT_STREQ(find_g(single, "G7").status(), "n/a");
 
   // Unknown platforms carry no node geometry: nothing to check.
-  const analyze::Report unknown = analyze::analyze({
+  const analyze::Report unknown = analyze_all({
       synth(key("ibcast", "lab9", 32, 65536, false, "binomial/seg32k"), 2,
             100e-6),
       synth(key("ibcast", "lab9", 32, 65536, false, "2lvl-binomial"), 2,
@@ -892,16 +890,13 @@ TEST(AnalyzeGuidelines, TwoLevelBeatsOrMatchesFlatOnMultiNode) {
 }
 
 TEST(AnalyzeAdcl, PruneEventsLandInAudit) {
-  const analyze::ScenarioTrace tr = traced("ialltoall whale np2 64B adcl:g",
+  const trace::FinishedTrace tr = traced("ialltoall whale np2 64B adcl:g",
                                            [] {
-    trace::instant(1.0, 0, trace::Cat::Adcl, "adcl.prune", "func", 0,
-                   "bound_ns", 45000, 2);
-    trace::instant(2.0, 0, trace::Cat::Adcl, "adcl.prune", "func", 1,
-                   "bound_ns", 45000, 4);
-    trace::instant(3.0, 0, trace::Cat::Adcl, "adcl.decision", "winner", 2,
-                   "iter", 6, 6);
+    trace::instant(1.0, 0, trace::Kind::AdclPrune, 0, 45000, 2);
+    trace::instant(2.0, 0, trace::Kind::AdclPrune, 1, 45000, 4);
+    trace::instant(3.0, 0, trace::Kind::AdclDecision, 2, 6, 6);
   });
-  const analyze::Report r = analyze::analyze({tr});
+  const analyze::Report r = analyze_all({tr});
   const analyze::AdclAudit& a = r.scenarios.at(0).adcl;
   ASSERT_TRUE(a.present);
   ASSERT_EQ(a.prunes.size(), 2u);
@@ -953,11 +948,11 @@ TEST(AnalyzeStats, OrderStatsMedianAndCi) {
 TEST(AnalyzeStats, MinRepsGateFlagsThinSamples) {
   // 3 ops with default min_reps = 5: flagged as not-a-measurement.
   const analyze::Report thin =
-      analyze::analyze({synth("thin", 3, 100e-6)});
+      analyze_all({synth("thin", 3, 100e-6)});
   EXPECT_EQ(thin.scenarios.at(0).op_stats.n, 3u);
   EXPECT_FALSE(thin.scenarios.at(0).min_reps_met);
 
-  const analyze::Report fat = analyze::analyze({synth("fat", 6, 100e-6)});
+  const analyze::Report fat = analyze_all({synth("fat", 6, 100e-6)});
   EXPECT_EQ(fat.scenarios.at(0).op_stats.n, 6u);
   EXPECT_TRUE(fat.scenarios.at(0).min_reps_met);
 
@@ -965,7 +960,7 @@ TEST(AnalyzeStats, MinRepsGateFlagsThinSamples) {
   analyze::Options opts;
   opts.min_reps = 2;
   const analyze::Report low =
-      analyze::analyze({synth("thin", 3, 100e-6)}, opts);
+      analyze_all({synth("thin", 3, 100e-6)}, opts);
   EXPECT_TRUE(low.scenarios.at(0).min_reps_met);
 
   // The table writer surfaces the flag.
@@ -990,7 +985,7 @@ analyze::ReportDigest digest_of(const analyze::Report& r) {
 }  // namespace
 
 TEST(AnalyzeRegress, SelfDiffIsClean) {
-  const analyze::Report r = analyze::analyze({
+  const analyze::Report r = analyze_all({
       synth("ibcast whale np4 1024B fixed:a", 6, 100e-6),
       synth("ibcast whale np4 2048B fixed:a", 6, 190e-6),
   });
@@ -1008,12 +1003,12 @@ TEST(AnalyzeRegress, SelfDiffIsClean) {
 
 TEST(AnalyzeRegress, InjectedDriftFails) {
   const analyze::Report old_r =
-      analyze::analyze({synth("ibcast whale np4 1024B fixed:a", 6, 100e-6)});
+      analyze_all({synth("ibcast whale np4 1024B fixed:a", 6, 100e-6)});
   // 3x the op time: relative drift 2.0 >> op_rel, and the degenerate CIs
   // ([100,100] vs [300,300] us) are disjoint, so the CI arbitration does
   // not save it.
   const analyze::Report new_r =
-      analyze::analyze({synth("ibcast whale np4 1024B fixed:a", 6, 300e-6)});
+      analyze_all({synth("ibcast whale np4 1024B fixed:a", 6, 300e-6)});
   const analyze::RegressResult res = analyze::regress(
       digest_of(old_r), digest_of(new_r), analyze::RegressTolerances{});
   ASSERT_FALSE(res.ok());
@@ -1034,9 +1029,9 @@ TEST(AnalyzeRegress, SameLabelScenariosPairInOrder) {
   // Repetitions share a label.  Only the second of two drifts, which a
   // pairing of every scenario with the first same-label one misses.
   const std::string label = "ibcast whale np4 1024B fixed:a";
-  const analyze::ReportDigest old_d = digest_of(analyze::analyze(
+  const analyze::ReportDigest old_d = digest_of(analyze_all(
       {synth(label, 6, 100e-6), synth(label, 6, 100e-6)}));
-  const analyze::ReportDigest new_d = digest_of(analyze::analyze(
+  const analyze::ReportDigest new_d = digest_of(analyze_all(
       {synth(label, 6, 100e-6), synth(label, 6, 300e-6)}));
   const analyze::RegressResult res =
       analyze::regress(old_d, new_d, analyze::RegressTolerances{});
@@ -1046,7 +1041,7 @@ TEST(AnalyzeRegress, SameLabelScenariosPairInOrder) {
             std::string::npos);
 
   // A third repetition in the new report has no partner in the old one.
-  const analyze::ReportDigest more = digest_of(analyze::analyze(
+  const analyze::ReportDigest more = digest_of(analyze_all(
       {synth(label, 6, 100e-6), synth(label, 6, 100e-6),
        synth(label, 6, 100e-6)}));
   const analyze::RegressResult extra =
@@ -1088,7 +1083,7 @@ TEST(AnalyzeRegress, CiOverlapForgivesSubstantialDrift) {
 
 TEST(AnalyzeRegress, StructuralChangesAlwaysFlagged) {
   const analyze::Report base =
-      analyze::analyze({synth("ibcast whale np4 1024B fixed:a", 6, 100e-6)});
+      analyze_all({synth("ibcast whale np4 1024B fixed:a", 6, 100e-6)});
   const analyze::ReportDigest d = digest_of(base);
 
   // A scenario vanishing from the new report is a violation.
@@ -1192,6 +1187,124 @@ TEST(JsonMin, EveryReaderRejectsDeepInput) {
   EXPECT_EQ(top.finished(), 0u);
 }
 
+TEST(JsonMin, MalformedNumbersFailAtTheirOffset) {
+  for (const std::string bad : {"-", "1-2", "e", "--5"}) {
+    try {
+      (void)analyze::jsonmin::parse("[0, " + bad + "]");
+      FAIL() << "expected '" << bad << "' to be rejected";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(e.what(), "JSON parse error at byte 4: malformed number '" +
+                              bad + "'");
+    }
+  }
+  EXPECT_EQ(analyze::jsonmin::parse("[-1.5e3]").arr->front().num, -1500.0);
+  EXPECT_TRUE(std::isinf(analyze::jsonmin::parse("1e999").num));
+}
+
+TEST(JsonMin, AsIntYieldsOnlyNumbersTheTypeHolds) {
+  const auto num = [](double d) {
+    analyze::jsonmin::Value v;
+    v.kind = analyze::jsonmin::Value::Kind::Num;
+    v.num = d;
+    return v;
+  };
+  EXPECT_EQ(num(42.9).as_int<int>(), 42);
+  EXPECT_EQ(num(2147483647.0).as_int<std::int32_t>(), 2147483647);
+  EXPECT_EQ(num(2147483648.0).as_int<std::int32_t>(), std::nullopt);
+  EXPECT_EQ(num(-2147483648.0).as_int<std::int32_t>(), -2147483647 - 1);
+  EXPECT_EQ(num(-1.0).as_int<std::uint64_t>(), std::nullopt);
+  // The largest double below 2^64 fits a uint64; 2^64 itself does not.
+  EXPECT_EQ(num(18446744073709549568.0).as_int<std::uint64_t>(),
+            18446744073709549568ull);
+  EXPECT_EQ(num(18446744073709551616.0).as_int<std::uint64_t>(),
+            std::nullopt);
+  EXPECT_EQ(num(1e300).as_int<long long>(), std::nullopt);
+  EXPECT_EQ(num(std::nan("")).as_int<int>(), std::nullopt);
+  EXPECT_EQ(analyze::jsonmin::Value{}.as_int<int>(), std::nullopt);
+}
+
+TEST(JsonMin, EveryReaderRangeChecksIntegers) {
+  // read_chrome names the event index and the field.
+  const auto chrome_error = [](const std::string& event) {
+    std::istringstream is(
+        R"({"traceEvents":[{"ph":"M","pid":0,"name":"process_name",)"
+        R"("args":{"name":"x"}},)" + event + "]}");
+    try {
+      (void)analyze::read_chrome(is);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::string ok_event =
+      R"({"pid":0,"tid":0,"name":"nbc.start","ph":"i","ts":1.0,)"
+      R"("args":{"rounds":2,"tag":9,"corr":1}})";
+  EXPECT_EQ(chrome_error(ok_event), "no error");
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string e = ok_event;
+    e.replace(e.find(from), from.size(), to);
+    return e;
+  };
+  const std::string prefix = "chrome trace: event 1: ";
+  EXPECT_EQ(chrome_error(with("\"pid\":0", "\"pid\":1e300")),
+            prefix + "pid is not an integer in range");
+  EXPECT_EQ(chrome_error(with("\"tid\":0", "\"tid\":-1e300")),
+            prefix + "tid is not an integer in range");
+  EXPECT_EQ(chrome_error(with("\"rounds\":2", "\"rounds\":1e300")),
+            prefix + "rounds is not an integer in range");
+  EXPECT_EQ(chrome_error(with("\"corr\":1", "\"corr\":-1")),
+            prefix + "corr is not an integer in range");
+
+  // The --regress report reader names the scenario label or guideline id.
+  const auto regress_error = [](const std::string& scenario,
+                                const std::string& guideline) {
+    std::istringstream is(R"({"schema":"nbctune-report-v2","scenarios":[)" +
+                          scenario + R"(],"guidelines":[)" + guideline +
+                          "]}");
+    try {
+      (void)analyze::read_report_json(is);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::string ok_scenario =
+      R"({"label":"s0","ops_completed":4,"stats":{"op":{"n":4}},)"
+      R"("adcl":{"winner":1}})";
+  const std::string ok_guideline = R"({"id":"G1","checked":1,"passed":1})";
+  EXPECT_EQ(regress_error(ok_scenario, ok_guideline), "no error");
+  const auto bad = [](std::string json, const std::string& field,
+                      const char* value) {
+    const std::size_t at = json.find("\"" + field + "\":") + field.size() + 3;
+    json.replace(at, json.find_first_of(",}", at) - at, value);
+    return json;
+  };
+  for (const std::string field : {"ops_completed", "n", "winner"}) {
+    EXPECT_EQ(regress_error(bad(ok_scenario, field, "1e300"), ok_guideline),
+              "scenario 's0': " + field + " is not an integer in range");
+  }
+  for (const std::string field : {"checked", "passed"}) {
+    EXPECT_EQ(regress_error(ok_scenario, bad(ok_guideline, field, "-1e300")),
+              "guideline 'G1': " + field + " is not an integer in range");
+  }
+
+  // TopState skips the line and keeps its state.
+  obs::TopState top;
+  EXPECT_TRUE(top.feed_line(R"({"seq":1,"t_ms":0,"type":"batch","tasks":3})"));
+  EXPECT_FALSE(
+      top.feed_line(R"({"seq":2,"t_ms":0,"type":"batch","tasks":1e300})"));
+  EXPECT_FALSE(top.feed_line(
+      R"({"seq":1e300,"t_ms":5,"type":"scenario","phase":"finished",)"
+      R"("label":"x","ops":4})"));
+  EXPECT_FALSE(top.feed_line(
+      R"({"seq":3,"t_ms":5,"type":"scenario","phase":"finished",)"
+      R"("label":"x","ops":4,"blame_bp":{"wire":-1e300}})"));
+  EXPECT_EQ(top.submitted(), 3u);
+  EXPECT_EQ(top.finished(), 0u);
+  EXPECT_EQ(top.last_t_ms(), 0);
+  EXPECT_EQ(top.seq_errors(), 0u);
+}
+
 // ------------------------------------------------- report determinism
 
 TEST(AnalyzeReport, JsonIsByteIdenticalAcrossThreadCounts) {
@@ -1204,12 +1317,9 @@ TEST(AnalyzeReport, JsonIsByteIdenticalAcrossThreadCounts) {
       run_ibcast(2 + static_cast<int>(i % 3), 512 << i, 1,
                  /*seed=*/i + 1);
     });
-    std::vector<analyze::ScenarioTrace> traces;
-    for (const auto& f : trace::Session::instance().drain()) {
-      traces.push_back(analyze::from_finished(f));
-    }
     std::ostringstream os;
-    analyze::write_json(os, analyze::analyze(traces));
+    analyze::write_json(os,
+                        analyze::analyze(trace::Session::instance().drain()));
     return os.str();
   };
   const std::string j1 = sweep(1);
@@ -1221,10 +1331,10 @@ TEST(AnalyzeReport, JsonIsByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(AnalyzeReport, TableWriterMentionsEverySection) {
-  const analyze::ScenarioTrace tr =
+  const trace::FinishedTrace tr =
       traced("table", [] { run_ibcast(2, 4096); });
   std::ostringstream os;
-  analyze::write_table(os, analyze::analyze({tr}));
+  analyze::write_table(os, analyze_all({tr}));
   const std::string s = os.str();
   EXPECT_NE(s.find("blame:"), std::string::npos);
   EXPECT_NE(s.find("worst op:"), std::string::npos);

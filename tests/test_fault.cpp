@@ -269,8 +269,7 @@ PlanRun run_canned(const fault::CannedPlan& cp) {
   trace::Session::instance().write_counters(os);
   auto finished = trace::Session::instance().drain();
   EXPECT_EQ(finished.size(), 1u) << cp.name;
-  const analyze::Report r =
-      analyze::analyze({analyze::from_finished(finished.at(0))});
+  const analyze::Report r = analyze::analyze(finished);
   EXPECT_EQ(r.scenarios.size(), 1u) << cp.name;
   std::istringstream is(os.str());
   return {r.scenarios.at(0), analyze::read_counters(is)};

@@ -273,12 +273,11 @@ TEST(FtRecovery, DetectionLatencyIsBoundedByLease) {
   }
   auto finished = trace::Session::instance().drain();
   ASSERT_EQ(finished.size(), 1u);
-  const analyze::ScenarioTrace st = analyze::from_finished(finished.at(0));
   double death_ts = -1.0, detect_ts = -1.0, agree_ts = -1.0;
-  for (const analyze::AEvent& e : st.events) {
-    if (e.name == "mpi.rank_death") death_ts = e.ts;
-    if (e.name == "mpi.ft.detect") detect_ts = e.ts;
-    if (e.name == "mpi.ft.agree" && agree_ts < 0.0) agree_ts = e.ts;
+  for (const trace::Event& e : finished.at(0).events) {
+    if (e.kind == trace::Kind::MpiRankDeath) death_ts = e.ts;
+    if (e.kind == trace::Kind::MpiFtDetect) detect_ts = e.ts;
+    if (e.kind == trace::Kind::MpiFtAgree && agree_ts < 0.0) agree_ts = e.ts;
   }
   ASSERT_GE(death_ts, 0.0);
   ASSERT_GE(detect_ts, 0.0);
@@ -420,8 +419,7 @@ KillRun run_kill_plan(const fault::CannedPlan& cp) {
   trace::Session::instance().write_counters(os);
   auto finished = trace::Session::instance().drain();
   EXPECT_EQ(finished.size(), 1u) << cp.name;
-  const analyze::Report r =
-      analyze::analyze({analyze::from_finished(finished.at(0))});
+  const analyze::Report r = analyze::analyze(finished);
   EXPECT_EQ(r.scenarios.size(), 1u) << cp.name;
   kr.report = r.scenarios.at(0);
   std::istringstream is(os.str());

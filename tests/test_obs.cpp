@@ -1,8 +1,9 @@
 // Live telemetry subsystem (src/obs): JSONL stream schema and seq
 // monotonicity, terminal-summary byte-identity across pool thread
 // counts, sampler/pool gauge arithmetic, the collapsed-stack exporter
-// on the 2-rank ibcast fixture, the trace event cap, and the
-// async-signal-safe abort record.
+// on the 2-rank ibcast fixture, the trace event cap, the
+// async-signal-safe abort record, and the strict numeric flags of the
+// bench drivers and tools.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,8 @@
 #include "mpi/world.hpp"
 #include "nbc/handle.hpp"
 #include "net/platform.hpp"
+#include "../bench/bench_util.hpp"
+#include "obs/flags.hpp"
 #include "obs/live.hpp"
 #include "obs/profile.hpp"
 #include "obs/sampler.hpp"
@@ -87,11 +90,7 @@ std::string run_sweep(int threads, obs::LiveSink* sink) {
     });
   }
   trace::Session::set_listener(nullptr);
-  std::vector<analyze::ScenarioTrace> traces;
-  for (const trace::FinishedTrace& f : trace::Session::instance().drain()) {
-    traces.push_back(analyze::from_finished(f));
-  }
-  report = analyze::analyze(traces);
+  report = analyze::analyze(trace::Session::instance().drain());
   std::ostringstream json;
   analyze::write_json(json, report);
   if (sink != nullptr) sink->write_summary(report, json.str());
@@ -116,11 +115,7 @@ analyze::Report fixture_report(int ops = 4) {
     trace::Scope scope("ibcast whale np2 1024B fixed:binomial");
     run_ibcast(2, 1024, ops);
   }
-  std::vector<analyze::ScenarioTrace> traces;
-  for (const trace::FinishedTrace& f : trace::Session::instance().drain()) {
-    traces.push_back(analyze::from_finished(f));
-  }
-  return analyze::analyze(traces);
+  return analyze::analyze(trace::Session::instance().drain());
 }
 
 }  // namespace
@@ -477,10 +472,7 @@ TEST(ObsTrace, EventCapDropsAndCounts) {
   EXPECT_GT(dropped, 0u);
 
   // The analyzer reports the truncation.
-  std::vector<analyze::ScenarioTrace> traces;
-  traces.push_back(analyze::from_finished(f));
-  EXPECT_EQ(traces.front().counters.at("trace.dropped_events"), dropped);
-  const analyze::Report report = analyze::analyze(traces);
+  const analyze::Report report = analyze::analyze(finished);
   EXPECT_EQ(report.scenarios.front().dropped_events, dropped);
   EXPECT_TRUE(report.scenarios.front().truncated());
   std::ostringstream json;
@@ -612,4 +604,57 @@ TEST(ObsTop, CountsOutOfOrderSeq) {
   EXPECT_TRUE(top.feed_line(R"({"seq":5,"t_ms":0,"type":"hello"})"));
   EXPECT_TRUE(top.feed_line(R"({"seq":3,"t_ms":0,"type":"batch","tasks":1})"));
   EXPECT_EQ(top.seq_errors(), 1u);
+}
+
+// ------------------------------------------------------------- flags
+
+TEST(ObsFlags, ParseFlagTakesOnlyAWholeNumberInRange) {
+  EXPECT_EQ(obs::parse_flag("--threads", "4", 0), 4);
+  EXPECT_EQ(obs::parse_flag("--min-reps", "0", 0), 0);
+  EXPECT_EQ(obs::parse_flag<std::size_t>("--fiber-stack", "16384", 1),
+            16384u);
+  EXPECT_DOUBLE_EQ(obs::parse_flag("--epsilon", "0.25", 0.0), 0.25);
+  const auto exits_2 = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT((void)obs::parse_flag("--epsilon", "abc", 0.0), exits_2,
+              "^--epsilon: expected a number >= 0, got 'abc'\n$");
+  EXPECT_EXIT((void)obs::parse_flag("--min-reps", "-3", 0), exits_2,
+              "^--min-reps: expected an integer >= 0, got '-3'\n$");
+  for (const char* bad : {"", "4x", " 4", "+4", "1e3", "99999999999"}) {
+    EXPECT_EXIT((void)obs::parse_flag("--threads", bad, 0), exits_2,
+                "^--threads: ")
+        << bad;
+  }
+  for (const char* bad : {"inf", "nan", "-0.5", "0.25x"}) {
+    EXPECT_EXIT((void)obs::parse_flag("--epsilon", bad, 0.0), exits_2,
+                "^--epsilon: ")
+        << bad;
+  }
+  for (const char* bad : {"0", "-1"}) {
+    EXPECT_EXIT((void)obs::parse_flag<std::size_t>("--fiber-stack", bad, 1),
+                exits_2, "^--fiber-stack: ")
+        << bad;
+  }
+}
+
+TEST(ObsFlags, BenchDriverFlagsNameTheFlag) {
+  const auto parse = [](std::vector<std::string> args) {
+    args.insert(args.begin(), "bench");
+    std::vector<char*> argv;
+    for (std::string& a : args) argv.push_back(a.data());
+    return bench::Scale::from_args(static_cast<int>(argv.size()),
+                                   argv.data());
+  };
+  const bench::Scale ok = parse({"--threads", "3", "--live-sample-ms", "0",
+                                 "--fiber-stack", "16384"});
+  EXPECT_EQ(ok.threads, 3);
+  EXPECT_EQ(ok.live_sample_ms, 0);
+  EXPECT_EQ(ok.fiber_stack, 16384u);
+  for (const std::string flag :
+       {"--threads", "--live-sample-ms", "--fiber-stack"}) {
+    for (const char* bad : {"-3", "abc"}) {
+      EXPECT_EXIT((void)parse({flag, bad}), ::testing::ExitedWithCode(2),
+                  "^" + flag + ": ")
+          << bad;
+    }
+  }
 }

@@ -1,7 +1,8 @@
 // Trace layer semantics: counter/histogram arithmetic, guarded no-op
-// helpers, per-scenario Scope lifecycle, the golden event sequence of a
-// 2-rank ibcast, and byte-identical session exports at any ScenarioPool
-// thread count.
+// helpers, the event schema (a row and a name lookup for every kind,
+// the string-named instant), per-scenario Scope lifecycle, the golden
+// event sequence of a 2-rank ibcast, and byte-identical session exports
+// at any ScenarioPool thread count.
 //
 // Session::enable() is one-way (process-wide), so tests that need the
 // disabled state run before any test that enables it; tests that use the
@@ -9,11 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfloat>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <random>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -37,14 +40,6 @@ struct WithTracer {
   ~WithTracer() { trace::set_current(prev); }
   trace::Tracer* prev;
 };
-
-bool events_equal(const trace::Event& a, const trace::Event& b) {
-  auto key = [](const char* k) { return k == nullptr ? "" : std::string(k); };
-  return a.ts == b.ts && a.dur == b.dur && a.track == b.track &&
-         a.cat == b.cat && std::string(a.name) == b.name &&
-         key(a.akey) == key(b.akey) && a.aval == b.aval &&
-         key(a.bkey) == key(b.bkey) && a.bval == b.bval;
-}
 
 /// A tiny deterministic simulation: 2-rank ibcast of `bytes` via the
 /// binomial tree, driven to completion by wait().
@@ -72,8 +67,8 @@ TEST(TraceDisabled, HelpersAreNoopsWithoutTracer) {
   // None of these may crash or allocate a tracer.
   trace::count(trace::Ctr::MsgsEager);
   trace::record(trace::Hist::WireBytes, 4096);
-  trace::instant(1.0, 0, trace::Cat::Msg, "x");
-  trace::span(1.0, 0.5, 0, trace::Cat::Wire, "y");
+  trace::instant(1.0, 0, trace::Kind::MsgEager);
+  trace::span(1.0, 0.5, 0, trace::Kind::WireEager);
   EXPECT_EQ(trace::current(), nullptr);
 }
 
@@ -170,17 +165,20 @@ TEST(TraceHelpers, RecordThroughInstalledTracer) {
   {
     WithTracer w(&tr);
     ASSERT_TRUE(trace::active());
-    trace::instant(1.5, 3, trace::Cat::Msg, "m", "bytes", 64);
-    trace::span(2.0, 0.25, trace::wire_track(1), trace::Cat::Wire, "w");
-    trace::span(9.0, -4.0, 0, trace::Cat::Progress, "clamped");
+    trace::instant(1.5, 3, trace::Kind::MsgDeliver, 2, 64);
+    trace::span(2.0, 0.25, trace::wire_track(1), trace::Kind::WireEager);
+    trace::span(9.0, -4.0, 0, trace::Kind::Compute);
   }
   EXPECT_FALSE(trace::active());
   ASSERT_EQ(tr.events().size(), 3u);
   const auto& e0 = tr.events()[0];
   EXPECT_LT(e0.dur, 0.0);  // instant encoding
+  EXPECT_FALSE(e0.is_span());
   EXPECT_EQ(e0.track, 3);
-  EXPECT_STREQ(e0.akey, "bytes");
-  EXPECT_EQ(e0.aval, 64u);
+  EXPECT_EQ(e0.kind, trace::Kind::MsgDeliver);
+  EXPECT_EQ(e0.aval, 2u);
+  EXPECT_STREQ(trace::row(e0.kind).bkey, "bytes");
+  EXPECT_EQ(e0.bval, 64u);
   const auto& e1 = tr.events()[1];
   EXPECT_EQ(e1.dur, 0.25);
   EXPECT_EQ(e1.track, trace::wire_track(1));
@@ -188,6 +186,49 @@ TEST(TraceHelpers, RecordThroughInstalledTracer) {
   // Negative durations passed to span() are clamped to a zero-length
   // span, not re-encoded as an instant.
   EXPECT_EQ(tr.events()[2].dur, 0.0);
+}
+
+TEST(TraceSchema, RowsNameEveryKindAndLookupsFindThem) {
+  // Every kind has a row, and its Chrome name finds it again.
+  for (std::size_t i = 0; i < std::size(trace::kKindRows); ++i) {
+    const auto kind = static_cast<trace::Kind>(i);
+    const trace::KindRow& r = trace::row(kind);
+    ASSERT_FALSE(r.name.empty());
+    SCOPED_TRACE(r.name);
+    EXPECT_TRUE(r.akey != nullptr || r.bkey == nullptr);
+    const std::span<const trace::Kind> named = trace::kinds_named(r.name);
+    EXPECT_NE(std::find(named.begin(), named.end(), kind), named.end());
+  }
+  // adcl.retune backs two kinds, in schema order; unknown names none.
+  const std::span<const trace::Kind> retune =
+      trace::kinds_named("adcl.retune");
+  ASSERT_EQ(retune.size(), 2u);
+  EXPECT_EQ(retune[0], trace::Kind::AdclRetuneDrift);
+  EXPECT_EQ(retune[1], trace::Kind::AdclRetuneShrink);
+  EXPECT_TRUE(trace::kinds_named("probe").empty());
+  EXPECT_TRUE(trace::kinds_named("").empty());
+  EXPECT_EQ(sizeof(trace::Event), 48u);
+}
+
+TEST(TraceHelpers, StringNamedInstantResolvesThroughTheSchema) {
+  trace::Tracer tr("by name");
+  {
+    WithTracer w(&tr);
+    trace::instant(1.0, 2, trace::Cat::Msg, "msg.deliver", "src", 5,
+                   "bytes", 64, 9);
+    trace::instant(2.0, 0, trace::Cat::Adcl, "adcl.retune", "shrink", 1,
+                   "iter", 12, 12);
+    trace::instant(3.0, 0, trace::Cat::Adcl, "adcl.retune", "observed_ns",
+                   700, "baseline_ns", 500, 14);
+    trace::instant(4.0, 0, trace::Cat::Msg, "probe", "bytes", 64);
+  }
+  ASSERT_EQ(tr.events().size(), 3u);
+  EXPECT_EQ(tr.events()[0],
+            (trace::Event{1.0, -1.0, 2, trace::Kind::MsgDeliver, 5, 64, 9}));
+  EXPECT_EQ(tr.events()[1].kind, trace::Kind::AdclRetuneShrink);
+  EXPECT_EQ(tr.events()[2].kind, trace::Kind::AdclRetuneDrift);
+  // A name outside the schema records nothing and counts as dropped.
+  EXPECT_EQ(tr.counter(trace::Ctr::TraceDroppedEvents), 1u);
 }
 
 // ------------------------------------------------------- session + scope
@@ -201,7 +242,7 @@ TEST(TraceSession, ScopeAdoptsInOrder) {
     trace::Scope a("first");
     ASSERT_NE(a.tracer(), nullptr);
     trace::count(trace::Ctr::AdclDecisions);
-    trace::instant(0.0, 0, trace::Cat::Harness, "mark");
+    trace::instant(0.0, 0, trace::Kind::NbcStart);
   }
   {
     trace::Scope b("second");
@@ -250,11 +291,8 @@ TEST(TraceGolden, TwoRankIbcastEventSequence) {
     std::vector<std::string> out;
     for (const auto& e : tr.events) {
       if (e.track != track) continue;
-      if (e.cat == trace::Cat::Progress || e.cat == trace::Cat::Engine ||
-          e.cat == trace::Cat::Fiber) {
-        continue;
-      }
-      out.push_back(e.name);
+      if (trace::row(e.kind).cat == trace::Cat::Progress) continue;
+      out.emplace_back(trace::row(e.kind).name);
     }
     return out;
   };
@@ -269,11 +307,10 @@ TEST(TraceGolden, TwoRankIbcastEventSequence) {
   // serialization span of the payload size.
   int wire_spans = 0;
   for (const auto& e : tr.events) {
-    if (e.track >= 0 || e.cat != trace::Cat::Wire) continue;
+    if (e.track >= 0) continue;
     ++wire_spans;
-    EXPECT_STREQ(e.name, "wire.eager");
+    EXPECT_EQ(e.kind, trace::Kind::WireEager);
     EXPECT_GT(e.dur, 0.0);
-    ASSERT_NE(e.akey, nullptr);
     EXPECT_EQ(e.aval, 4096u);
   }
   EXPECT_EQ(wire_spans, 1);
@@ -286,13 +323,13 @@ TEST(TraceGolden, TwoRankIbcastEventSequence) {
   double send_start = -1.0, recv_end = -1.0, wire_start = -1.0,
          wire_end = -1.0;
   for (const auto& e : tr.events) {
-    if (std::string(e.name) == "nbc.op" && e.track == 0) {
+    if (e.kind == trace::Kind::NbcOp && e.track == 0) {
       send_start = e.ts;
     }
-    if (std::string(e.name) == "nbc.op" && e.track == 1) {
+    if (e.kind == trace::Kind::NbcOp && e.track == 1) {
       recv_end = e.ts + e.dur;
     }
-    if (std::string(e.name) == "wire.eager") {
+    if (e.kind == trace::Kind::WireEager) {
       wire_start = e.ts;
       wire_end = e.ts + e.dur;
     }
@@ -336,11 +373,7 @@ TEST(TraceDeterminism, PoolMergeIsByteIdenticalAcrossThreadCounts) {
   for (std::size_t i = 0; i < kTasks; ++i) {
     EXPECT_EQ(traces1[i].label, "task " + std::to_string(i));
     EXPECT_EQ(traces8[i].label, traces1[i].label);
-    ASSERT_EQ(traces8[i].events.size(), traces1[i].events.size());
-    for (std::size_t e = 0; e < traces1[i].events.size(); ++e) {
-      ASSERT_TRUE(events_equal(traces1[i].events[e], traces8[i].events[e]))
-          << "task " << i << " event " << e;
-    }
+    EXPECT_EQ(traces8[i].events, traces1[i].events) << "task " << i;
     EXPECT_EQ(traces8[i].counts, traces1[i].counts);
   }
 }
@@ -350,9 +383,10 @@ TEST(TraceExport, ChromeJsonShapeAndEscaping) {
   (void)trace::Session::instance().drain();
   {
     trace::Scope scope("label with \"quotes\" and \\backslash");
-    trace::instant(1e-6, 0, trace::Cat::Harness, "i1", "k", 7);
-    trace::span(2e-6, 3e-6, trace::wire_track(0), trace::Cat::Wire, "s1",
-                "bytes", 128, "chunk", 2);
+    trace::instant(1e-6, 0, trace::Kind::MpiRankDeath, 7);
+    trace::span(2e-6, 3e-6, trace::wire_track(0), trace::Kind::WireChunk,
+                128, 0, 2);
+    trace::instant(4e-6, 1, trace::Kind::ProgressPass);
   }
   std::ostringstream os;
   trace::Session::instance().write_chrome(os);
@@ -363,9 +397,16 @@ TEST(TraceExport, ChromeJsonShapeAndEscaping) {
   EXPECT_NE(j.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(j.find("label with \\\"quotes\\\" and \\\\backslash"),
             std::string::npos);
-  EXPECT_NE(j.find("\"ph\":\"i\""), std::string::npos);
+  // Category, name and argument keys come from each kind's row; a
+  // keyless, uncorrelated event has no args.
+  EXPECT_NE(j.find("\"cat\":\"msg\",\"name\":\"mpi.rank_death\",\"ts\":"
+                   "1.000,\"ph\":\"i\",\"s\":\"t\",\"args\":{\"node\":7}}"),
+            std::string::npos);
   EXPECT_NE(j.find("\"ph\":\"X\",\"dur\":3.000"), std::string::npos);
-  EXPECT_NE(j.find("\"args\":{\"bytes\":128,\"chunk\":2}"),
+  EXPECT_NE(j.find("\"args\":{\"bytes\":128,\"corr\":2}"),
+            std::string::npos);
+  EXPECT_NE(j.find("\"name\":\"progress.pass\",\"ts\":4.000,\"ph\":\"i\","
+                   "\"s\":\"t\"}"),
             std::string::npos);
   // Wire track 0 maps to the reserved chrome tid block.
   EXPECT_NE(j.find("\"tid\":1000000"), std::string::npos);

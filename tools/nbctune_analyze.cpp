@@ -61,6 +61,7 @@
 #include "analyze/chrome_reader.hpp"
 #include "analyze/json_min.hpp"
 #include "analyze/regress.hpp"
+#include "obs/flags.hpp"
 #include "obs/profile.hpp"
 
 namespace {
@@ -198,9 +199,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else if (std::strcmp(a, "--epsilon") == 0 && i + 1 < argc) {
-      opts.epsilon = std::atof(argv[++i]);
+      opts.epsilon = obs::parse_flag("--epsilon", argv[++i], 0.0);
     } else if (std::strcmp(a, "--min-reps") == 0 && i + 1 < argc) {
-      opts.min_reps = std::atoi(argv[++i]);
+      opts.min_reps = obs::parse_flag("--min-reps", argv[++i], 0);
     } else if (std::strcmp(a, "--regress") == 0) {
       regress_mode = true;
     } else if (std::strcmp(a, "--extract-report") == 0) {
@@ -246,7 +247,7 @@ int main(int argc, char** argv) {
   if (regress_mode) return run_regress(inputs, tol, out_path);
   if (extract_mode) return run_extract(inputs, out_path);
 
-  std::vector<analyze::ScenarioTrace> traces;
+  std::vector<trace::FinishedTrace> traces;
   for (const std::string& path : inputs) {
     std::ifstream is(path);
     if (!is) {
@@ -254,7 +255,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     try {
-      std::vector<analyze::ScenarioTrace> batch = analyze::read_chrome(is);
+      std::vector<trace::FinishedTrace> batch = analyze::read_chrome(is);
       for (auto& t : batch) traces.push_back(std::move(t));
     } catch (const std::exception& e) {
       std::cerr << path << ": " << e.what() << "\n";

@@ -27,6 +27,7 @@
 #include <string>
 #include <thread>
 
+#include "obs/flags.hpp"
 #include "obs/top.hpp"
 
 namespace {
@@ -62,8 +63,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--no-ansi") == 0) {
       ansi = false;
     } else if (std::strcmp(a, "--interval-ms") == 0 && i + 1 < argc) {
-      interval_ms = std::atoi(argv[++i]);
-      if (interval_ms <= 0) interval_ms = 250;
+      interval_ms = nbctune::obs::parse_flag("--interval-ms", argv[++i], 1);
     } else if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {
       return usage(argv[0]);
     } else if (a[0] == '-' && a[1] != '\0') {
