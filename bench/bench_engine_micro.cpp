@@ -17,6 +17,7 @@
 #include "net/platform.hpp"
 #include "sim/engine.hpp"
 #include "sim/fiber.hpp"
+#include "sim/random.hpp"
 #include "trace/trace.hpp"
 
 using namespace nbctune;
@@ -192,18 +193,33 @@ static void BM_FiberSwitch(benchmark::State& state) {
 }
 BENCHMARK(BM_FiberSwitch);
 
+// Host cost per Process::sleep, over about 10000 sleeps split across
+// state.range(0) processes.  Arg(1): the lone process's every wake-up is
+// the next event, so each sleep advances the clock in place.  Arg(64):
+// jittered sleeps interleave the processes, so wake-ups queue in the heap
+// and each one costs a push, a pop and a switch into the fiber and back.
 static void BM_ProcessSleepWake(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
+  const int procs = static_cast<int>(state.range(0));
+  const int per_proc = 10000 / procs;
+  std::vector<double> dts(1024);
+  sim::Rng rng(42);
+  for (double& dt : dts) dt = rng.uniform(0.5e-6, 1.5e-6);
   for (auto _ : state) {
     sim::Engine eng;
-    eng.add_process("p", [&](sim::Process& p) {
-      for (int i = 0; i < n; ++i) p.sleep(1e-6);
-    });
+    for (int p = 0; p < procs; ++p) {
+      eng.add_process("p", [&, p](sim::Process& proc) {
+        for (int i = 0; i < per_proc; ++i) {
+          const auto k = static_cast<std::size_t>(i * 7 + p * 131);
+          proc.sleep(dts[k % dts.size()]);
+        }
+      });
+    }
     eng.run();
+    benchmark::DoNotOptimize(eng.now());
   }
-  state.SetItemsProcessed(state.iterations() * n);
+  state.SetItemsProcessed(state.iterations() * procs * per_proc);
 }
-BENCHMARK(BM_ProcessSleepWake)->Arg(10000);
+BENCHMARK(BM_ProcessSleepWake)->Arg(1)->Arg(64);
 
 static void BM_PingPong(benchmark::State& state) {
   const int rounds = static_cast<int>(state.range(0));
@@ -262,8 +278,8 @@ static void BM_AlltoallSchedule(benchmark::State& state) {
 BENCHMARK(BM_AlltoallSchedule)->Arg(32)->Arg(128);
 
 // Host cost of the pinned micro-benchmark loop end to end: world setup, one
-// fiber per rank (a _setjmp/_longjmp switch per blocking point), engine
-// events and NBC rounds, per simulated rank-iteration.
+// fiber per rank (a register-only switch per blocking point), engine events
+// and NBC rounds, per simulated rank-iteration.
 static void BM_PinnedLoop(benchmark::State& state) {
   harness::MicroScenario s;
   s.platform = net::crill();

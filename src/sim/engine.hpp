@@ -6,7 +6,10 @@
 // events, and a set of processes.  Each process is a fiber (see fiber.hpp)
 // running an arbitrary program; processes advance the clock by sleeping and
 // interact through events.  Event ordering is fully deterministic: ties in
-// time are broken by insertion sequence number.
+// time are broken by insertion sequence number.  A process's own sleeps and
+// wake-ups are queue entries without a callback, and a sleep whose wake-up
+// would be the very next event advances the clock in place; neither changes
+// which event runs when.
 
 #include <cstdint>
 #include <functional>
@@ -44,7 +47,9 @@ class Process {
   [[nodiscard]] bool finished() const noexcept { return fiber_.finished(); }
 
   /// Advance this process's time by dt; other events run meanwhile.
-  /// A sleeping process cannot be interrupted (models a busy CPU).
+  /// A sleeping process cannot be interrupted (models a busy CPU).  When
+  /// nothing else is due before the wake-up, the clock advances without a
+  /// fiber switch.
   void sleep(Time dt);
 
   /// Block until some event calls wake().  Returns immediately if a wake
@@ -134,17 +139,24 @@ class Engine {
   };
 
  private:
-  // The heap holds small plain entries; callbacks live in a slab indexed
-  // by slot so heap sifts move 24 bytes instead of the whole callable.
-  // Each slot carries a generation counter, bumped on every release: an
-  // event id encodes (slot, generation), so cancel() is pointer-free O(1)
-  // arithmetic and a popped heap entry whose generation no longer matches
-  // its slot is simply stale (cancelled or superseded).  The slab never
-  // shrinks; freed slots are recycled LIFO for cache warmth.
+  friend class Process;
+
+  // The heap holds small plain entries.  An entry's `ref` is either a slot
+  // of the callback slab or a process resumption: the process id tagged
+  // kSleepRef (resume it) or kWakeRef (resume it if still suspended).
+  // Resumptions are never cancelled, so they need no slot, generation or
+  // callable, and step() resumes the process directly.
+  //
+  // Callbacks live in the slab so heap sifts move 24 bytes instead of the
+  // whole callable.  Each slot carries a generation counter, bumped on
+  // every release: an event id encodes (slot, generation), so cancel() is
+  // pointer-free O(1) arithmetic and a popped heap entry whose generation
+  // no longer matches its slot is simply stale (cancelled or superseded).
+  // The slab never shrinks; freed slots are recycled LIFO for cache warmth.
   struct Event {
     Time t;
     std::uint64_t seq;
-    std::uint32_t slot;
+    std::uint32_t ref;
     std::uint32_t gen;
   };
   struct EventLater {
@@ -155,23 +167,46 @@ class Engine {
   };
   /// Entry of the now-FIFO: events scheduled at exactly the current time.
   struct NowEvent {
-    std::uint32_t slot;
+    std::uint32_t ref;
     std::uint32_t gen;
   };
+
+  // Slot indices and process ids stay far below 2^30: a slab that large
+  // would hold 64 GiB of callbacks.
+  static constexpr std::uint32_t kSleepRef = 1u << 31;
+  static constexpr std::uint32_t kWakeRef = 1u << 30;
+  static constexpr std::uint32_t kResumeRefs = kSleepRef | kWakeRef;
 
   static constexpr std::uint64_t make_id(std::uint32_t slot,
                                          std::uint32_t gen) noexcept {
     return (static_cast<std::uint64_t>(slot) << 32) | gen;
   }
+  /// True for a callback entry whose slot was released since it was queued.
+  [[nodiscard]] bool stale(std::uint32_t ref,
+                           std::uint32_t gen) const noexcept {
+    return (ref & kResumeRefs) == 0 && slot_gen_[ref] != gen;
+  }
 
   std::uint32_t acquire_slot(Callback cb);
   void release_slot(std::uint32_t slot) noexcept;
+  void check_time(Time t) const;  // throws for a past or non-finite t
+  void enqueue(Time t, std::uint32_t ref, std::uint32_t gen);
+
+  // Process side (see Process::sleep and Process::wake).
+  /// Queue a resumption (ref = process id | kSleepRef or kWakeRef) at t.
+  void schedule_resume(Time t, std::uint32_t ref);
+  /// Advance the clock to t in place if the wake-up at t is the event
+  /// step() would run next; returns false otherwise.  Either way it may
+  /// drop cancelled heap entries, which step() would skip.
+  bool advance_inline(Time t);
+  void resume(std::uint32_t ref);  // run a popped resumption
 
   bool step(Time limit);  // pop and run one event with t <= limit
   void check_deadlock() const;
   void launch_pending();  // start processes added since the last call
 
   Time now_ = 0.0;
+  Time limit_ = 0.0;  // the running run()/run_until() call's limit
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
   std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
@@ -188,6 +223,7 @@ class Engine {
   std::vector<Process*> start_pending_;
   Rng rng_;
   bool running_ = false;
+  bool launching_ = false;  // inside launch_pending(): no inline advance
 };
 
 }  // namespace nbctune::sim

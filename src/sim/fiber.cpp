@@ -1,25 +1,58 @@
-// glibc's fortified _longjmp (__longjmp_chk) aborts on a jump to a lower
-// stack address unless it starts on the signal stack.  A switch between the
-// scheduler's stack and a fiber stack often is such a jump, so this file must
-// get the plain _longjmp even where the compiler enables fortification.
-#undef _FORTIFY_SOURCE
-
 #include "sim/fiber.hpp"
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <stdexcept>
 #include <string>
-
-#include <ucontext.h>
+#include <string_view>
 
 #ifdef NBCTUNE_FIBER_ASAN
 #include <sanitizer/common_interface_defs.h>
 #endif
+#ifdef NBCTUNE_FIBER_TSAN
+#include <sanitizer/tsan_interface.h>
+#endif
 
 #include "trace/trace.hpp"
+
+#if !defined(__x86_64__) || !defined(__ELF__)
+#error "src/sim/fiber.cpp: the fiber switch exists for x86-64 ELF only"
+#endif
+
+// nbctune_fiber_switch(save, load): push the callee-saved registers, store
+// the stack pointer in *save, make `load` the stack pointer, pop the
+// registers saved there and return to the address above them.  The
+// caller-saved registers need no saving: the call clobbers them anyway.
+extern "C" void nbctune_fiber_switch(void** save, void* load) noexcept;
+asm(R"(
+    .pushsection .text
+    .p2align 4
+    .globl nbctune_fiber_switch
+    .hidden nbctune_fiber_switch
+    .type nbctune_fiber_switch, @function
+nbctune_fiber_switch:
+    pushq %rbp
+    pushq %rbx
+    pushq %r12
+    pushq %r13
+    pushq %r14
+    pushq %r15
+    movq %rsp, (%rdi)
+    movq %rsi, %rsp
+    popq %r15
+    popq %r14
+    popq %r13
+    popq %r12
+    popq %rbx
+    popq %rbp
+    ret
+    .size nbctune_fiber_switch, .-nbctune_fiber_switch
+    .popsection
+)");
 
 namespace nbctune::sim {
 
@@ -29,6 +62,7 @@ thread_local Fiber* g_current = nullptr;
 
 constexpr std::size_t kFallbackStackBytes = 256 * 1024;
 constexpr std::size_t kMinStackBytes = 16 * 1024;
+constexpr int kSavedRegisters = 6;  // rbp, rbx, r12-r15
 
 std::unique_ptr<char[]> allocate_stack(std::size_t stack_bytes) {
   try {
@@ -41,15 +75,34 @@ std::unique_ptr<char[]> allocate_stack(std::size_t stack_bytes) {
         "pinned collective loop)");
   }
 }
+
+// Lay out a fresh stack as if `entry` had been called from a suspended
+// switch: below a 16-byte-aligned top, a null return address for `entry`
+// (it never returns; the null ends unwinding), `entry` as the switch's
+// return address, and zeroed callee-saved registers.  The switch's `ret`
+// then enters `entry` with rsp + 8 16-byte aligned, as a call would.
+void* prime_stack(char* stack, std::size_t bytes, void (*entry)()) {
+  const auto top =
+      (reinterpret_cast<std::uintptr_t>(stack) + bytes) & ~std::uintptr_t{15};
+  auto* sp = reinterpret_cast<void**>(top);
+  *--sp = nullptr;
+  *--sp = reinterpret_cast<void*>(entry);
+  for (int i = 0; i < kSavedRegisters; ++i) *--sp = nullptr;
+  return sp;
+}
 }  // namespace
 
 std::size_t default_fiber_stack_bytes() {
   // Read the environment on every call so tests can vary it per world.
+  // Only a whole unsigned decimal counts: a sign, a space, an overflow or
+  // trailing junk falls back to the default instead of becoming a huge
+  // request.
   if (const char* env = std::getenv("NBCTUNE_FIBER_STACK")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) {
-      return std::max(static_cast<std::size_t>(v), kMinStackBytes);
+    const std::string_view s(env);
+    std::size_t v = 0;
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (ec == std::errc{} && end == s.data() + s.size() && v > 0) {
+      return std::max(v, kMinStackBytes);
     }
   }
   return kFallbackStackBytes;
@@ -69,6 +122,9 @@ Fiber::~Fiber() {
   // stack (no unwinding).  The simulator only destroys fibers after their
   // programs complete; assert in debug builds to catch misuse.
   assert(finished_ || !started_);
+#ifdef NBCTUNE_FIBER_TSAN
+  if (tsan_fiber_ != nullptr) __tsan_destroy_fiber(tsan_fiber_);
+#endif
 }
 
 Fiber* Fiber::current() noexcept { return g_current; }
@@ -92,23 +148,22 @@ void Fiber::trampoline() {
   __sanitizer_start_switch_fiber(nullptr, self->sched_stack_bottom_,
                                  self->sched_stack_size_);
 #endif
-  _longjmp(self->return_jb_, 1);
+#ifdef NBCTUNE_FIBER_TSAN
+  __tsan_switch_to_fiber(self->tsan_return_, 0);
+#endif
+  nbctune_fiber_switch(&self->fiber_sp_, self->return_sp_);
+  std::abort();  // a finished fiber is never switched back into
 }
 
 void Fiber::resume() {
   if (finished_) throw std::logic_error("resume() on finished fiber");
   if (running_) throw std::logic_error("resume() on running fiber");
-  // First entry only: a context that starts trampoline() on the fiber's
-  // stack.  trampoline() leaves with _longjmp, never through this context.
-  // It lives in this frame because a helper's frame would be abandoned on
-  // the scheduler's stack, leaving ASan's redzone poison below this one.
-  ucontext_t entry;
   if (!started_) {
-    if (getcontext(&entry) != 0) throw std::runtime_error("getcontext failed");
-    entry.uc_stack.ss_sp = stack_.get();
-    entry.uc_stack.ss_size = stack_bytes_;
-    entry.uc_link = nullptr;
-    makecontext(&entry, &Fiber::trampoline, 0);
+    started_ = true;
+    fiber_sp_ = prime_stack(stack_.get(), stack_bytes_, &Fiber::trampoline);
+#ifdef NBCTUNE_FIBER_TSAN
+    tsan_fiber_ = __tsan_create_fiber(0);
+#endif
   }
   trace::count(trace::Ctr::FiberSwitches);
   Fiber* prev = g_current;
@@ -118,12 +173,11 @@ void Fiber::resume() {
   __sanitizer_start_switch_fiber(&sched_fake_stack_, stack_.get(),
                                  stack_bytes_);
 #endif
-  if (_setjmp(return_jb_) == 0) {
-    if (started_) _longjmp(fiber_jb_, 1);
-    started_ = true;
-    setcontext(&entry);
-    std::abort();  // setcontext returns only if it could not switch
-  }
+#ifdef NBCTUNE_FIBER_TSAN
+  tsan_return_ = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(tsan_fiber_, 0);
+#endif
+  nbctune_fiber_switch(&return_sp_, fiber_sp_);
 #ifdef NBCTUNE_FIBER_ASAN
   __sanitizer_finish_switch_fiber(sched_fake_stack_, nullptr, nullptr);
 #endif
@@ -139,13 +193,14 @@ void Fiber::resume() {
 void Fiber::yield() {
   if (g_current != this || !running_)
     throw std::logic_error("yield() must be called on the running fiber");
-  if (_setjmp(fiber_jb_) == 0) {
 #ifdef NBCTUNE_FIBER_ASAN
-    __sanitizer_start_switch_fiber(&fiber_fake_stack_, sched_stack_bottom_,
-                                   sched_stack_size_);
+  __sanitizer_start_switch_fiber(&fiber_fake_stack_, sched_stack_bottom_,
+                                 sched_stack_size_);
 #endif
-    _longjmp(return_jb_, 1);
-  }
+#ifdef NBCTUNE_FIBER_TSAN
+  __tsan_switch_to_fiber(tsan_return_, 0);
+#endif
+  nbctune_fiber_switch(&fiber_sp_, return_sp_);
 #ifdef NBCTUNE_FIBER_ASAN
   __sanitizer_finish_switch_fiber(fiber_fake_stack_, &sched_stack_bottom_,
                                   &sched_stack_size_);

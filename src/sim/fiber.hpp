@@ -1,6 +1,6 @@
 #pragma once
 
-// Cooperative user-space fibers that switch with _setjmp/_longjmp.
+// Cooperative user-space fibers with a register-only switch.
 //
 // The simulation runs every simulated rank as one fiber.  Exactly one fiber
 // executes at any time; the scheduler (the "main" context) resumes a fiber,
@@ -8,15 +8,17 @@
 // single-threaded execution with cheap context switches, which matters on
 // the single-core hosts this simulator targets.
 //
-// A switch saves and restores only the callee-saved registers, stack and
-// instruction pointers, so it never enters the kernel.  Only a fiber's first
-// entry goes through makecontext/setcontext, to start its function on its
-// own stack.  Fibers therefore share their thread's signal mask and
-// floating-point environment: a fiber that changes either changes it for the
+// A switch is one short assembly routine (fiber.cpp; x86-64 System V only):
+// it pushes the callee-saved registers, swaps stack pointers, pops the other
+// context's registers and returns into it, so it never enters the kernel.  A
+// fiber's first resume() primes its stack so that this return lands in the
+// fiber's entry function.  Nothing else is switched: fibers share their
+// thread's signal mask and floating-point environment (the MXCSR and x87
+// control words), so a fiber that changes either changes it for the
 // scheduler and every other fiber on the thread.  The simulator changes
-// neither.
+// neither.  The routine keeps no CET shadow stack; glibc leaves the shadow
+// stack off unless a tunable turns it on.
 
-#include <csetjmp>
 #include <cstddef>
 #include <exception>
 #include <functional>
@@ -24,7 +26,9 @@
 
 // AddressSanitizer must be told about stack switches, or unwinding on a
 // fiber stack (e.g. an exception thrown by a simulated rank) is reported
-// as stack-use-after-scope.  The annotations below are no-ops otherwise.
+// as stack-use-after-scope.  ThreadSanitizer must be told too: it cannot
+// see the switch routine, and would mix up the fibers' shadow call stacks
+// and happens-before state.  The annotations are no-ops otherwise.
 #ifdef __SANITIZE_ADDRESS__
 #define NBCTUNE_FIBER_ASAN 1
 #elif defined(__has_feature)
@@ -32,14 +36,22 @@
 #define NBCTUNE_FIBER_ASAN 1
 #endif
 #endif
+#ifdef __SANITIZE_THREAD__
+#define NBCTUNE_FIBER_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define NBCTUNE_FIBER_TSAN 1
+#endif
+#endif
 
 namespace nbctune::sim {
 
 /// Stack size used when a caller does not pick one: the NBCTUNE_FIBER_STACK
-/// environment variable (bytes, clamped to >= 16 KiB), else 256 KiB.  The
-/// default is generous for the schedule builders and FFT kernels that run on
-/// fiber stacks; pure-collective mega-scale runs fit in the 16 KiB floor,
-/// which keeps a 131072-rank world near 10 KiB of resident memory per rank.
+/// environment variable (a plain decimal byte count, clamped to >= 16 KiB),
+/// else 256 KiB.  The default is generous for the schedule builders and FFT
+/// kernels that run on fiber stacks; pure-collective mega-scale runs fit in
+/// the 16 KiB floor, which keeps a 131072-rank world near 10 KiB of resident
+/// memory per rank.
 [[nodiscard]] std::size_t default_fiber_stack_bytes();
 
 /// A single cooperatively scheduled fiber.
@@ -49,7 +61,7 @@ namespace nbctune::sim {
 /// the function returns, finished() is true and resume() must not be called
 /// again.  Exceptions escaping the fiber function are captured and rethrown
 /// from resume().  Constructing a fiber only allocates its stack; the first
-/// resume() sets up its context.
+/// resume() primes it.
 class Fiber {
  public:
   using Fn = std::function<void()>;
@@ -90,8 +102,8 @@ class Fiber {
   Fn fn_;
   std::unique_ptr<char[]> stack_;
   std::size_t stack_bytes_;
-  std::jmp_buf fiber_jb_{};   // where yield() suspended the fiber
-  std::jmp_buf return_jb_{};  // where resume() waits for the next yield/finish
+  void* fiber_sp_ = nullptr;   // where yield() suspended the fiber
+  void* return_sp_ = nullptr;  // where resume() waits for the next yield/finish
   bool started_ = false;
   bool finished_ = false;
   bool running_ = false;
@@ -101,6 +113,10 @@ class Fiber {
   void* fiber_fake_stack_ = nullptr;  // fiber's shadow while suspended
   const void* sched_stack_bottom_ = nullptr;
   std::size_t sched_stack_size_ = 0;
+#endif
+#ifdef NBCTUNE_FIBER_TSAN
+  void* tsan_fiber_ = nullptr;   // this fiber's TSan context
+  void* tsan_return_ = nullptr;  // resume()'s caller's TSan context
 #endif
 };
 

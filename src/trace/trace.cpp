@@ -94,6 +94,8 @@ const char* ctr_name(Ctr c) noexcept {
       return "engine.events_cancelled";
     case Ctr::EngineNowFifoHits:
       return "engine.now_fifo_hits";
+    case Ctr::EngineInlineAdvances:
+      return "engine.inline_advances";
     case Ctr::FiberSwitches:
       return "fiber.switches";
     case Ctr::MsgsEager:

@@ -228,11 +228,15 @@ inline constexpr KindRow kKindRows[] = {
 /// Monotonic counters.  A fixed enum (not a string registry) keeps the
 /// hot-path increment at one array add after the null-tracer branch.
 enum class Ctr : std::uint8_t {
-  EngineEventsScheduled,  ///< Engine::schedule_at calls
-  EngineEventsFired,      ///< callbacks actually executed
+  EngineEventsScheduled,  ///< events queued (callbacks and process
+                          ///< resumptions), inline advances included
+  EngineEventsFired,      ///< events dispatched, inline advances included
   EngineEventsCancelled,  ///< successful Engine::cancel calls
   EngineNowFifoHits,      ///< zero-delay events that bypassed the heap
-  FiberSwitches,          ///< scheduler -> fiber resumes
+  EngineInlineAdvances,   ///< sleeps whose wake-up was the next event:
+                          ///< the clock advanced without a queue entry or
+                          ///< fiber switch
+  FiberSwitches,          ///< Fiber::resume calls (scheduler -> fiber)
   MsgsEager,              ///< eager payload messages shipped
   MsgsRts,                ///< rendezvous request-to-send messages
   MsgsCts,                ///< rendezvous clear-to-send messages

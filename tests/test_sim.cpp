@@ -3,11 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -77,7 +81,7 @@ TEST(Fiber, NestedFibers) {
   EXPECT_EQ(trace, (std::vector<int>{1, 2, 3}));
 }
 
-// A switch keeps only what _setjmp saves, so every live local of a
+// A switch keeps only the callee-saved registers, so every live local of a
 // suspended fiber must come back intact after other fibers ran.
 TEST(Fiber, RoundRobinKeepsLocalsAcrossYields) {
   constexpr int kFibers = 3;
@@ -144,6 +148,80 @@ TEST(Fiber, ExceptionAfterYieldsUnwindsFiberStack) {
   EXPECT_EQ(sim::Fiber::current(), nullptr);
 }
 
+// The sanitizer annotations add their own bookkeeping to a Fiber.
+#ifndef NBCTUNE_FIBER_ASAN
+static_assert(sizeof(sim::Fiber) <= 96, "a Fiber keeps stack pointers only");
+#endif
+
+namespace {
+// Offset of the caller's stack pointer at its call into this function from
+// a 16-byte boundary.  The ABI promises 0, and the compiler relies on it to
+// place aligned (e.g. SSE) stack slots.
+[[gnu::noinline]] std::uintptr_t call_site_misalignment() {
+  return reinterpret_cast<std::uintptr_t>(__builtin_dwarf_cfa()) % 16;
+}
+
+// Recurses `depth` frames of a few hundred bytes each, yielding once at the
+// bottom; returns the sum of the frames' depths read back on the way up.
+[[gnu::noinline]] int recurse_and_yield(int depth) {
+  volatile char frame[256];
+  frame[0] = static_cast<char>(depth);
+  frame[sizeof(frame) - 1] = static_cast<char>(depth);
+  if (depth == 0) {
+    sim::Fiber::current()->yield();
+    return 0;
+  }
+  const int below = recurse_and_yield(depth - 1);
+  return below + frame[0] + frame[sizeof(frame) - 1] - depth;
+}
+
+int sum_to(int n) { return n * (n + 1) / 2; }
+}  // namespace
+
+TEST(Fiber, StackIsAlignedOnFirstEntryAndAfterResume) {
+  std::vector<std::uintptr_t> misalignment;
+  sim::Fiber f([&] {
+    misalignment.push_back(call_site_misalignment());
+    sim::Fiber::current()->yield();
+    misalignment.push_back(call_site_misalignment());
+  });
+  f.resume();
+  f.resume();
+  ASSERT_TRUE(f.finished());
+  EXPECT_EQ(misalignment, (std::vector<std::uintptr_t>{0, 0}));
+}
+
+TEST(Fiber, SmallStackSurvivesKibibytesOfRecursion) {
+  // 24 frames of >= 256 bytes: over 6 KiB of a 16 KiB stack, suspended and
+  // resumed at the deepest point.
+  constexpr int kDepth = 24;
+  int result = -1;
+  sim::Fiber f([&] { result = recurse_and_yield(kDepth); }, 16 * 1024);
+  f.resume();
+  EXPECT_FALSE(f.finished());
+  f.resume();
+  EXPECT_TRUE(f.finished());
+  EXPECT_EQ(result, sum_to(kDepth));
+}
+
+TEST(Fiber, ExceptionFromDeepFrameRethrowsFromResume) {
+  sim::Fiber f(
+      [] {
+        recurse_and_yield(16);
+        throw std::runtime_error("deep");
+      },
+      16 * 1024);
+  f.resume();
+  try {
+    f.resume();
+    ADD_FAILURE() << "resume() did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "deep");
+  }
+  EXPECT_TRUE(f.finished());
+  EXPECT_EQ(sim::Fiber::current(), nullptr);
+}
+
 TEST(Fiber, NeverResumedMakesNoSwitch) {
   trace::Tracer tracer("fiber");
   trace::Tracer* prev = trace::set_current(&tracer);
@@ -166,8 +244,16 @@ TEST(FiberStack, EnvOverridesAndClampsDefault) {
   EXPECT_EQ(sim::default_fiber_stack_bytes(), 1048576u);
   ASSERT_EQ(setenv("NBCTUNE_FIBER_STACK", "4096", 1), 0);
   EXPECT_EQ(sim::default_fiber_stack_bytes(), 16u * 1024u);  // clamped
-  ASSERT_EQ(setenv("NBCTUNE_FIBER_STACK", "garbage", 1), 0);
-  EXPECT_EQ(sim::default_fiber_stack_bytes(), 256u * 1024u);
+  // Anything but a whole unsigned decimal falls back to the default: a
+  // sign, a leading space, an overflow or trailing junk must not become a
+  // huge (or wrapped-around) request.
+  for (const char* bad :
+       {"garbage", "-5", "+1048576", " 1048576", "1048576 ", "1048576k",
+        "99999999999999999999", "18446744073709551616", "0", ""}) {
+    ASSERT_EQ(setenv("NBCTUNE_FIBER_STACK", bad, 1), 0);
+    EXPECT_EQ(sim::default_fiber_stack_bytes(), 256u * 1024u)
+        << "NBCTUNE_FIBER_STACK='" << bad << "'";
+  }
   ASSERT_EQ(unsetenv("NBCTUNE_FIBER_STACK"), 0);
 }
 
@@ -458,6 +544,462 @@ TEST(Engine, DeterministicAcrossRuns) {
     return samples;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// ------------------------------------------- sleeps, wake-ups and ordering
+
+namespace {
+// Installs a Tracer on this thread for the scope, so tests can read the
+// engine's counters.
+struct CountingScope {
+  trace::Tracer tracer{"engine"};
+  trace::Tracer* prev = trace::set_current(&tracer);
+  ~CountingScope() { trace::set_current(prev); }
+  [[nodiscard]] std::uint64_t operator[](trace::Ctr c) const {
+    return tracer.counter(c);
+  }
+};
+
+using ClockLog = std::vector<std::pair<double, std::string>>;
+}  // namespace
+
+TEST(Engine, LoneSleeperAdvancesWithoutASwitch) {
+  CountingScope counts;
+  sim::Engine eng;
+  const std::vector<double> dts = {0.25, 1e-9, 3.0, 0.1, 7.5};
+  std::vector<double> expect, seen;
+  double t = 0.0;
+  for (const double dt : dts) expect.push_back(t += dt);
+  eng.add_process("p", [&](sim::Process& p) {
+    p.sleep(1.0);  // while launching: queued, like any start-up sleep
+    for (const double dt : dts) {
+      p.sleep(dt);
+      seen.push_back(eng.now() - 1.0);
+    }
+  });
+  eng.run();
+  ASSERT_EQ(seen.size(), expect.size());
+  double clock = 1.0;
+  for (std::size_t i = 0; i < dts.size(); ++i) {
+    clock += dts[i];  // the exact clock value a queued wake-up would carry
+    EXPECT_EQ(seen[i] + 1.0, clock) << "sleep " << i;
+  }
+  EXPECT_EQ(eng.now(), clock);
+  EXPECT_EQ(counts[trace::Ctr::FiberSwitches], 2u);  // launch + first wake
+  EXPECT_EQ(counts[trace::Ctr::EngineInlineAdvances], dts.size());
+  // An inline advance still counts as one scheduled and one fired event.
+  EXPECT_EQ(counts[trace::Ctr::EngineEventsScheduled], dts.size() + 1);
+  EXPECT_EQ(counts[trace::Ctr::EngineEventsFired], dts.size() + 1);
+  EXPECT_EQ(eng.events_processed(), dts.size() + 1);
+}
+
+TEST(Engine, EventsDueAtTheWakeTimeRunBeforeTheSleeper) {
+  sim::Engine eng;
+  ClockLog log;
+  eng.add_process("p", [&](sim::Process& p) {
+    p.sleep(0.5);
+    log.emplace_back(eng.now(), "p");
+    p.sleep(0.5);  // wakes at 1.0, where "heap" is due with a smaller seq
+    log.emplace_back(eng.now(), "p");
+    eng.schedule_after(0.0, [&] { log.emplace_back(eng.now(), "fifo"); });
+    p.sleep(0.5);  // the zero-delay event is due first
+    log.emplace_back(eng.now(), "p");
+  });
+  eng.schedule_at(1.0, [&] { log.emplace_back(eng.now(), "heap"); });
+  eng.run();
+  EXPECT_EQ(log, (ClockLog{{0.5, "p"},
+                           {1.0, "heap"},
+                           {1.0, "p"},
+                           {1.0, "fifo"},
+                           {1.5, "p"}}));
+}
+
+TEST(Engine, RunUntilLeavesALaterSleeperAsleep) {
+  sim::Engine eng;
+  double woke_at = -1.0;
+  eng.add_process("p", [&](sim::Process& p) {
+    p.sleep(1.0);
+    p.sleep(2.0);  // wakes at 3.0, past the limit below
+    woke_at = eng.now();
+  });
+  eng.run_until(2.0);
+  EXPECT_EQ(eng.now(), 2.0);
+  EXPECT_EQ(woke_at, -1.0);
+  EXPECT_FALSE(eng.process(0).finished());
+  eng.run();
+  EXPECT_EQ(woke_at, 3.0);
+}
+
+TEST(Engine, ProcessesLaunchedTogetherAllStartBeforeAnyAdvances) {
+  sim::Engine eng;
+  ClockLog log;
+  const auto body = [&](sim::Process& p) {
+    log.emplace_back(eng.now(), "start " + p.name());
+    p.sleep(1.0 + p.id());
+    log.emplace_back(eng.now(), "end " + p.name());
+  };
+  for (const char* name : {"a", "b", "c"}) eng.add_process(name, body);
+  // A batch added mid-run starts together too, at the adding instant.
+  eng.schedule_at(10.0, [&] {
+    for (const char* name : {"d", "e"}) eng.add_process(name, body);
+  });
+  eng.run();
+  EXPECT_EQ(log, (ClockLog{{0.0, "start a"},
+                           {0.0, "start b"},
+                           {0.0, "start c"},
+                           {1.0, "end a"},
+                           {2.0, "end b"},
+                           {3.0, "end c"},
+                           {10.0, "start d"},
+                           {10.0, "start e"},
+                           {14.0, "end d"},
+                           {15.0, "end e"}}));
+}
+
+TEST(Engine, LaunchGuardIsClearedWhenAStartThrows) {
+  CountingScope counts;
+  sim::Engine eng;
+  eng.add_process("thrower", [](sim::Process&) {
+    throw std::runtime_error("start");
+  });
+  EXPECT_THROW(eng.run(), std::runtime_error);
+  double woke_at = -1.0;
+  eng.add_process("sleeper", [&](sim::Process& p) {
+    p.sleep(1.0);
+    p.sleep(1.0);  // nothing else pending: advances in place
+    woke_at = eng.now();
+  });
+  eng.run();
+  EXPECT_EQ(woke_at, 2.0);
+  EXPECT_EQ(counts[trace::Ctr::EngineInlineAdvances], 1u);
+}
+
+TEST(Engine, CancelledHeapTopDoesNotBlockAnInlineAdvance) {
+  CountingScope counts;
+  sim::Engine eng;
+  bool fired = false;
+  double woke_at = -1.0;
+  eng.add_process("p", [&](sim::Process& p) {
+    p.sleep(1.0);
+    eng.cancel(eng.schedule_at(1.5, [&] { fired = true; }));
+    p.sleep(1.0);  // the cancelled entry at 1.5 is all that is queued
+    woke_at = eng.now();
+  });
+  eng.run();
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(woke_at, 2.0);
+  EXPECT_EQ(counts[trace::Ctr::EngineInlineAdvances], 1u);
+  EXPECT_EQ(counts[trace::Ctr::FiberSwitches], 2u);
+}
+
+// A seeded mix of sleeping and suspend/wake processes, callbacks and
+// cancels, run once on the engine and once on a reference scheduler that
+// keeps every pending event in one list sorted by (t, seq): both must log
+// the same (clock, actor) sequence.
+namespace mix {
+
+struct Op {
+  enum Kind : std::uint8_t { Sleep, Suspend, Wake, Spawn, Cancel };
+  Kind kind;
+  double dt;   // Sleep: duration; Spawn: delay
+  int target;  // Wake: process; Cancel: callback (modulo those created)
+};
+
+constexpr int kSweeper = -1;       // actor id of the wake-everyone callback
+constexpr int kCallbackBase = 1000;  // actor id of callback c: base + c
+constexpr double kSweepAt = 20.0;
+
+// Binary fractions: sums stay exact, so many events tie in time.
+double draw_dt(sim::Rng& rng) {
+  constexpr double kDts[] = {0.0, 0.25, 0.5, 1.0};
+  return kDts[rng.uniform_below(4)];
+}
+
+std::vector<Op> process_script(sim::Rng& rng, int procs, int len) {
+  std::vector<Op> ops;
+  for (int i = 0; i < len; ++i) {
+    const auto r = rng.uniform_below(10);
+    const int target = static_cast<int>(rng.uniform_below(1000));
+    if (r < 5) ops.push_back({Op::Sleep, draw_dt(rng), 0});
+    else if (r < 7) ops.push_back({Op::Suspend, 0.0, 0});
+    else if (r < 8) ops.push_back({Op::Wake, 0.0, target % procs});
+    else if (r < 9) ops.push_back({Op::Spawn, draw_dt(rng), 0});
+    else ops.push_back({Op::Cancel, 0.0, target});
+  }
+  return ops;
+}
+
+// Callback c's actions, a pure function of (seed, c).
+std::vector<Op> callback_script(std::uint64_t seed, int c, int procs) {
+  sim::Rng rng(seed * 7919 + static_cast<std::uint64_t>(c));
+  std::vector<Op> ops;
+  const auto n = rng.uniform_below(3);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const auto r = rng.uniform_below(4);
+    const int target = static_cast<int>(rng.uniform_below(1000));
+    if (r < 2) ops.push_back({Op::Wake, 0.0, target % procs});
+    else if (r < 3 && c < 200) ops.push_back({Op::Spawn, draw_dt(rng), 0});
+    else ops.push_back({Op::Cancel, 0.0, target});
+  }
+  return ops;
+}
+
+struct Setup {
+  std::uint64_t seed;
+  std::vector<std::vector<Op>> scripts;  // one per process
+  std::vector<double> initial_callbacks;  // their times
+};
+
+Setup make_setup(std::uint64_t seed) {
+  sim::Rng rng(seed);
+  Setup s{seed, {}, {}};
+  const int procs = 1 + static_cast<int>(rng.uniform_below(8));
+  for (int p = 0; p < procs; ++p) {
+    s.scripts.push_back(process_script(rng, procs, 25));
+  }
+  const auto n = rng.uniform_below(12);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const auto quarters = static_cast<double>(rng.uniform_below(40));
+    s.initial_callbacks.push_back(0.25 * quarters);
+  }
+  return s;
+}
+
+using Log = std::vector<std::pair<double, int>>;  // (clock, actor)
+
+struct EngineRun {
+  Log log;
+  std::uint64_t switches = 0;
+  std::uint64_t inline_advances = 0;
+};
+
+EngineRun run_engine(const Setup& s) {
+  CountingScope counts;
+  sim::Engine eng;
+  EngineRun out;
+  const int procs = static_cast<int>(s.scripts.size());
+  std::vector<std::uint64_t> ids;  // event id of callback c
+  std::function<void(int)> fire;
+  const auto apply = [&](const Op& op) {
+    switch (op.kind) {
+      case Op::Wake:
+        eng.process(op.target).wake();
+        break;
+      case Op::Spawn: {
+        const int c = static_cast<int>(ids.size());
+        ids.push_back(eng.schedule_after(op.dt, [&fire, c] { fire(c); }));
+        break;
+      }
+      case Op::Cancel:
+        if (!ids.empty()) {
+          eng.cancel(ids[static_cast<std::size_t>(op.target) % ids.size()]);
+        }
+        break;
+      default:
+        break;
+    }
+  };
+  fire = [&](int c) {
+    out.log.emplace_back(eng.now(), kCallbackBase + c);
+    for (const Op& op : callback_script(s.seed, c, procs)) apply(op);
+  };
+  for (int p = 0; p < procs; ++p) {
+    eng.add_process("p" + std::to_string(p), [&, p](sim::Process& self) {
+      out.log.emplace_back(eng.now(), p);
+      for (const Op& op : s.scripts[static_cast<std::size_t>(p)]) {
+        if (op.kind == Op::Sleep) self.sleep(op.dt);
+        else if (op.kind == Op::Suspend) self.suspend();
+        else apply(op);
+        out.log.emplace_back(eng.now(), p);
+      }
+    });
+  }
+  for (const double t : s.initial_callbacks) {
+    const int c = static_cast<int>(ids.size());
+    ids.push_back(eng.schedule_at(t, [&fire, c] { fire(c); }));
+  }
+  std::function<void()> sweep = [&] {
+    out.log.emplace_back(eng.now(), kSweeper);
+    bool pending = false;
+    for (int p = 0; p < procs; ++p) pending |= !eng.process(p).finished();
+    if (!pending) return;
+    for (int p = 0; p < procs; ++p) eng.process(p).wake();
+    eng.schedule_after(1.0, [&sweep] { sweep(); });
+  };
+  eng.schedule_at(kSweepAt, [&sweep] { sweep(); });
+  eng.run();
+  out.switches = counts[trace::Ctr::FiberSwitches];
+  out.inline_advances = counts[trace::Ctr::EngineInlineAdvances];
+  return out;
+}
+
+// The reference: processes are script interpreters, every pending event is
+// an entry of one vector kept sorted by (t, seq), and each step runs the
+// first entry.
+class Reference {
+ public:
+  explicit Reference(const Setup& s)
+      : s_(s), procs_(s.scripts.size()) {}
+
+  Log run() {
+    for (const double t : s_.initial_callbacks) spawn_at(t);
+    push(kSweepAt, Entry::Sweep, 0);
+    for (std::size_t p = 0; p < procs_.size(); ++p) resume(static_cast<int>(p));
+    while (!pending_.empty()) {
+      const Entry e = pending_.front();
+      pending_.erase(pending_.begin());
+      now_ = e.t;
+      if (e.what == Entry::SleepDone) {
+        resume(e.who);
+      } else if (e.what == Entry::WakeUp) {
+        Proc& p = procs_[static_cast<std::size_t>(e.who)];
+        if (p.suspended) {
+          p.suspended = false;
+          p.wake_pending = false;
+          resume(e.who);
+        }
+      } else if (e.what == Entry::Callback) {
+        log_.emplace_back(now_, kCallbackBase + e.who);
+        for (const Op& op : callback_script(s_.seed, e.who, procs())) apply(op);
+      } else {
+        sweep();
+      }
+    }
+    return log_;
+  }
+
+  [[nodiscard]] std::uint64_t resumes() const { return resumes_; }
+
+ private:
+  struct Entry {
+    enum What : std::uint8_t { SleepDone, WakeUp, Callback, Sweep };
+    double t;
+    std::uint64_t seq;
+    What what;
+    int who;
+  };
+  struct Proc {
+    std::size_t pc = 0;
+    bool running = false, suspended = false, wake_pending = false;
+    bool finished = false;
+  };
+
+  [[nodiscard]] int procs() const { return static_cast<int>(procs_.size()); }
+
+  void push(double t, Entry::What what, int who) {
+    const Entry e{t, seq_++, what, who};
+    const auto earlier = [](const Entry& a, const Entry& b) {
+      return a.t != b.t ? a.t < b.t : a.seq < b.seq;
+    };
+    const auto at =
+        std::upper_bound(pending_.begin(), pending_.end(), e, earlier);
+    pending_.insert(at, e);
+  }
+
+  void spawn_at(double t) { push(t, Entry::Callback, callbacks_++); }
+
+  void apply(const Op& op) {
+    switch (op.kind) {
+      case Op::Wake:
+        wake(op.target);
+        break;
+      case Op::Spawn:
+        spawn_at(now_ + op.dt);
+        break;
+      case Op::Cancel: {
+        if (callbacks_ == 0) break;
+        const int c = op.target % callbacks_;
+        std::erase_if(pending_, [c](const Entry& e) {
+          return e.what == Entry::Callback && e.who == c;
+        });
+        break;
+      }
+      default:
+        break;
+    }
+  }
+
+  // Process::wake's rules.
+  void wake(int who) {
+    Proc& p = procs_[static_cast<std::size_t>(who)];
+    if (p.running || p.finished) return;
+    if (!p.suspended) {
+      p.wake_pending = true;
+      return;
+    }
+    if (p.wake_pending) return;
+    p.wake_pending = true;
+    push(now_, Entry::WakeUp, who);
+  }
+
+  // Enter process `who` (start it, or finish its blocking op) and run its
+  // script until it blocks again or ends.
+  void resume(int who) {
+    Proc& p = procs_[static_cast<std::size_t>(who)];
+    const auto& script = s_.scripts[static_cast<std::size_t>(who)];
+    ++resumes_;
+    p.running = true;
+    log_.emplace_back(now_, who);  // start, or the blocking op's return
+    while (p.pc < script.size()) {
+      const Op& op = script[p.pc++];
+      if (op.kind == Op::Sleep && op.dt > 0) {
+        push(now_ + op.dt, Entry::SleepDone, who);
+        p.running = false;
+        return;
+      }
+      if (op.kind == Op::Suspend) {
+        if (!p.wake_pending) {
+          p.suspended = true;
+          p.running = false;
+          return;
+        }
+        p.wake_pending = false;
+      }
+      apply(op);  // no-op for the non-blocking sleep and suspend above
+      log_.emplace_back(now_, who);
+    }
+    p.running = false;
+    p.finished = true;
+  }
+
+  void sweep() {
+    log_.emplace_back(now_, kSweeper);
+    bool pending = false;
+    for (const Proc& p : procs_) pending |= !p.finished;
+    if (!pending) return;
+    for (int p = 0; p < procs(); ++p) wake(p);
+    push(now_ + 1.0, Entry::Sweep, 0);
+  }
+
+  const Setup& s_;
+  std::vector<Proc> procs_;
+  std::vector<Entry> pending_;
+  Log log_;
+  double now_ = 0.0;
+  std::uint64_t seq_ = 0;
+  int callbacks_ = 0;
+  std::uint64_t resumes_ = 0;
+};
+
+}  // namespace mix
+
+TEST(Engine, RandomMixMatchesASortedReferenceScheduler) {
+  std::uint64_t inline_total = 0, queued_total = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    const mix::Setup setup = mix::make_setup(seed);
+    mix::Reference ref(setup);
+    const mix::Log expect = ref.run();
+    const mix::EngineRun got = mix::run_engine(setup);
+    ASSERT_EQ(got.log, expect) << "seed " << seed;
+    // Every resumption the reference makes is a switch or an inline advance.
+    EXPECT_EQ(got.switches + got.inline_advances, ref.resumes())
+        << "seed " << seed;
+    inline_total += got.inline_advances;
+    queued_total += got.switches;
+  }
+  // Both the inline and the queued path were exercised.
+  EXPECT_GT(inline_total, 0u);
+  EXPECT_GT(queued_total, inline_total);
 }
 
 // -------------------------------------------------------------- Resource
