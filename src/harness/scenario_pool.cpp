@@ -1,6 +1,7 @@
 #include "harness/scenario_pool.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
@@ -9,6 +10,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "trace/trace.hpp"
@@ -219,9 +221,13 @@ struct ScenarioPool::Impl {
 
 int ScenarioPool::resolve_threads(int requested) noexcept {
   if (requested > 0) return requested;
+  // Only a whole positive decimal in int range counts: a sign, a space,
+  // an overflow or trailing text falls back to the hardware concurrency.
   if (const char* env = std::getenv("NBCTUNE_THREADS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
+    const std::string_view s(env);
+    int n = 0;
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), n);
+    if (ec == std::errc{} && end == s.data() + s.size() && n > 0) return n;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;

@@ -22,7 +22,6 @@ enum class ReqState : std::uint8_t {
   // --- send side ---
   EagerInFlight,  ///< payload handed to NIC; local completion event pending
   RtsSent,        ///< rendezvous handshake started, waiting for CTS
-  BulkReady,      ///< CTS received; bulk transfer not yet started
   BulkNic,        ///< NIC-driven bulk in flight; completion event pending
   BulkCpu,        ///< CPU-driven bulk; chunks pushed from the progress engine
   // --- receive side ---
@@ -41,7 +40,6 @@ struct Request {
   std::uint32_t generation = 0;  // even = free, odd = live
   ReqKind kind = ReqKind::Send;
   ReqState state = ReqState::Complete;
-  bool complete = false;
   bool chunk_in_flight = false;  // CPU-driven bulk: a push is on the wire
 
   int peer = kAnySource;  ///< world rank of the peer (resolved for sends)

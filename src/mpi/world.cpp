@@ -14,8 +14,22 @@ using detail::MatchKey;
 using detail::RankState;
 
 namespace {
-/// Bytes a control message (RTS/CTS) occupies on the wire.
+/// Bytes a control message (RTS/CTS/ack) occupies on the wire.
 constexpr std::size_t kCtrlBytes = 64;
+
+/// What ship() emits per envelope kind: the wire span, the post instant
+/// and the message counter.
+struct ShipRow {
+  trace::Kind wire;
+  trace::Kind post;
+  trace::Ctr ctr;
+};
+constexpr ShipRow kShipRows[] = {
+    {trace::Kind::WireEager, trace::Kind::MsgEager, trace::Ctr::MsgsEager},
+    {trace::Kind::WireRts, trace::Kind::MsgRts, trace::Ctr::MsgsRts},
+    {trace::Kind::WireCts, trace::Kind::MsgCts, trace::Ctr::MsgsCts},
+    {trace::Kind::WireAck, trace::Kind::MsgAck, trace::Ctr::MsgsAcks},
+};
 
 std::uint32_t match_index(std::uint64_t m) noexcept {
   return static_cast<std::uint32_t>(m >> 32);
@@ -35,8 +49,7 @@ World::World(sim::Engine& engine, net::Machine& machine, WorldOptions options)
     : engine_(engine), machine_(machine), options_(options) {
   if (options_.nprocs < 1) throw std::invalid_argument("World: nprocs < 1");
   const auto& p = machine_.platform();
-  if (options_.placement == WorldOptions::Placement::Block &&
-      options_.nprocs > p.total_cores()) {
+  if (options_.nprocs > p.total_cores()) {
     throw std::invalid_argument("World: more ranks than cores on " + p.name);
   }
   // One flat contiguous arena for all per-rank library state; sized once,
@@ -74,22 +87,6 @@ std::size_t World::arena_bytes() const noexcept {
   std::size_t bytes = ranks_.capacity() * sizeof(RankState);
   for (const RankState& rs : ranks_) bytes += rs.pool.capacity_bytes();
   return bytes;
-}
-
-int World::node_of(int wrank) const {
-  const auto& p = machine_.platform();
-  if (options_.placement == WorldOptions::Placement::RoundRobin) {
-    return wrank % p.nodes;
-  }
-  return wrank / p.cores_per_node;
-}
-
-int World::core_of(int wrank) const {
-  const auto& p = machine_.platform();
-  if (options_.placement == WorldOptions::Placement::RoundRobin) {
-    return (wrank / p.nodes) % p.cores_per_node;
-  }
-  return wrank % p.cores_per_node;
 }
 
 void World::launch(std::function<void(Ctx&)> program) {
@@ -169,6 +166,51 @@ void World::notify(int wrank) {
   rs.process->wake();
 }
 
+World::Wire World::transmit(int src, int dst, int rail, std::size_t bytes,
+                            double mem_gap, sim::Time earliest,
+                            sim::Time tx_at, trace::Kind what,
+                            std::uint64_t corr, bool lost) {
+  const auto& p = machine_.platform();
+  if (src == dst) {
+    // Shared memory: serialize on the node's memory port; flooding the
+    // port from many concurrent flows thrashes it (congestion factor).
+    const double factor = machine_.congestion_factor(dst, /*intra=*/true);
+    const auto slot = machine_.reserve_mem(
+        src, earliest,
+        static_cast<double>(bytes) * p.mem_byte_time * factor + mem_gap,
+        what, bytes, corr);
+    return {slot.end, slot.end + p.intra.latency};
+  }
+  // A rail-pinned transfer uses the same HCA index on both endpoints;
+  // otherwise the machine spreads by peer node.
+  const int nic =
+      rail >= 0 ? rail % p.nics_per_node : machine_.nic_for(src, dst);
+  const int rnic =
+      rail >= 0 ? rail % p.nics_per_node : machine_.nic_for(dst, src);
+  double lat_mult = 1.0;
+  double bt_mult = 1.0;
+  if (injector_ != nullptr) {
+    lat_mult = injector_->latency_mult(earliest);
+    bt_mult = injector_->byte_time_mult(earliest);
+    if (lat_mult != 1.0 || bt_mult != 1.0) {
+      trace::count(trace::Ctr::FaultDegradedMsgs);
+    }
+  }
+  const double busy =
+      static_cast<double>(bytes) * p.inter.byte_time * bt_mult +
+      p.inter.msg_gap;
+  const auto tx = machine_.reserve_tx(src, nic, tx_at, busy, what, bytes, corr);
+  if (lost) return {tx.end, tx.end};
+  // The receive side pays the per-message gap too (NIC message-rate
+  // limit) and slows down under incast (congestion factor).
+  const double rx_busy =
+      busy * machine_.congestion_factor(dst, /*intra=*/false);
+  const auto rx = machine_.reserve_rx(
+      dst, rnic, tx.start + machine_.latency(src, dst) * lat_mult, rx_busy,
+      what, bytes, corr);
+  return {tx.end, rx.end, rnic, rx_busy};
+}
+
 sim::Time World::ship(Envelope env, sim::Time earliest) {
   // A fail-stopped sender's NIC is silenced: in-flight transport
   // continuations (chunk pushes, acks, retransmits) die here.
@@ -176,39 +218,14 @@ sim::Time World::ship(Envelope env, sim::Time earliest) {
   RankState& src = ranks_[env.src];
   const int src_node = src.node;
   const int dst_node = ranks_[env.dst].node;
-  const auto& p = machine_.platform();
   env.seq = ++next_msg_seq_;
-  const std::size_t wire_bytes =
-      env.kind == Envelope::Kind::Eager ? env.bytes : kCtrlBytes;
-  trace::Kind wire_what;
-  trace::Kind post_what;
-  if (env.kind == Envelope::Kind::Eager) {
-    ++src.data_msgs;
-    wire_what = trace::Kind::WireEager;
-    post_what = trace::Kind::MsgEager;
-    trace::count(trace::Ctr::MsgsEager);
-  } else {
-    ++src.ctrl_msgs;
-    switch (env.kind) {
-      case Envelope::Kind::Rts:
-        wire_what = trace::Kind::WireRts;
-        post_what = trace::Kind::MsgRts;
-        trace::count(trace::Ctr::MsgsRts);
-        break;
-      case Envelope::Kind::Cts:
-        wire_what = trace::Kind::WireCts;
-        post_what = trace::Kind::MsgCts;
-        trace::count(trace::Ctr::MsgsCts);
-        break;
-      default:
-        wire_what = trace::Kind::WireAck;
-        post_what = trace::Kind::MsgAck;
-        trace::count(trace::Ctr::MsgsAcks);
-        break;
-    }
-  }
+  const bool eager = env.kind == Envelope::Kind::Eager;
+  const std::size_t wire_bytes = eager ? env.bytes : kCtrlBytes;
+  const ShipRow& row = kShipRows[static_cast<std::size_t>(env.kind)];
+  ++(eager ? src.data_msgs : src.ctrl_msgs);
+  trace::count(row.ctr);
   if (trace::active()) {
-    trace::instant(earliest, env.src, post_what,
+    trace::instant(earliest, env.src, row.post,
                    static_cast<std::uint64_t>(env.dst), env.bytes, env.seq);
     // Hierarchy accounting: message-size distribution per endpoint-pair
     // level, and (inter-node only) whether the NIC rail was pinned by the
@@ -234,23 +251,16 @@ sim::Time World::ship(Envelope env, sim::Time earliest) {
     }
   }
 
-  // Fault injection applies to inter-node messaging only: intra-node
-  // (shared-memory) traffic and bulk data streams are modeled reliable.
-  fault::Injector* inj = injector_.get();
+  // Faults that only messages suffer, inter-node only: a NIC stall delays
+  // the transmit start, and a drop or duplicate hits the data plane.
+  // Shared-memory traffic and bulk data streams are modeled reliable.
   bool dropped = false;
   bool duped = false;
-  double lat_mult = 1.0;
-  double bt_mult = 1.0;
-  sim::Time tx_earliest = earliest;
-  if (inj != nullptr && src_node != dst_node) {
-    lat_mult = inj->latency_mult(earliest);
-    bt_mult = inj->byte_time_mult(earliest);
-    if (lat_mult != 1.0 || bt_mult != 1.0) {
-      trace::count(trace::Ctr::FaultDegradedMsgs);
-    }
-    const double release = inj->nic_release(src_node, earliest);
-    if (release > tx_earliest) {
-      tx_earliest = release;
+  sim::Time tx_at = earliest;
+  if (injector_ != nullptr && src_node != dst_node) {
+    const double release = injector_->nic_release(src_node, earliest);
+    if (release > tx_at) {
+      tx_at = release;
       trace::count(trace::Ctr::FaultNicStalls);
       if (trace::active()) {
         trace::instant(earliest, env.src, trace::Kind::FaultStall,
@@ -260,87 +270,49 @@ sim::Time World::ship(Envelope env, sim::Time earliest) {
     // The control plane (tag >= kReliableTagBase) rides a reliable
     // channel: degraded/stalled like everything else, but never lost.
     if (env.tag < kReliableTagBase) {
-      dropped = inj->inject_drop(tx_earliest);
-      if (!dropped) duped = inj->inject_duplicate(tx_earliest);
+      dropped = injector_->inject_drop(tx_at);
+      if (!dropped) duped = injector_->inject_duplicate(tx_at);
     }
   }
 
   // Only payload-bearing messages count towards receive-side congestion;
   // tiny RTS/CTS control messages do not meaningfully load a receiver.
-  const bool data = env.kind == Envelope::Kind::Eager && !dropped;
+  const bool data = eager && !dropped;
   if (data) machine_.add_inflight(dst_node);
-
-  sim::Time local_done;
-  sim::Time arrival;
-  if (src_node == dst_node) {
-    // Shared memory: serialize on the node's memory port; flooding the
-    // port from many concurrent flows thrashes it (congestion factor).
-    const double factor = machine_.congestion_factor(dst_node, /*intra=*/true);
-    auto slot = machine_.reserve_mem(
-        src_node, earliest,
-        static_cast<double>(wire_bytes) * p.mem_byte_time * factor +
-            p.intra.msg_gap,
-        wire_what, wire_bytes, env.seq);
-    local_done = slot.end;
-    arrival = slot.end + p.intra.latency;
-  } else {
-    // A rail-pinned transfer uses the same HCA index on both endpoints;
-    // otherwise the machine spreads by peer node.
-    const int nics = p.nics_per_node;
-    const int nic =
-        env.rail >= 0 ? env.rail % nics : machine_.nic_for(src_node, dst_node);
-    const int rnic =
-        env.rail >= 0 ? env.rail % nics : machine_.nic_for(dst_node, src_node);
-    const double tx_time =
-        static_cast<double>(wire_bytes) * p.inter.byte_time * bt_mult +
-        p.inter.msg_gap;
-    auto tx = machine_.reserve_tx(src_node, nic, tx_earliest, tx_time,
-                                  wire_what, wire_bytes, env.seq);
-    local_done = tx.end;
-    if (dropped) {
-      // The sender's NIC transmitted; the packet died in the network.
-      trace::count(trace::Ctr::FaultDrops);
-      if (trace::active()) {
-        trace::instant(tx.end, env.src, trace::Kind::FaultDrop,
-                       static_cast<std::uint64_t>(env.dst), env.bytes,
-                       env.seq);
-      }
-      return local_done;
+  const Wire wire =
+      transmit(src_node, dst_node, env.rail, wire_bytes,
+               machine_.platform().intra.msg_gap, earliest, tx_at, row.wire,
+               env.seq, dropped);
+  if (dropped) {
+    // The sender's NIC transmitted; the packet died in the network.
+    trace::count(trace::Ctr::FaultDrops);
+    if (trace::active()) {
+      trace::instant(wire.sent, env.src, trace::Kind::FaultDrop,
+                     static_cast<std::uint64_t>(env.dst), env.bytes, env.seq);
     }
-    const double lat = machine_.latency(src_node, dst_node) * lat_mult;
-    // Receive side pays a per-message gap too (NIC message-rate limit)
-    // and slows down under incast (congestion factor).
-    const double factor = machine_.congestion_factor(dst_node, /*intra=*/false);
-    const double rx_time =
-        (static_cast<double>(wire_bytes) * p.inter.byte_time * bt_mult +
-         p.inter.msg_gap) *
-        factor;
-    auto rx = machine_.reserve_rx(dst_node, rnic, tx.start + lat, rx_time,
-                                  wire_what, wire_bytes, env.seq);
-    arrival = rx.end;
-    if (duped) {
-      // The network delivers a second copy right behind the first; the
-      // receive-side dedup table discards it on arrival.
-      trace::count(trace::Ctr::FaultDups);
-      if (trace::active()) {
-        trace::instant(rx.end, env.dst, trace::Kind::FaultDup,
-                       static_cast<std::uint64_t>(env.src), env.bytes,
-                       env.seq);
-      }
-      auto rx2 = machine_.reserve_rx(dst_node, rnic, rx.end, rx_time,
-                                     trace::Kind::WireDup, wire_bytes,
-                                     env.seq);
-      auto boxed2 = std::make_shared<Envelope>(env);
-      engine_.schedule_at(rx2.end,
-                          [this, boxed2] { deliver(std::move(*boxed2)); });
+    return wire.sent;
+  }
+  if (duped) {
+    // The network delivers a second copy right behind the first; the
+    // receive-side dedup table discards it on arrival.
+    trace::count(trace::Ctr::FaultDups);
+    if (trace::active()) {
+      trace::instant(wire.landed, env.dst, trace::Kind::FaultDup,
+                     static_cast<std::uint64_t>(env.src), env.bytes, env.seq);
     }
+    const auto rx2 =
+        machine_.reserve_rx(dst_node, wire.rx_nic, wire.landed, wire.rx_busy,
+                            trace::Kind::WireDup, wire_bytes, env.seq);
+    auto boxed2 = std::make_shared<Envelope>(env);
+    engine_.schedule_at(rx2.end,
+                        [this, boxed2] { deliver(std::move(*boxed2)); });
   }
   auto boxed = std::make_shared<Envelope>(std::move(env));
-  engine_.schedule_at(arrival, [this, boxed, data, dst_node] {
+  engine_.schedule_at(wire.landed, [this, boxed, data, dst_node] {
     if (data) machine_.remove_inflight(dst_node);
     deliver(std::move(*boxed));
   });
-  return local_done;
+  return wire.sent;
 }
 
 void World::deliver(Envelope env) {
@@ -355,8 +327,7 @@ void World::deliver(Envelope env) {
     }
     // Tracked (acked) messages: inter-node data-plane envelopes carrying
     // a match id (the reliable control plane is neither acked nor deduped).
-    if (env.match_id != 0 && ranks_[env.src].node != dst.node &&
-        env.tag < kReliableTagBase) {
+    if (env.match_id != 0 && tracked(env.src, dst_rank, env.tag)) {
       const auto key = std::make_tuple(static_cast<std::uint8_t>(env.kind),
                                        env.src, env.match_id);
       if (!dst.seen_msgs.insert(key).second) {
@@ -383,86 +354,47 @@ void World::deliver(Envelope env) {
   notify(dst_rank);
 }
 
-void World::start_nic_bulk(int src, int dst, Req sreq, std::uint64_t dst_match,
-                           std::size_t bytes, const void* sbuf,
+void World::start_nic_bulk(int src, Req sreq, const Request& r,
                            sim::Time earliest) {
-  const auto& p = machine_.platform();
-  RankState& srs = ranks_[src];
-  const int src_node = srs.node;
+  const int dst = r.peer;
   const int dst_node = ranks_[dst].node;
-  ++srs.data_msgs;
+  ++ranks_[src].data_msgs;
   const std::uint64_t seq = ++next_msg_seq_;
   trace::count(trace::Ctr::MsgsNicBulks);
   if (trace::active()) {
     trace::instant(earliest, src, trace::Kind::MsgBulkNic,
-                   static_cast<std::uint64_t>(dst), bytes, seq);
+                   static_cast<std::uint64_t>(dst), r.bytes, seq);
   }
   machine_.add_inflight(dst_node);
-  sim::Time send_done, recv_done;
-  if (src_node == dst_node) {
-    // Should not happen: intra-node rendezvous uses the CPU-copy path.
-    const double factor = machine_.congestion_factor(dst_node, /*intra=*/true);
-    auto slot = machine_.reserve_mem(
-        src_node, earliest, static_cast<double>(bytes) * p.mem_byte_time * factor,
-        trace::Kind::WireBulk, bytes, seq);
-    send_done = slot.end;
-    recv_done = slot.end + p.intra.latency;
-  } else {
-    const int rail = srs.pool.live(sreq) ? srs.pool.get(sreq).rail : -1;
-    const int nics = p.nics_per_node;
-    const int nic =
-        rail >= 0 ? rail % nics : machine_.nic_for(src_node, dst_node);
-    const int rnic =
-        rail >= 0 ? rail % nics : machine_.nic_for(dst_node, src_node);
-    double lat_mult = 1.0;
-    double bt_mult = 1.0;
-    if (injector_ != nullptr) {
-      lat_mult = injector_->latency_mult(earliest);
-      bt_mult = injector_->byte_time_mult(earliest);
-      if (lat_mult != 1.0 || bt_mult != 1.0) {
-        trace::count(trace::Ctr::FaultDegradedMsgs);
-      }
-    }
-    auto tx = machine_.reserve_tx(
-        src_node, nic, earliest,
-        static_cast<double>(bytes) * p.inter.byte_time * bt_mult +
-            p.inter.msg_gap,
-        trace::Kind::WireBulk, bytes, seq);
-    const double lat = machine_.latency(src_node, dst_node) * lat_mult;
-    const double factor = machine_.congestion_factor(dst_node, /*intra=*/false);
-    auto rx = machine_.reserve_rx(
-        dst_node, rnic, tx.start + lat,
-        (static_cast<double>(bytes) * p.inter.byte_time * bt_mult +
-         p.inter.msg_gap) *
-            factor,
-        trace::Kind::WireBulk, bytes, seq);
-    send_done = tx.end;
-    recv_done = rx.end;
-  }
   // Both ends complete when the data has landed: delivering first and
   // completing the sender in the same event guarantees the sender cannot
   // reuse (or free) its buffer before the delivery copy reads it.  The
   // sender is charged one extra wire latency versus true local completion
-  // at `send_done` — negligible against the bulk transfer itself.
-  (void)send_done;
+  // at the transmit end — negligible against the bulk transfer itself.
+  const sim::Time landed =
+      transmit(ranks_[src].node, dst_node, r.rail, r.bytes, 0.0, earliest,
+               earliest, trace::Kind::WireBulk, seq, false)
+          .landed;
   // seq is narrowed to fit the InlineFn capture budget; corr ids stay
   // unique within any realistic scenario (< 2^32 messages).
-  engine_.schedule_at(recv_done, [this, src, sreq, dst, dst_match, sbuf,
-                                  dst_node,
-                                  seq32 = static_cast<std::uint32_t>(seq)] {
+  engine_.schedule_at(landed, [this, src, sreq, dst,
+                               dst_match = r.peer_match_id,
+                               sbuf = r.send_buf, dst_node,
+                               seq32 = static_cast<std::uint32_t>(seq)] {
     machine_.remove_inflight(dst_node);
-    if (trace::active()) {
-      trace::instant(engine_.now(), dst, trace::Kind::MsgComplete,
-                     static_cast<std::uint64_t>(src), 0, seq32);
-    }
-    complete_request(dst, dst_match, sbuf);
-    RankState& rs = ranks_[src];
-    if (!rs.pool.live(sreq)) return;
-    Request& r = rs.pool.get(sreq);
-    r.complete = true;
-    r.state = ReqState::Complete;
-    notify(src);
+    land_bulk(src, sreq, dst, dst_match, sbuf, seq32);
   });
+}
+
+void World::land_bulk(int src, Req sreq, int dst, std::uint64_t dst_match,
+                      const void* sbuf, std::uint64_t corr) {
+  if (trace::active()) {
+    trace::instant(engine_.now(), dst, trace::Kind::MsgComplete,
+                   static_cast<std::uint64_t>(src), 0, corr);
+  }
+  // The receiver gets the data, then the sender completes.
+  complete_request(dst, dst_match, sbuf);
+  complete_send(src, sreq);
 }
 
 void World::complete_request(int wrank, std::uint64_t match_id,
@@ -477,12 +409,27 @@ void World::complete_request(int wrank, std::uint64_t match_id,
   if (deliver_from != nullptr && r.recv_buf != nullptr) {
     std::memcpy(r.recv_buf, deliver_from, r.bytes);
   }
-  r.complete = true;
   r.state = ReqState::Complete;
   notify(wrank);
 }
 
+void World::complete_send(int wrank, Req h) {
+  RankState& rs = ranks_[wrank];
+  if (!rs.pool.live(h)) return;
+  rs.pool.get(h).state = ReqState::Complete;
+  notify(wrank);
+}
+
 // ------------------------------------------------- resilience (lossy plans)
+
+void World::track(int wrank, Req h, RexmitKind kind) {
+  Request& r = ranks_[wrank].pool.get(h);
+  const fault::FaultPlan& plan = injector_->plan();
+  r.rexmit = kind;
+  r.retries_left = plan.retries;
+  r.rto = plan.rto;
+  arm_retransmit(wrank, h);
+}
 
 void World::arm_retransmit(int wrank, Req h) {
   Request& r = ranks_[wrank].pool.get(h);
@@ -496,23 +443,14 @@ void World::on_rto(int wrank, Req h) {
   if (!rs.pool.live(h)) return;
   Request& r = rs.pool.get(h);
   r.timer_id = 0;
-  if (r.acked || r.complete || r.rexmit == RexmitKind::None) return;
-  // Never retransmit to a fail-stopped peer: a dead destination must not
-  // be resurrected by the reliability layer.  Fail the request now; the
-  // recovery path (not the send-failure path) will clean it up.
-  if (ft_ != nullptr && ranks_[r.peer].dead) {
-    r.failed = true;
-    r.rexmit = RexmitKind::None;
-    trace::count(trace::Ctr::MsgsSendFailures);
-    if (trace::active()) {
-      trace::instant(engine_.now(), wrank, trace::Kind::MsgSendFailure,
-                     static_cast<std::uint64_t>(r.peer),
-                     static_cast<std::uint64_t>(r.tag), pack_match(h));
-    }
-    notify(wrank);
+  if (r.acked || r.state == ReqState::Complete ||
+      r.rexmit == RexmitKind::None) {
     return;
   }
-  if (r.retries_left <= 0) {
+  // Retries spent, or the peer fail-stopped: fail the request now.  A dead
+  // destination must not be resurrected by the reliability layer; the
+  // recovery path (not the send-failure path) will clean its request up.
+  if ((ft_ != nullptr && ranks_[r.peer].dead) || r.retries_left <= 0) {
     r.failed = true;
     r.rexmit = RexmitKind::None;
     trace::count(trace::Ctr::MsgsSendFailures);
@@ -588,10 +526,7 @@ void World::handle_ack(const Envelope& env) {
   // Eager sends complete on acknowledgement (the lossy-mode replacement
   // for the local NIC-done completion); rendezvous state machines keep
   // advancing through their own CTS/bulk events.
-  if (r.state == ReqState::EagerInFlight) {
-    r.complete = true;
-    r.state = ReqState::Complete;
-  }
+  if (r.state == ReqState::EagerInFlight) r.state = ReqState::Complete;
   notify(env.dst);
 }
 
@@ -715,36 +650,24 @@ Req Ctx::post_isend(const Comm& comm, const void* buf, std::size_t bytes,
       env.payload.resize(bytes);
       std::memcpy(env.payload.data(), buf, bytes);
     }
-    const bool tracked =
-        world_.lossy() && !same_node && tag < kReliableTagBase;
+    const bool tracked = world_.tracked(wrank_, dst_w, tag);
     if (tracked) env.match_id = pack_match(h);
     const sim::Time start = now() + earliest_offset + my_prep;
     const sim::Time local_done = world_.ship(std::move(env), start);
     cpu_cost += my_prep;
     if (same_node) {
       // Payload copied out of the user buffer already: locally complete.
-      r.complete = true;
       r.state = ReqState::Complete;
     } else if (tracked) {
       // Lossy mode: completion comes from the peer's acknowledgement, and
       // an RTO timer retransmits until it does (or retries run out).
-      (void)local_done;
       r.state = ReqState::EagerInFlight;
-      const fault::FaultPlan& plan = world_.injector()->plan();
-      r.rexmit = RexmitKind::Eager;
-      r.retries_left = plan.retries;
-      r.rto = plan.rto;
-      world_.arm_retransmit(wrank_, h);
+      world_.track(wrank_, h, RexmitKind::Eager);
     } else {
       r.state = ReqState::EagerInFlight;
       const int self = wrank_;
       world_.engine().schedule_at(local_done, [w = &world_, self, h] {
-        RankState& s = w->ranks_[self];
-        if (!s.pool.live(h)) return;
-        Request& rr = s.pool.get(h);
-        rr.complete = true;
-        rr.state = ReqState::Complete;
-        w->notify(self);
+        w->complete_send(self, h);
       });
     }
   } else {
@@ -758,12 +681,8 @@ Req Ctx::post_isend(const Comm& comm, const void* buf, std::size_t bytes,
     world_.ship(std::move(env), now() + earliest_offset + my_prep);
     cpu_cost += my_prep;
     r.state = ReqState::RtsSent;
-    if (world_.lossy() && !same_node && tag < kReliableTagBase) {
-      const fault::FaultPlan& plan = world_.injector()->plan();
-      r.rexmit = RexmitKind::Rts;
-      r.retries_left = plan.retries;
-      r.rto = plan.rto;
-      world_.arm_retransmit(wrank_, h);
+    if (world_.tracked(wrank_, dst_w, tag)) {
+      world_.track(wrank_, h, RexmitKind::Rts);
     }
   }
   return h;
@@ -835,9 +754,22 @@ bool Ctx::try_match_unexpected(Req rh, double& cpu_cost) {
     best->second.pop_front();
     if (best->second.empty()) rs.unexpected.erase(best);
   }
+  accept(env, rh, cpu_cost);
+  return true;
+}
 
+void Ctx::accept(const Envelope& env, Req rh, double& cpu_cost) {
+  RankState& rs = st();
+  Request& r = rs.pool.get(rh);
   if (env.bytes > r.bytes) {
-    throw std::length_error("recv buffer smaller than incoming message");
+    throw std::length_error(
+        "recv buffer smaller than incoming message (dst=" +
+        std::to_string(wrank_) + " src=" + std::to_string(env.src) +
+        " tag=" + std::to_string(env.tag) + " ctx=" +
+        std::to_string(env.context) + " kind=" +
+        std::to_string(int(env.kind)) + " env.bytes=" +
+        std::to_string(env.bytes) + " posted.bytes=" +
+        std::to_string(r.bytes) + ")");
   }
   if (env.kind == Envelope::Kind::Eager) {
     const auto& p = world_.platform();
@@ -850,13 +782,11 @@ bool Ctx::try_match_unexpected(Req rh, double& cpu_cost) {
     }
     r.peer = env.src;
     r.status = Status{env.src, env.tag, env.bytes};
-    r.complete = true;
     r.state = ReqState::Complete;
   } else {
     assert(env.kind == Envelope::Kind::Rts);
     send_cts(env, rh, cpu_cost);
   }
-  return true;
 }
 
 void Ctx::send_cts(const Envelope& rts, Req rh, double& cpu_cost) {
@@ -881,17 +811,12 @@ void Ctx::send_cts(const Envelope& rts, Req rh, double& cpu_cost) {
   cts.match_id = rts.match_id;        // sender request
   cts.peer_match_id = pack_match(rh); // this (receiver) request
   world_.ship(std::move(cts), now() + cpu_cost);
-  if (world_.lossy() && rs.node != world_.ranks_[rts.src].node &&
-      rts.tag < kReliableTagBase) {
+  if (world_.tracked(wrank_, rts.src, rts.tag)) {
     // Track the CTS for retransmission; stash the sender's match id (the
     // receive side does not otherwise use the field) so the control
     // message can be rebuilt on RTO expiry.
-    const fault::FaultPlan& plan = world_.injector()->plan();
     r.match_id = rts.match_id;
-    r.rexmit = RexmitKind::Cts;
-    r.retries_left = plan.retries;
-    r.rto = plan.rto;
-    world_.arm_retransmit(wrank_, rh);
+    world_.track(wrank_, rh, RexmitKind::Cts);
   }
 }
 
@@ -925,8 +850,7 @@ void Ctx::handle_envelope(Envelope& env, double& cpu_cost) {
     } else {
       r.state = ReqState::BulkNic;
       Req h{match_index(env.match_id), match_gen(env.match_id)};
-      world_.start_nic_bulk(wrank_, env.src, h, env.peer_match_id, r.bytes,
-                            r.send_buf, now() + cpu_cost);
+      world_.start_nic_bulk(wrank_, h, r, now() + cpu_cost);
     }
     return;
   }
@@ -968,33 +892,7 @@ void Ctx::handle_envelope(Envelope& env, double& cpu_cost) {
     return;
   }
 
-  Request& r = rs.pool.get(matched);
-  if (env.bytes > r.bytes) {
-    throw std::length_error(
-        "recv buffer smaller than incoming message (dst=" +
-        std::to_string(wrank_) + " src=" + std::to_string(env.src) +
-        " tag=" + std::to_string(env.tag) + " ctx=" +
-        std::to_string(env.context) + " kind=" +
-        std::to_string(int(env.kind)) + " env.bytes=" +
-        std::to_string(env.bytes) + " posted.bytes=" +
-        std::to_string(r.bytes) + ")");
-  }
-  if (env.kind == Envelope::Kind::Eager) {
-    const auto& p = world_.platform();
-    cpu_cost += (rs.node == world_.ranks_[env.src].node
-                     ? p.intra.recv_overhead
-                     : p.inter.recv_overhead) +
-                static_cast<double>(env.bytes) * p.copy_byte_time;
-    if (r.recv_buf != nullptr && !env.payload.empty()) {
-      std::memcpy(r.recv_buf, env.payload.data(), env.payload.size());
-    }
-    r.peer = env.src;
-    r.status = Status{env.src, env.tag, env.bytes};
-    r.complete = true;
-    r.state = ReqState::Complete;
-  } else {
-    send_cts(env, matched, cpu_cost);
-  }
+  accept(env, matched, cpu_cost);
 }
 
 void Ctx::push_chunks(double& cpu_cost) {
@@ -1016,87 +914,32 @@ void Ctx::push_chunks(double& cpu_cost) {
     cpu_cost += bulk_chunk_cost(chunk);
     const int dst = r.peer;
     const int dst_node = world_.ranks_[dst].node;
-    const bool same_node = rs.node == dst_node;
     world_.machine().add_inflight(dst_node);
-    sim::Time drain_end, arrival;
     trace::count(trace::Ctr::MsgsBulkChunks);
-    if (same_node) {
-      const double factor =
-          world_.machine().congestion_factor(dst_node, /*intra=*/true);
-      auto slot = world_.machine().reserve_mem(
-          rs.node, now() + cpu_cost,
-          static_cast<double>(chunk) * p.mem_byte_time * factor,
-          trace::Kind::WireChunk, chunk, r.xfer_seq);
-      drain_end = slot.end;
-      arrival = slot.end + p.intra.latency;
-    } else {
-      const int nics = p.nics_per_node;
-      const int nic = r.rail >= 0 ? r.rail % nics
-                                  : world_.machine().nic_for(rs.node, dst_node);
-      const int rnic = r.rail >= 0
-                           ? r.rail % nics
-                           : world_.machine().nic_for(dst_node, rs.node);
-      double lat_mult = 1.0;
-      double bt_mult = 1.0;
-      if (fault::Injector* inj = world_.injector()) {
-        lat_mult = inj->latency_mult(now() + cpu_cost);
-        bt_mult = inj->byte_time_mult(now() + cpu_cost);
-        if (lat_mult != 1.0 || bt_mult != 1.0) {
-          trace::count(trace::Ctr::FaultDegradedMsgs);
-        }
-      }
-      auto tx = world_.machine().reserve_tx(
-          rs.node, nic, now() + cpu_cost,
-          static_cast<double>(chunk) * p.inter.byte_time * bt_mult +
-              p.inter.msg_gap,
-          trace::Kind::WireChunk, chunk, r.xfer_seq);
-      const double factor =
-          world_.machine().congestion_factor(dst_node, /*intra=*/false);
-      auto rx = world_.machine().reserve_rx(
-          dst_node, rnic,
-          tx.start + world_.machine().latency(rs.node, dst_node) * lat_mult,
-          (static_cast<double>(chunk) * p.inter.byte_time * bt_mult +
-           p.inter.msg_gap) *
-              factor,
-          trace::Kind::WireChunk, chunk, r.xfer_seq);
-      drain_end = tx.end;
-      arrival = rx.end;
-    }
-    world_.engine().schedule_at(arrival, [w = &world_, dst_node] {
+    const sim::Time at = now() + cpu_cost;
+    const auto wire =
+        world_.transmit(rs.node, dst_node, r.rail, chunk, 0.0, at, at,
+                        trace::Kind::WireChunk, r.xfer_seq, false);
+    world_.engine().schedule_at(wire.landed, [w = &world_, dst_node] {
       w->machine().remove_inflight(dst_node);
     });
     ++rs.data_msgs;
     r.cursor += chunk;
     r.chunk_in_flight = true;
-    const bool last = r.cursor == r.bytes;
     const Req h = v[i];
     const int self = wrank_;
-    world_.engine().schedule_at(drain_end, [w = &world_, self, h] {
+    world_.engine().schedule_at(wire.sent, [w = &world_, self, h] {
       RankState& s = w->ranks_[self];
       if (!s.pool.live(h)) return;
       s.pool.get(h).chunk_in_flight = false;
       w->notify(self);  // wake to push the next chunk if blocked in wait
     });
-    if (last) {
-      const std::uint64_t dst_match = r.peer_match_id;
-      const void* sbuf = r.send_buf;
-      const std::uint64_t xfer = r.xfer_seq;
-      world_.engine().schedule_at(arrival, [w = &world_, self, h, dst,
-                                            dst_match, sbuf, xfer] {
-        if (trace::active()) {
-          trace::instant(w->engine_.now(), dst, trace::Kind::MsgComplete,
-                         static_cast<std::uint64_t>(self), 0, xfer);
-        }
-        // Receiver gets the data...
-        w->complete_request(dst, dst_match, sbuf);
-        // ...and the sender completes (socket drained / copy done).
-        RankState& s = w->ranks_[self];
-        if (!s.pool.live(h)) return;
-        Request& rr = s.pool.get(h);
-        rr.complete = true;
-        rr.state = ReqState::Complete;
-        w->notify(self);
-      });
+    if (r.cursor == r.bytes) {
+      world_.engine().schedule_at(
+          wire.landed, [w = &world_, self, h, dst, dst_match = r.peer_match_id,
+                        sbuf = r.send_buf, xfer = r.xfer_seq] {
+            w->land_bulk(self, h, dst, dst_match, sbuf, xfer);
+          });
       v.erase(v.begin() + static_cast<std::ptrdiff_t>(i));
       continue;
     }
@@ -1164,18 +1007,13 @@ Req Ctx::irecv(const Comm& comm, void* buf, std::size_t bytes, int src,
   return h;
 }
 
-bool Ctx::peek_complete(Req h) {
-  if (h.null()) return true;
-  return st().pool.get(h).complete;
-}
-
 Request* Ctx::request_ptr(Req h) { return st().pool.ptr(h); }
 
 void Ctx::observe(Req& h, Status* status) {
   if (h.null()) return;
   RankState& rs = st();
   Request& r = rs.pool.get(h);
-  assert(r.complete);
+  assert(r.state == ReqState::Complete);
   if (status != nullptr) *status = r.status;
   --rs.outstanding;
   rs.pool.release(h);
@@ -1221,7 +1059,7 @@ bool Ctx::test(Req& h, Status* status) {
     cancel_request(h);
     throw_send_failed(wrank_);
   }
-  if (!r.complete) return false;
+  if (r.state != ReqState::Complete) return false;
   observe(h, status);
   return true;
 }
@@ -1230,7 +1068,7 @@ void Ctx::wait(Req& h, Status* status) {
   if (h.null()) return;
   block_until([&] {
     const Request& r = st().pool.get(h);
-    return r.complete || r.failed;
+    return r.state == ReqState::Complete || r.failed;
   });
   if (st().pool.get(h).failed) {
     cancel_request(h);
@@ -1244,7 +1082,7 @@ void Ctx::wait_all(std::vector<Req>& hs) {
     for (const Req& h : hs) {
       if (h.null()) continue;
       const Request& r = st().pool.get(h);
-      if (!r.complete && !r.failed) return false;
+      if (r.state != ReqState::Complete && !r.failed) return false;
     }
     return true;
   });
@@ -1257,7 +1095,9 @@ void Ctx::wait_all(std::vector<Req>& hs) {
   }
   if (any_failed) {
     for (Req& h : hs) {
-      if (!h.null() && st().pool.get(h).complete) observe(h, nullptr);
+      if (!h.null() && st().pool.get(h).state == ReqState::Complete) {
+        observe(h, nullptr);
+      }
     }
     throw_send_failed(wrank_);
   }

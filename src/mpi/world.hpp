@@ -67,8 +67,6 @@ struct WorldOptions {
   std::uint64_t seed = 1;
   /// Scale factor on the platform's noise model (0 = fully deterministic).
   double noise_scale = 1.0;
-  /// Rank placement onto nodes.
-  enum class Placement { Block, RoundRobin } placement = Placement::Block;
   /// Fiber stack size for launch(); 0 = sim::default_fiber_stack_bytes()
   /// (NBCTUNE_FIBER_STACK env var, else 256 KiB).
   std::size_t fiber_stack_bytes = 0;
@@ -168,10 +166,15 @@ class World {
   [[nodiscard]] std::size_t arena_bytes() const noexcept;
 
   [[nodiscard]] int size() const noexcept { return options_.nprocs; }
-  [[nodiscard]] int node_of(int wrank) const;
-  /// Core slot of `wrank` within its node (consistent with node_of for
-  /// either placement); feeds Topology::level_between for socket locality.
-  [[nodiscard]] int core_of(int wrank) const;
+  /// Block placement: ranks fill node 0's cores first, then node 1's.
+  [[nodiscard]] int node_of(int wrank) const noexcept {
+    return wrank / platform().cores_per_node;
+  }
+  /// Core slot of `wrank` within its node; feeds Topology::level_between
+  /// for socket locality.
+  [[nodiscard]] int core_of(int wrank) const noexcept {
+    return wrank % platform().cores_per_node;
+  }
   [[nodiscard]] sim::Engine& engine() noexcept { return engine_; }
   [[nodiscard]] net::Machine& machine() noexcept { return machine_; }
   [[nodiscard]] const WorldOptions& options() const noexcept { return options_; }
@@ -195,9 +198,6 @@ class World {
   [[nodiscard]] fault::Injector* injector() noexcept {
     return injector_.get();
   }
-  /// True when a lossy plan is attached: inter-node messages are acked,
-  /// deduplicated, and retransmitted on RTO expiry.
-  [[nodiscard]] bool lossy() const noexcept { return lossy_; }
 
   /// The fail-stop recovery service, or nullptr when the attached plan
   /// has no kills (created by launch()).
@@ -230,23 +230,58 @@ class World {
   detail::RankState& rank_state(int wrank) { return ranks_.at(wrank); }
 
   // ---- transport ----
+  /// When a transfer leaves its sender and when it lands (see transmit).
+  struct Wire {
+    sim::Time sent = 0.0;    ///< the sender's port or transmit engine is free
+    sim::Time landed = 0.0;  ///< the data is at the receiver
+    int rx_nic = 0;          ///< receiving NIC (inter-node only)
+    double rx_busy = 0.0;    ///< receive-engine busy time (inter-node only)
+  };
+
+  /// The wire cost model, for every transfer between nodes `src` and
+  /// `dst`.  Same node: the memory port is busy for bytes x mem_byte_time
+  /// x congestion + `mem_gap`, and the data lands one intra-node latency
+  /// later.  Different nodes: the transmit engine (NIC `rail`, or the
+  /// per-peer default) starts no earlier than `tx_at`; the receive engine
+  /// starts one latency after it and is busy as long, times incast
+  /// congestion; a degrade window read at `earliest` stretches both.  A
+  /// `lost` transfer reserves no receive side.
+  Wire transmit(int src, int dst, int rail, std::size_t bytes, double mem_gap,
+                sim::Time earliest, sim::Time tx_at, trace::Kind what,
+                std::uint64_t corr, bool lost);
+
   /// Put an envelope on the wire; `earliest` is when the sender's CPU is
   /// done preparing it.  Returns the transmit-complete time on the sender
-  /// (for eager local completion / chunk drain notification).
+  /// (for eager local completion).
   sim::Time ship(detail::Envelope env, sim::Time earliest);
 
   void deliver(detail::Envelope env);  // arrival event body (scheduler ctx)
   void notify(int wrank);              // wake a rank blocked in the library
 
-  /// Schedule an RDMA-style NIC-driven bulk transfer; completes both
-  /// request ends via events.
-  void start_nic_bulk(int src, int dst, Req sreq, std::uint64_t dst_match,
-                      std::size_t bytes, const void* sbuf, sim::Time earliest);
+  /// Schedule the RDMA-style NIC-driven bulk of send request `sreq` (CTS
+  /// handled, `r` its state) from rank `src`; both ends complete on landing.
+  void start_nic_bulk(int src, Req sreq, const Request& r, sim::Time earliest);
 
+  /// A bulk transfer landed: the receiver's request gets the data from
+  /// `sbuf`, then the sender's request completes.
+  void land_bulk(int src, Req sreq, int dst, std::uint64_t dst_match,
+                 const void* sbuf, std::uint64_t corr);
   void complete_request(int wrank, std::uint64_t match_id,
                         const void* deliver_from);
+  /// Complete the send request `h` of `wrank` (no-op once cancelled).
+  void complete_send(int wrank, Req h);
 
   // ---- resilience (lossy fault plans) ----
+  /// True when messages from rank `src` to rank `dst` on `tag` are acked,
+  /// deduplicated and retransmitted: a lossy plan, different nodes, and
+  /// the data plane.
+  [[nodiscard]] bool tracked(int src, int dst, int tag) const noexcept {
+    return lossy_ && ranks_[src].node != ranks_[dst].node &&
+           tag < kReliableTagBase;
+  }
+  /// Track send-side request `h` for retransmission of a `kind` message:
+  /// the plan's retries and RTO, and the timer armed.
+  void track(int wrank, Req h, RexmitKind kind);
   /// Arm (or re-arm) the RTO timer on a tracked send-side message.
   void arm_retransmit(int wrank, Req h);
   /// RTO expiry: retransmit with doubled timeout, or declare failure.
@@ -322,8 +357,6 @@ class Ctx {
                  int rail = -1);
   Req post_irecv(const Comm& comm, void* buf, std::size_t bytes, int src,
                  int tag, double& cpu_cost, int rail = -1);
-  /// Non-charging completion check (no progress pass).
-  bool peek_complete(Req h);
   /// Stable pointer to a live request (hot-path completion polling).
   Request* request_ptr(Req h);
   /// Observe a known-complete request, freeing it.
@@ -430,6 +463,9 @@ class Ctx {
 
   bool try_match_unexpected(Req rh, double& cpu_cost);
   void handle_envelope(detail::Envelope& env, double& cpu_cost);
+  /// A matched eager or RTS envelope for receive request `rh`: complete
+  /// the eager receive, or answer the RTS with a CTS.
+  void accept(const detail::Envelope& env, Req rh, double& cpu_cost);
   void send_cts(const detail::Envelope& rts, Req rh, double& cpu_cost);
   void push_chunks(double& cpu_cost);
   double bulk_chunk_cost(std::size_t chunk) const;

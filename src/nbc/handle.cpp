@@ -173,7 +173,7 @@ double Handle::poke([[maybe_unused]] mpi::Ctx& ctx) {
   for (;;) {
     // Is the current round finished?
     for (const mpi::Request* r : pending_ptrs_) {
-      if (!r->complete) return cost;
+      if (r->state != mpi::ReqState::Complete) return cost;
     }
     for (mpi::Req& h : pending_) ctx_.observe(h, nullptr);
     pending_.clear();

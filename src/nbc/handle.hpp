@@ -62,9 +62,6 @@ class Handle : public mpi::ProgressClient {
   /// fallback schedule must outlive the handle.
   void set_recovery(const Recovery& r) { recovery_ = r; }
 
-  /// Fallback restarts taken by this handle (across all executions).
-  [[nodiscard]] int fallbacks_taken() const noexcept { return fallbacks_; }
-
   /// ProgressClient: advance at most one round per pass (LibNBC fidelity).
   double poke(mpi::Ctx& ctx) override;
 

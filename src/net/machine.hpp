@@ -65,7 +65,6 @@ class Machine {
   /// pair with remove_inflight at arrival).
   void add_inflight(int node) { ++inflight_.at(node); }
   void remove_inflight(int node) { --inflight_.at(node); }
-  [[nodiscard]] int inflight(int node) const { return inflight_.at(node); }
 
   /// Service-time multiplier for a message arriving at `node` right now:
   /// 1 + coef * max(0, inflight - free), with the inter-node (incast) or

@@ -210,9 +210,13 @@ std::size_t Tracer::default_max_events() noexcept {
   // Read per construction (one getenv per scenario, noise at sweep
   // granularity) so tests and long-running drivers can adjust the cap
   // without re-launching.
+  // Only a whole unsigned decimal counts: a sign, a space, an exponent,
+  // an overflow or trailing text means no cap.
   if (const char* env = std::getenv("NBCTUNE_TRACE_MAX_EVENTS")) {
-    const long long n = std::atoll(env);
-    if (n > 0) return static_cast<std::size_t>(n);
+    const std::string_view s(env);
+    std::size_t n = 0;
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), n);
+    if (ec == std::errc{} && end == s.data() + s.size()) return n;
   }
   return 0;
 }

@@ -324,7 +324,9 @@ static_assert(sizeof(Event) == 48, "trace::Event grew past 48 bytes");
 }
 
 struct HistData {
-  std::array<std::uint64_t, 64> buckets{};  ///< buckets[i]: v in [2^(i-1), 2^i)
+  /// buckets[0]: v == 0; buckets[i]: v in [2^(i-1), 2^i), up to
+  /// buckets[64] for v >= 2^63.
+  std::array<std::uint64_t, 65> buckets{};
   std::uint64_t count = 0;
   std::uint64_t sum = 0;
 };

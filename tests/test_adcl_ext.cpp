@@ -1,6 +1,6 @@
 // Extended tuning-layer features: allreduce and neighborhood requests,
 // the co-tuned progress-call attribute (paper §III-C), the 2^k factorial
-// policy end-to-end through a Request, and placement options.
+// policy end-to-end through a Request, and block placement.
 
 #include <gtest/gtest.h>
 
@@ -187,38 +187,26 @@ TEST(TwoKFactorial, EndToEndThroughRequest) {
   EXPECT_GT(iterations, 0);
 }
 
-TEST(Placement, RoundRobinSpreadsRanks) {
-  sim::Engine engine(1);
-  net::Machine machine(net::whale());
-  mpi::WorldOptions opts;
-  opts.nprocs = 16;
-  opts.placement = mpi::WorldOptions::Placement::RoundRobin;
-  mpi::World world(engine, machine, opts);
-  // Block placement puts ranks 0..7 on node 0; round robin spreads them.
-  EXPECT_EQ(world.node_of(0), 0);
-  EXPECT_EQ(world.node_of(1), 1);
-  EXPECT_EQ(world.node_of(15), 15);
-}
-
 TEST(Placement, AffectsCommunicationCost) {
-  auto run = [](mpi::WorldOptions::Placement placement) {
+  // Ping-pong between rank 0 and `peer` on whale under block placement.
+  auto run = [](int peer) {
     sim::Engine engine(1);
     net::Machine machine(net::whale());
     mpi::WorldOptions opts;
-    opts.nprocs = 8;
+    opts.nprocs = 9;
     opts.noise_scale = 0;
-    opts.placement = placement;
     mpi::World world(engine, machine, opts);
+    EXPECT_EQ(world.node_of(peer), peer / 8);
     double elapsed = 0;
     world.launch([&](mpi::Ctx& ctx) {
       auto comm = ctx.world().comm_world();
       std::vector<std::byte> buf(1024);
       if (ctx.world_rank() == 0) {
         const double t0 = ctx.now();
-        ctx.send(comm, buf.data(), buf.size(), 1, 0);
-        ctx.recv(comm, buf.data(), buf.size(), 1, 0);
+        ctx.send(comm, buf.data(), buf.size(), peer, 0);
+        ctx.recv(comm, buf.data(), buf.size(), peer, 0);
         elapsed = ctx.now() - t0;
-      } else if (ctx.world_rank() == 1) {
+      } else if (ctx.world_rank() == peer) {
         ctx.recv(comm, buf.data(), buf.size(), 0, 0);
         ctx.send(comm, buf.data(), buf.size(), 0, 0);
       }
@@ -226,8 +214,7 @@ TEST(Placement, AffectsCommunicationCost) {
     engine.run();
     return elapsed;
   };
-  // Ranks 0 and 1 share a node under block placement (cheap shared
-  // memory) but sit on different nodes under round robin (network).
-  EXPECT_LT(run(mpi::WorldOptions::Placement::Block),
-            run(mpi::WorldOptions::Placement::RoundRobin));
+  // whale packs 8 ranks per node: ranks 0 and 1 share a node (cheap
+  // shared memory), ranks 0 and 8 do not (network).
+  EXPECT_LT(run(1), run(8));
 }

@@ -117,18 +117,19 @@ namespace {
 
 const net::Platform kIb = net::whale();
 
-/// 2-rank world with RoundRobin placement (whale packs 8 ranks per node,
-/// so Block placement would make every message intra-node and invisible
-/// to the injector) and the given plan attached.
+/// whale packs 8 ranks per node, so a small world's messages would be
+/// intra-node and invisible to the injector; spread them one per node.
+const net::Platform kSpread = t::one_rank_per_node(net::whale());
+
+/// World of one rank per node with the given plan attached.
 void run_faulty(int nprocs, const fault::FaultPlan& plan,
                 const std::function<void(mpi::Ctx&)>& program) {
   sim::Engine engine(1);
-  net::Machine machine(kIb);
+  net::Machine machine(kSpread);
   mpi::WorldOptions opts;
   opts.nprocs = nprocs;
   opts.noise_scale = 0.0;
   opts.seed = 1;
-  opts.placement = mpi::WorldOptions::Placement::RoundRobin;
   opts.fault_plan = &plan;
   mpi::World world(engine, machine, opts);
   world.launch(program);

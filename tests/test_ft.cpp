@@ -182,19 +182,19 @@ TEST(FtPlanFuzz, ValidSpecsRoundTripAndInvalidSpecsThrow) {
 
 namespace {
 
-const net::Platform kIb = net::whale();
+/// One rank per node, so the inter-node machinery (drops, acks) sees all
+/// the traffic.
+const net::Platform kSpread = t::one_rank_per_node(net::whale());
 
-/// World runner with a fault plan attached (RoundRobin placement so
-/// inter-node machinery — drops, acks — sees the traffic).
+/// World runner with a fault plan attached, one rank per node.
 void run_ft(int nprocs, const fault::FaultPlan& plan,
             const std::function<void(mpi::Ctx&)>& program) {
   sim::Engine engine(1);
-  net::Machine machine(kIb);
+  net::Machine machine(kSpread);
   mpi::WorldOptions opts;
   opts.nprocs = nprocs;
   opts.noise_scale = 0.0;
   opts.seed = 1;
-  opts.placement = mpi::WorldOptions::Placement::RoundRobin;
   opts.fault_plan = &plan;
   mpi::World world(engine, machine, opts);
   world.launch(program);
@@ -206,12 +206,11 @@ void run_ft_world(int nprocs, const fault::FaultPlan& plan,
                   const std::function<void(mpi::Ctx&)>& program,
                   const std::function<void(mpi::World&)>& after) {
   sim::Engine engine(1);
-  net::Machine machine(kIb);
+  net::Machine machine(kSpread);
   mpi::WorldOptions opts;
   opts.nprocs = nprocs;
   opts.noise_scale = 0.0;
   opts.seed = 1;
-  opts.placement = mpi::WorldOptions::Placement::RoundRobin;
   opts.fault_plan = &plan;
   mpi::World world(engine, machine, opts);
   world.launch(program);

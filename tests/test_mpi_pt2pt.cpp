@@ -1,14 +1,21 @@
 // Point-to-point semantics of the message-passing layer: matching, order,
-// eager vs rendezvous protocols, progress-dependent completion, overlap.
+// eager vs rendezvous protocols, progress-dependent completion, overlap,
+// and the exact wire cost of every transfer path.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <functional>
 #include <vector>
 
+#include "fault/fault.hpp"
 #include "mpi/world.hpp"
+#include "net/machine.hpp"
 #include "net/platform.hpp"
+#include "sim/engine.hpp"
 #include "testing_util.hpp"
+#include "trace/trace.hpp"
 
 using namespace nbctune;
 using testing_util_alias = void;
@@ -395,4 +402,290 @@ TEST(Pt2Pt, DeterministicWithNoise) {
     return times;
   };
   EXPECT_EQ(run(), run());
+}
+
+// ------------------------------------------------------ wire-path costs
+//
+// Each case runs one transfer with a tracer installed and compares the
+// serialization spans it leaves on the wire tracks with the closed-form
+// cost of its path (noise off, a single flow, so no congestion).  A span
+// stores end - start, hence the relative tolerance.
+
+namespace {
+
+/// Bytes a control message (RTS/CTS) occupies on the wire.
+constexpr std::size_t kCtrlBytes = 64;
+
+double tol(double x) { return 1e-9 * std::fabs(x); }
+
+/// Runs `program` on `nprocs` ranks of `platform` with a tracer installed
+/// and returns the spans on wire tracks, in emission order.
+std::vector<trace::Event> wire_spans(
+    const net::Platform& platform, int nprocs,
+    const std::function<void(mpi::Ctx&)>& program,
+    const fault::FaultPlan* plan = nullptr) {
+  trace::Tracer tr("wire");
+  struct Install {
+    explicit Install(trace::Tracer* t) : prev(trace::set_current(t)) {}
+    ~Install() { trace::set_current(prev); }
+    trace::Tracer* prev;
+  } install(&tr);
+  {
+    sim::Engine engine(1);
+    net::Machine machine(platform);
+    mpi::WorldOptions opts;
+    opts.nprocs = nprocs;
+    opts.noise_scale = 0.0;
+    opts.fault_plan = plan;
+    mpi::World world(engine, machine, opts);
+    world.launch(program);
+    engine.run();
+  }
+  std::vector<trace::Event> spans;
+  for (const trace::Event& e : tr.events()) {
+    if (e.is_span() && e.track < 0) spans.push_back(e);
+  }
+  return spans;
+}
+
+/// Rank `from` sends `bytes` to rank `to`; every other rank idles.
+std::function<void(mpi::Ctx&)> one_send(int from, int to, std::size_t bytes) {
+  return [=](mpi::Ctx& ctx) {
+    auto comm = ctx.world().comm_world();
+    std::vector<std::byte> buf(bytes);
+    if (ctx.world_rank() == from) ctx.send(comm, buf.data(), bytes, to, 7);
+    if (ctx.world_rank() == to) ctx.recv(comm, buf.data(), bytes, from, 7);
+  };
+}
+
+/// The spans of `kind` on node `node`'s wire track, in emission order.
+std::vector<trace::Event> spans_of(const std::vector<trace::Event>& spans,
+                                   trace::Kind kind, int node) {
+  std::vector<trace::Event> out;
+  for (const trace::Event& e : spans) {
+    if (e.kind == kind && e.track == trace::wire_track(node)) {
+      out.push_back(e);
+    }
+  }
+  return out;
+}
+
+double end_of(const trace::Event& e) { return e.ts + e.dur; }
+
+/// Checks one inter-node hop: the transmit span on node 0 takes
+/// `busy`, and the receive span on node 1 starts `lat` after it and
+/// takes as long.
+void expect_hop(const trace::Event& tx, const trace::Event& rx, double busy,
+                double lat) {
+  EXPECT_EQ(tx.track, trace::wire_track(0));
+  EXPECT_EQ(rx.track, trace::wire_track(1));
+  EXPECT_NEAR(tx.dur, busy, tol(busy));
+  EXPECT_NEAR(rx.ts, tx.ts + lat, tol(tx.ts + lat));
+  EXPECT_NEAR(rx.dur, busy, tol(busy));
+}
+
+}  // namespace
+
+TEST(WireCost, IntraNodeEagerPaysMemoryPortAndGap) {
+  // whale packs 8 ranks per node: ranks 0 and 1 share node 0's memory port.
+  const std::size_t n = 1024;
+  const auto& p = kIb;
+  const auto spans = wire_spans(kIb, 2, one_send(0, 1, n));
+  ASSERT_EQ(spans.size(), 1u);
+  const trace::Event& s = spans[0];
+  EXPECT_EQ(s.kind, trace::Kind::WireEager);
+  EXPECT_EQ(s.track, trace::wire_track(0));
+  const double start = p.intra.send_overhead + n * p.copy_byte_time;
+  const double busy = n * p.mem_byte_time + p.intra.msg_gap;
+  EXPECT_NEAR(s.ts, start, tol(start));
+  EXPECT_NEAR(s.dur, busy, tol(busy));
+}
+
+TEST(WireCost, IntraNodeRendezvousChunkPaysNoGap) {
+  // A same-node rendezvous is CPU-driven: one 256 KiB chunk (whale's
+  // bulk_chunk is 512 KiB) copied through the memory port, without the
+  // per-message gap the RTS and CTS envelopes pay.
+  const std::size_t n = 256 * 1024;
+  const auto& p = kIb;
+  const auto spans = wire_spans(kIb, 2, one_send(0, 1, n));
+  ASSERT_EQ(spans.size(), 3u);
+  const trace::Event& rts = spans[0];
+  const trace::Event& cts = spans[1];
+  const trace::Event& chunk = spans[2];
+  EXPECT_EQ(rts.kind, trace::Kind::WireRts);
+  EXPECT_EQ(cts.kind, trace::Kind::WireCts);
+  EXPECT_EQ(chunk.kind, trace::Kind::WireChunk);
+  const double ctrl = kCtrlBytes * p.mem_byte_time + p.intra.msg_gap;
+  const double rts_start = p.intra.send_overhead + p.ctrl_overhead;
+  EXPECT_NEAR(rts.ts, rts_start, tol(rts_start));
+  EXPECT_NEAR(rts.dur, ctrl, tol(ctrl));
+  EXPECT_NEAR(cts.dur, ctrl, tol(ctrl));
+  // The CTS lands one intra-node latency after its copy; the woken sender
+  // polls its request, handles the CTS and prepares the chunk.
+  const double start = end_of(cts) + p.intra.latency +
+                       (p.per_req_poll_cost + p.ctrl_overhead) +
+                       (n * p.copy_byte_time + p.ctrl_overhead);
+  EXPECT_EQ(chunk.track, trace::wire_track(0));
+  EXPECT_NEAR(chunk.ts, start, tol(start));
+  EXPECT_NEAR(chunk.dur, n * p.mem_byte_time, tol(n * p.mem_byte_time));
+}
+
+TEST(WireCost, InterNodeEagerReceiveStartsOneLatencyLater) {
+  // Ranks 0 and 8 sit on whale nodes 0 and 1 (one rack, one HCA each).
+  const std::size_t n = 1024;
+  const auto& p = kIb;
+  const auto spans = wire_spans(kIb, 9, one_send(0, 8, n));
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].kind, trace::Kind::WireEager);
+  EXPECT_EQ(spans[1].kind, trace::Kind::WireEager);
+  const double start = p.inter.send_overhead + n * p.copy_byte_time;
+  EXPECT_NEAR(spans[0].ts, start, tol(start));
+  expect_hop(spans[0], spans[1], n * p.inter.byte_time + p.inter.msg_gap,
+             p.inter.latency);
+}
+
+TEST(WireCost, NicBulkOnWhale) {
+  // RDMA rendezvous: the sender handles the CTS the moment it lands and
+  // the HCA moves the whole payload in one transfer.
+  const std::size_t n = 64 * 1024;
+  const auto& p = kIb;
+  const auto spans = wire_spans(kIb, 9, one_send(0, 8, n));
+  ASSERT_EQ(spans.size(), 6u);  // RTS, CTS and bulk, each tx + rx
+  const auto cts_rx = spans_of(spans, trace::Kind::WireCts, 0);
+  const auto tx = spans_of(spans, trace::Kind::WireBulk, 0);
+  const auto rx = spans_of(spans, trace::Kind::WireBulk, 1);
+  ASSERT_EQ(cts_rx.size(), 1u);
+  ASSERT_EQ(tx.size(), 1u);
+  ASSERT_EQ(rx.size(), 1u);
+  const double start =
+      end_of(cts_rx[0]) + (p.per_req_poll_cost + p.ctrl_overhead);
+  EXPECT_NEAR(tx[0].ts, start, tol(start));
+  expect_hop(tx[0], rx[0], n * p.inter.byte_time + p.inter.msg_gap,
+             p.inter.latency);
+}
+
+TEST(WireCost, CpuChunksOnWhaleTcp) {
+  // TCP rendezvous: the sender's CPU pushes 64 KiB chunks, the next one
+  // only after the socket drained the previous one.
+  const std::size_t n = 100 * 1024;
+  const std::size_t c1 = 64 * 1024, c2 = n - c1;
+  const auto& p = kTcp;
+  const auto spans = wire_spans(kTcp, 9, one_send(0, 8, n));
+  const auto cts_rx = spans_of(spans, trace::Kind::WireCts, 0);
+  const auto tx = spans_of(spans, trace::Kind::WireChunk, 0);
+  const auto rx = spans_of(spans, trace::Kind::WireChunk, 1);
+  ASSERT_EQ(cts_rx.size(), 1u);
+  ASSERT_EQ(tx.size(), 2u);
+  ASSERT_EQ(rx.size(), 2u);
+  const double start1 = end_of(cts_rx[0]) +
+                        (p.per_req_poll_cost + p.ctrl_overhead) +
+                        (c1 * p.copy_byte_time + p.ctrl_overhead);
+  EXPECT_NEAR(tx[0].ts, start1, tol(start1));
+  expect_hop(tx[0], rx[0], c1 * p.inter.byte_time + p.inter.msg_gap,
+             p.inter.latency);
+  const double start2 = end_of(tx[0]) + (p.per_req_poll_cost +
+                                         (c2 * p.copy_byte_time +
+                                          p.ctrl_overhead));
+  EXPECT_NEAR(tx[1].ts, start2, tol(start2));
+  expect_hop(tx[1], rx[1], c2 * p.inter.byte_time + p.inter.msg_gap,
+             p.inter.latency);
+}
+
+TEST(WireCost, CrillRailsRunConcurrentlyOrBackToBack) {
+  // crill packs 48 ranks per node and has two HCAs: ranks 0 and 48 sit on
+  // nodes 0 and 1.  Two eager sends offered at the same instant start
+  // together on rails 0 and 1, and back to back when pinned to one rail.
+  const std::size_t n = 1024;
+  const net::Platform p = net::crill();
+  auto run = [&](int rail_a, int rail_b) {
+    const auto spans = wire_spans(p, 49, [&](mpi::Ctx& ctx) {
+      auto comm = ctx.world().comm_world();
+      std::vector<std::byte> a(n), b(n);
+      double cost = 0.0;
+      std::vector<mpi::Req> hs;
+      if (ctx.world_rank() == 0) {
+        hs.push_back(ctx.post_isend(comm, a.data(), n, 48, 7, cost, 0.0,
+                                    rail_a));
+        hs.push_back(ctx.post_isend(comm, b.data(), n, 48, 7, cost, 0.0,
+                                    rail_b));
+      } else if (ctx.world_rank() == 48) {
+        hs.push_back(ctx.post_irecv(comm, a.data(), n, 0, 7, cost, rail_a));
+        hs.push_back(ctx.post_irecv(comm, b.data(), n, 0, 7, cost, rail_b));
+      }
+      ctx.charge(cost);
+      ctx.wait_all(hs);
+    });
+    return spans_of(spans, trace::Kind::WireEager, 0);
+  };
+  const double start = p.inter.send_overhead + n * p.copy_byte_time;
+  const double busy = n * p.inter.byte_time + p.inter.msg_gap;
+  const auto split = run(0, 1);
+  ASSERT_EQ(split.size(), 2u);
+  EXPECT_NEAR(split[0].ts, start, tol(start));
+  EXPECT_NEAR(split[1].ts, start, tol(start));
+  EXPECT_NEAR(split[0].dur, busy, tol(busy));
+  EXPECT_NEAR(split[1].dur, busy, tol(busy));
+  const auto shared = run(0, 0);
+  ASSERT_EQ(shared.size(), 2u);
+  EXPECT_NEAR(shared[0].ts, start, tol(start));
+  EXPECT_NEAR(shared[1].ts, start + busy, tol(start + busy));
+  EXPECT_NEAR(shared[1].dur, busy, tol(busy));
+}
+
+TEST(WireCost, DegradeWindowStretchesMessageBulkAndChunk) {
+  // A degrade window multiplies the latency and the per-byte time of
+  // every inter-node transfer: envelopes, NIC bulks and CPU chunks.
+  const fault::FaultPlan plan = fault::FaultPlan::parse("degrade:lat=2,bw=3");
+  {
+    const std::size_t n = 1024;
+    const auto& p = kIb;
+    const auto spans = wire_spans(kIb, 9, one_send(0, 8, n), &plan);
+    ASSERT_EQ(spans.size(), 2u);
+    expect_hop(spans[0], spans[1],
+               n * p.inter.byte_time * 3.0 + p.inter.msg_gap,
+               p.inter.latency * 2.0);
+  }
+  {
+    const std::size_t n = 64 * 1024;
+    const auto& p = kIb;
+    const auto spans = wire_spans(kIb, 9, one_send(0, 8, n), &plan);
+    const auto tx = spans_of(spans, trace::Kind::WireBulk, 0);
+    const auto rx = spans_of(spans, trace::Kind::WireBulk, 1);
+    ASSERT_EQ(tx.size(), 1u);
+    ASSERT_EQ(rx.size(), 1u);
+    expect_hop(tx[0], rx[0], n * p.inter.byte_time * 3.0 + p.inter.msg_gap,
+               p.inter.latency * 2.0);
+  }
+  {
+    const std::size_t n = 64 * 1024;  // exactly one chunk
+    const auto& p = kTcp;
+    const auto spans = wire_spans(kTcp, 9, one_send(0, 8, n), &plan);
+    const auto tx = spans_of(spans, trace::Kind::WireChunk, 0);
+    const auto rx = spans_of(spans, trace::Kind::WireChunk, 1);
+    ASSERT_EQ(tx.size(), 1u);
+    ASSERT_EQ(rx.size(), 1u);
+    expect_hop(tx[0], rx[0], n * p.inter.byte_time * 3.0 + p.inter.msg_gap,
+               p.inter.latency * 2.0);
+  }
+}
+
+TEST(WireCost, DuplicateTakesTheReceiveSlotBehindTheFirst) {
+  // The injected copy occupies node 1's receive engine right after the
+  // original, for the same time.
+  const fault::FaultPlan plan =
+      fault::FaultPlan::parse("seed=5;dup:p=1,max=1");
+  const std::size_t n = 1024;
+  const auto& p = kIb;
+  const auto spans = wire_spans(kIb, 9, one_send(0, 8, n), &plan);
+  const auto tx = spans_of(spans, trace::Kind::WireEager, 0);
+  const auto rx = spans_of(spans, trace::Kind::WireEager, 1);
+  const auto dup = spans_of(spans, trace::Kind::WireDup, 1);
+  ASSERT_EQ(tx.size(), 1u);
+  ASSERT_EQ(rx.size(), 1u);
+  ASSERT_EQ(dup.size(), 1u);
+  expect_hop(tx[0], rx[0], n * p.inter.byte_time + p.inter.msg_gap,
+             p.inter.latency);
+  EXPECT_NEAR(dup[0].ts, end_of(rx[0]), tol(end_of(rx[0])));
+  EXPECT_NEAR(dup[0].dur, rx[0].dur, tol(rx[0].dur));
+  EXPECT_EQ(dup[0].corr, rx[0].corr);
 }

@@ -455,7 +455,16 @@ TEST(ObsProfile, CollapsedStacksMatchBlamePartition) {
 // -------------------------------------------------------- event bounds
 
 TEST(ObsTrace, EventCapDropsAndCounts) {
+  // Only a whole unsigned decimal caps; anything else (atoll would read
+  // 1e6 as 1) means no cap.
+  for (const char* bad : {"1e6", "-5", "+5", " 5", "5 ", "5k",
+                          "99999999999999999999999", ""}) {
+    SCOPED_TRACE(bad);
+    ::setenv("NBCTUNE_TRACE_MAX_EVENTS", bad, 1);
+    EXPECT_EQ(trace::Tracer::default_max_events(), 0u);
+  }
   ::setenv("NBCTUNE_TRACE_MAX_EVENTS", "50", 1);
+  EXPECT_EQ(trace::Tracer::default_max_events(), 50u);
   trace::Session::enable();
   (void)trace::Session::instance().drain();
   {

@@ -226,7 +226,18 @@ TEST(ScenarioPool, ResolveThreadsHonoursEnvAndRequest) {
   EXPECT_EQ(harness::ScenarioPool::resolve_threads(0), 3);
   EXPECT_EQ(harness::ScenarioPool::resolve_threads(2), 2);  // arg wins
   ::unsetenv("NBCTUNE_THREADS");
-  EXPECT_GE(harness::ScenarioPool::resolve_threads(0), 1);
+  const int fallback = harness::ScenarioPool::resolve_threads(0);
+  EXPECT_GE(fallback, 1);
+  // Only a whole positive decimal in int range counts; anything else
+  // (atoi would read 99999999999 as 1215752191 and 4294967297 as 1)
+  // falls back to the hardware concurrency.
+  for (const char* bad : {"99999999999", "4294967297", "-3", "+3", " 3",
+                          "3 ", "3x", "0x4", "0", ""}) {
+    SCOPED_TRACE(bad);
+    ::setenv("NBCTUNE_THREADS", bad, 1);
+    EXPECT_EQ(harness::ScenarioPool::resolve_threads(0), fallback);
+  }
+  ::unsetenv("NBCTUNE_THREADS");
 }
 
 TEST(ScenarioPool, UnevenTasksAllComplete) {

@@ -160,6 +160,18 @@ TEST(TraceCounters, HistogramBucketsArePowersOfTwo) {
   EXPECT_EQ(tr.histogram(trace::Hist::RoundsPerOp).count, 0u);
 }
 
+TEST(TraceCounters, HistogramTopBucketHoldsValuesFromTwoToThe63) {
+  // A value of bit width 64 lands in bucket 64, not on the count.
+  trace::Tracer tr("top");
+  tr.record(trace::Hist::WireBytes, UINT64_MAX);
+  tr.record(trace::Hist::WireBytes, std::uint64_t{1} << 63);
+  const trace::HistData& d = tr.histogram(trace::Hist::WireBytes);
+  EXPECT_EQ(d.count, 2u);
+  ASSERT_EQ(d.buckets.size(), 65u);
+  EXPECT_EQ(d.buckets[64], 2u);
+  EXPECT_EQ(d.buckets[63], 0u);
+}
+
 TEST(TraceHelpers, RecordThroughInstalledTracer) {
   trace::Tracer tr("helpers");
   {

@@ -45,6 +45,15 @@ inline RunResult run_world(const net::Platform& platform, int nprocs,
   return result;
 }
 
+/// `platform` with one core per node: every rank gets a node of its own,
+/// so all traffic of a small world is inter-node (fault injection, acks
+/// and retransmits only act there).
+inline net::Platform one_rank_per_node(net::Platform platform) {
+  platform.cores_per_node = 1;
+  platform.sockets_per_node = 1;
+  return platform;
+}
+
 /// Deterministic per-(rank, index) payload byte for data-integrity checks.
 inline std::byte pattern_byte(int rank, std::size_t i) {
   return static_cast<std::byte>((rank * 131 + i * 7 + 13) & 0xff);
