@@ -4,10 +4,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <span>
+#include <streambuf>
 #include <vector>
 
 #include "adcl/functionsets.hpp"
 #include "adcl/selection.hpp"
+#include "analyze/analyze.hpp"
 #include "coll/ialltoall.hpp"
 #include "harness/microbench.hpp"
 #include "harness/scenario_pool.hpp"
@@ -70,6 +73,87 @@ static void BM_TraceEmit(benchmark::State& state) {
   state.SetLabel("events/s (typed instant, tracing on)");
 }
 BENCHMARK(BM_TraceEmit);
+
+// The report phase's layers, per event: one traced fig-3-shaped
+// scenario (a 16-rank whale Ialltoall of 128 KiB with compute and
+// progress calls, pinned member 0), recorded once with a Tracer
+// installed directly, so the process-wide session stays disabled.
+static const trace::FinishedTrace& report_scenario() {
+  static const trace::FinishedTrace t = [] {
+    harness::MicroScenario s;
+    s.platform = net::whale();
+    s.nprocs = 16;
+    s.op = harness::OpKind::Ialltoall;
+    s.bytes = 128 * 1024;
+    s.compute_per_iter = 10e-3;
+    s.iterations = 10;
+    s.progress_calls = 5;
+    trace::Tracer tracer("whale ialltoall np16");
+    trace::Tracer* prev = trace::set_current(&tracer);
+    harness::run_fixed(s, 0);
+    trace::set_current(prev);
+    trace::FinishedTrace f;
+    f.label = tracer.label();
+    f.events = tracer.events();
+    for (std::size_t c = 0; c < f.counts.size(); ++c) {
+      f.counts[c] = tracer.counter(static_cast<trace::Ctr>(c));
+    }
+    return f;
+  }();
+  return t;
+}
+
+/// A stream buffer that counts the bytes written to it and keeps none.
+class CountingBuf : public std::streambuf {
+ public:
+  std::size_t bytes = 0;
+
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    bytes += static_cast<std::size_t>(n);
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    ++bytes;
+    return traits_type::not_eof(c);
+  }
+};
+
+// Chrome export of the report scenario into a counting sink.  Items are
+// events, so items/s inverts to ns per exported event.
+static void BM_ChromeWrite(benchmark::State& state) {
+  const trace::FinishedTrace& t = report_scenario();
+  trace::Session& session = trace::Session::instance();
+  (void)session.drain();
+  session.adopt(t);
+  CountingBuf sink;
+  std::ostream os(&sink);
+  for (auto _ : state) {
+    session.write_chrome(os);
+    benchmark::DoNotOptimize(sink.bytes);
+    benchmark::ClobberMemory();
+  }
+  (void)session.drain();
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(t.events.size()));
+  state.SetBytesProcessed(static_cast<std::int64_t>(sink.bytes));
+  state.SetLabel("events/s (Chrome export)");
+}
+BENCHMARK(BM_ChromeWrite);
+
+// Analysis of the report scenario (index, blame, overlap, audits and
+// the guideline pass), per event.
+static void BM_AnalyzeScenario(benchmark::State& state) {
+  const trace::FinishedTrace& t = report_scenario();
+  for (auto _ : state) {
+    const analyze::Report r = analyze::analyze(std::span(&t, 1));
+    benchmark::DoNotOptimize(r.scenarios.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(t.events.size()));
+  state.SetLabel("events/s (analysis)");
+}
+BENCHMARK(BM_AnalyzeScenario);
 
 static void BM_EventScheduleAndRun(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

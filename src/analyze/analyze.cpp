@@ -6,6 +6,9 @@
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <string_view>
 #include <unordered_map>
 
@@ -71,9 +74,6 @@ Interval clip(Interval iv, double lo, double hi) {
 class SortedIntervals {
  public:
   void add(Interval iv) { ivs_.push_back(iv); }
-  void add(const std::vector<Interval>& ivs) {
-    ivs_.insert(ivs_.end(), ivs.begin(), ivs.end());
-  }
   /// Sort by start and build the running-max index (call once, after
   /// the last add).
   void seal() {
@@ -102,19 +102,33 @@ class SortedIntervals {
   std::vector<double> max_end_;  ///< max_end_[i] = max end of ivs_[0..i]
 };
 
+/// No wire span: the end of a message's chain.
+constexpr std::uint32_t kNoWire = UINT32_MAX;
+
 /// One wire transfer reconstructed from its correlation id.
 struct MsgInfo {
+  std::uint64_t corr = 0;
   double post_ts = -1.0;
-  int post_track = -1;
   double arrival_ts = -1.0;  ///< msg.deliver / msg.complete on the receiver
+  int post_track = -1;
   int arrival_track = -1;
-  std::vector<Interval> wire;  ///< serialization spans on wire lanes
+  /// Serialization spans on wire lanes: a chain through Index::wire, in
+  /// emission order.
+  std::uint32_t first_wire = kNoWire;
+  std::uint32_t last_wire = kNoWire;
+};
+
+/// One wire span and the next span of its message.
+struct WireLink {
+  Interval iv;
+  std::uint32_t next = kNoWire;
 };
 
 /// A message that landed on a rank.
 struct Inbound {
   double arrival = 0.0;
   std::uint64_t corr = 0;
+  std::uint32_t msg = 0;  ///< index into Index::msgs
 };
 
 /// Per-rank sorted event digests used for window queries.
@@ -126,58 +140,126 @@ struct RankIndex {
 };
 
 struct OpSpan {
+  std::uint64_t corr = 0;
   int rank = -1;
   double ts = 0.0;
   double dur = 0.0;
 };
 
 /// Everything the per-op analyses need, built in one pass over events.
+/// Flat: messages, wire spans and nbc.op spans live in one vector each,
+/// and ranks in slots.
 struct Index {
-  std::unordered_map<std::uint64_t, MsgInfo> msgs;
-  std::map<int, RankIndex> ranks;
-  std::map<std::uint64_t, std::vector<OpSpan>> ops;  ///< nbc.op by corr
+  std::vector<MsgInfo> msgs;
+  std::vector<WireLink> wire;
+  /// Rank track -> slot in `ranks` (-1: the rank has no event).  Sized
+  /// by the highest rank track, which Chrome's rank tids keep below
+  /// kChromeWireTid, so the table stays under 4 MB.
+  std::vector<std::int32_t> slot;
+  std::vector<RankIndex> ranks;
+  /// nbc.op spans by ascending corr, each corr's in emission order.
+  std::vector<OpSpan> ops;
   std::uint64_t ops_started = 0;
   bool any_compute = false;
+
+  /// The slot of rank `r`, which has an event in the scenario: every
+  /// rank an nbc.op span or a message endpoint names does.
+  [[nodiscard]] std::size_t slot_of(int r) const {
+    return static_cast<std::size_t>(slot[static_cast<std::size_t>(r)]);
+  }
+  [[nodiscard]] const RankIndex& rank(int r) const {
+    return ranks[slot_of(r)];
+  }
+
+  /// Call f(interval) for every wire span of `m`, in emission order.
+  template <class F>
+  void for_each_wire(const MsgInfo& m, F&& f) const {
+    for (std::uint32_t w = m.first_wire; w != kNoWire; w = wire[w].next) {
+      f(wire[w].iv);
+    }
+  }
+
+  /// Call f(corr, spans) for every op, by ascending corr.
+  template <class F>
+  void for_each_op(F&& f) const {
+    for (std::size_t i = 0; i < ops.size();) {
+      std::size_t j = i + 1;
+      while (j < ops.size() && ops[j].corr == ops[i].corr) ++j;
+      f(ops[i].corr, std::span<const OpSpan>(ops).subspan(i, j - i));
+      i = j;
+    }
+  }
 };
 
 Index build_index(const trace::FinishedTrace& t) {
   Index ix;
+  std::unordered_map<std::uint64_t, std::uint32_t> msg_of;  // corr -> msgs
+  const auto msg = [&](std::uint64_t corr) -> MsgInfo& {
+    const auto [it, fresh] =
+        msg_of.try_emplace(corr, static_cast<std::uint32_t>(ix.msgs.size()));
+    if (fresh) ix.msgs.push_back({.corr = corr});
+    return ix.msgs[it->second];
+  };
+  const auto rank = [&](std::int32_t track) -> RankIndex& {
+    if (track >= trace::kChromeWireTid) {
+      throw std::runtime_error(
+          "analyze: scenario '" + t.label + "': rank track " +
+          std::to_string(track) + " is outside Chrome's rank tids [0, " +
+          std::to_string(trace::kChromeWireTid) + ")");
+    }
+    const auto r = static_cast<std::size_t>(track);
+    if (r >= ix.slot.size()) ix.slot.resize(r + 1, -1);
+    if (ix.slot[r] < 0) {
+      ix.slot[r] = static_cast<std::int32_t>(ix.ranks.size());
+      ix.ranks.emplace_back();
+    }
+    return ix.ranks[static_cast<std::size_t>(ix.slot[r])];
+  };
   for (const Event& e : t.events) {
     if (e.track < 0) {
       if (e.is_span() && e.corr != 0) {
-        ix.msgs[e.corr].wire.push_back({e.ts, e.ts + e.dur});
+        MsgInfo& m = msg(e.corr);
+        const auto w = static_cast<std::uint32_t>(ix.wire.size());
+        ix.wire.push_back({{e.ts, e.ts + e.dur}, kNoWire});
+        if (m.last_wire == kNoWire) {
+          m.first_wire = w;
+        } else {
+          ix.wire[m.last_wire].next = w;
+        }
+        m.last_wire = w;
       }
       continue;
     }
+    RankIndex& ri = rank(e.track);
     switch (e.kind) {
       case Kind::Compute:
         if (e.is_span()) {
-          ix.ranks[e.track].compute.add({e.ts, e.ts + e.dur});
+          ri.compute.add({e.ts, e.ts + e.dur});
           ix.any_compute = true;
         }
         break;
       case Kind::ProgressCall:
       case Kind::ProgressPass:
         if (e.is_span()) {
-          ix.ranks[e.track].progress.add({e.ts, e.ts + e.dur});
-          ix.ranks[e.track].activity_starts.push_back(e.ts);
+          ri.progress.add({e.ts, e.ts + e.dur});
+          ri.activity_starts.push_back(e.ts);
         }
         break;
       case Kind::NbcOp:
-        if (e.is_span()) ix.ops[e.corr].push_back({e.track, e.ts, e.dur});
+        if (e.is_span()) ix.ops.push_back({e.corr, e.track, e.ts, e.dur});
         break;
       case Kind::NbcStart:
         ++ix.ops_started;
         break;
       case Kind::NbcRound:
-        ix.ranks[e.track].activity_starts.push_back(e.ts);
+        ri.activity_starts.push_back(e.ts);
         break;
       case Kind::MsgEager:
       case Kind::MsgRts:
       case Kind::MsgCts:
       case Kind::MsgBulkNic:
         if (e.corr != 0) {
-          MsgInfo& m = ix.msgs[e.corr];
+          MsgInfo& m = msg(e.corr);
           m.post_ts = e.ts;
           m.post_track = e.track;
         }
@@ -187,7 +269,7 @@ Index build_index(const trace::FinishedTrace& t) {
         // msg.complete (payload landed) supersedes the control-path
         // deliver of the same transfer if both ever appear.
         if (e.corr != 0) {
-          MsgInfo& m = ix.msgs[e.corr];
+          MsgInfo& m = msg(e.corr);
           m.arrival_ts = e.ts;
           m.arrival_track = e.track;
         }
@@ -196,19 +278,22 @@ Index build_index(const trace::FinishedTrace& t) {
         break;
     }
   }
-  for (auto& [rank, ri] : ix.ranks) {
+  std::ranges::stable_sort(ix.ops, {}, &OpSpan::corr);
+  for (RankIndex& ri : ix.ranks) {
     ri.compute.seal();
     ri.progress.seal();
     std::sort(ri.activity_starts.begin(), ri.activity_starts.end());
   }
-  // Inbound lists need the msgs map complete first; sort by (arrival,
-  // corr) so the order is deterministic regardless of map iteration.
-  for (const auto& [corr, m] : ix.msgs) {
+  // Inbound lists need every message complete first; sort by (arrival,
+  // corr) so the order does not depend on the message order.
+  for (std::size_t i = 0; i < ix.msgs.size(); ++i) {
+    const MsgInfo& m = ix.msgs[i];
     if (m.arrival_track >= 0) {
-      ix.ranks[m.arrival_track].inbound.push_back({m.arrival_ts, corr});
+      ix.ranks[ix.slot_of(m.arrival_track)].inbound.push_back(
+          {m.arrival_ts, m.corr, static_cast<std::uint32_t>(i)});
     }
   }
-  for (auto& [rank, ri] : ix.ranks) {
+  for (RankIndex& ri : ix.ranks) {
     std::sort(ri.inbound.begin(), ri.inbound.end(),
               [](const Inbound& x, const Inbound& y) {
                 return x.arrival != y.arrival ? x.arrival < y.arrival
@@ -304,7 +389,7 @@ double next_activity(const RankIndex& ri, double t, double fallback) {
 
 /// Blame partition + critical-path walk of one op instance.
 OpCritical analyze_op(const Index& ix, std::uint64_t corr,
-                      const std::vector<OpSpan>& spans, int max_hops) {
+                      std::span<const OpSpan> spans, int max_hops) {
   OpCritical oc;
   oc.corr = corr;
   const OpSpan* crit = &spans.front();
@@ -316,9 +401,7 @@ OpCritical analyze_op(const Index& ix, std::uint64_t corr,
   oc.elapsed = crit->dur;
   const double lo = crit->ts, hi = crit->ts + crit->dur;
 
-  auto rit = ix.ranks.find(crit->rank);
-  static const RankIndex kNone;
-  const RankIndex& ri = rit != ix.ranks.end() ? rit->second : kNone;
+  const RankIndex& ri = ix.rank(crit->rank);
 
   std::vector<Interval> cats[kCatCount];
   ri.compute.collect(lo, hi, cats[kCompute]);
@@ -332,11 +415,11 @@ OpCritical analyze_op(const Index& ix, std::uint64_t corr,
   for (auto it = std::lower_bound(ri.inbound.begin(), ri.inbound.end(), lo,
                                   arrives_before);
        it != ri.inbound.end() && it->arrival <= hi; ++it) {
-    const MsgInfo& m = ix.msgs.at(it->corr);
-    for (const Interval& w : m.wire) {
+    const MsgInfo& m = ix.msgs[it->msg];
+    ix.for_each_wire(m, [&](const Interval& w) {
       const Interval c = clip(w, lo, hi);
       if (c.b > c.a) cats[kWire].push_back(c);
-    }
+    });
     if (m.post_ts > lo) {
       cats[kLateSender].push_back({lo, std::min(m.post_ts, hi)});
     }
@@ -351,15 +434,13 @@ OpCritical analyze_op(const Index& ix, std::uint64_t corr,
   int cur_rank = crit->rank;
   double cur_t = hi;
   for (int hop = 0; hop < max_hops; ++hop) {
-    auto rit2 = ix.ranks.find(cur_rank);
-    if (rit2 == ix.ranks.end()) break;
-    const RankIndex& cri = rit2->second;
+    const RankIndex& cri = ix.rank(cur_rank);
     // The newest arrival at or before cur_t, if it is inside the window.
     auto last = std::upper_bound(
         cri.inbound.begin(), cri.inbound.end(), cur_t,
         [](double t, const Inbound& in) { return t < in.arrival; });
     if (last == cri.inbound.begin() || (--last)->arrival < lo) break;
-    const MsgInfo* found = &ix.msgs.at(last->corr);
+    const MsgInfo* found = &ix.msgs[last->msg];
     if (found->post_track < 0) break;
     oc.hops.push_back({cur_rank, found->post_track, last->corr,
                        found->post_ts, found->arrival_ts});
@@ -375,22 +456,22 @@ OpCritical analyze_op(const Index& ix, std::uint64_t corr,
 std::vector<RankOverlap> analyze_overlap(const Index& ix) {
   // Per-rank op windows, and the wire intervals correlated with each
   // rank's traffic (sent or received), gathered in one pass over the
-  // message map and sorted once.
+  // messages and sorted once.  Indexed by the ranks' slots.
   struct RankWork {
     std::vector<Interval> windows;
     SortedIntervals wire;
   };
-  std::map<int, RankWork> work;
-  for (const auto& [corr, spans] : ix.ops) {
-    for (const OpSpan& s : spans) {
-      work[s.rank].windows.push_back({s.ts, s.ts + s.dur});
-    }
+  std::vector<RankWork> work(ix.ranks.size());
+  for (const OpSpan& s : ix.ops) {
+    work[ix.slot_of(s.rank)].windows.push_back({s.ts, s.ts + s.dur});
   }
-  for (const auto& [corr, m] : ix.msgs) {
-    if (m.wire.empty()) continue;
+  for (const MsgInfo& m : ix.msgs) {
+    if (m.first_wire == kNoWire) continue;
     const auto add = [&](int rank) {
-      auto it = work.find(rank);
-      if (it != work.end()) it->second.wire.add(m.wire);
+      if (rank < 0) return;
+      RankWork& rw = work[ix.slot_of(rank)];
+      if (rw.windows.empty()) return;
+      ix.for_each_wire(m, [&](const Interval& w) { rw.wire.add(w); });
     };
     add(m.post_track);
     if (m.arrival_track != m.post_track) add(m.arrival_track);
@@ -398,17 +479,19 @@ std::vector<RankOverlap> analyze_overlap(const Index& ix) {
   std::vector<RankOverlap> out;
   std::vector<Interval> comp;
   std::vector<Interval> wire;
-  for (auto& [rank, rw] : work) {
+  for (std::size_t rank = 0; rank < ix.slot.size(); ++rank) {
+    if (ix.slot[rank] < 0) continue;
+    const auto slot = static_cast<std::size_t>(ix.slot[rank]);
+    RankWork& rw = work[slot];
+    if (rw.windows.empty()) continue;
     std::vector<Interval>& wins = rw.windows;
     std::sort(wins.begin(), wins.end(),
               [](const Interval& x, const Interval& y) { return x.a < y.a; });
     rw.wire.seal();
     RankOverlap ro;
-    ro.rank = rank;
+    ro.rank = static_cast<int>(rank);
     ro.ops = wins.size();
-    auto rit = ix.ranks.find(rank);
-    static const RankIndex kNone;
-    const RankIndex& ri = rit != ix.ranks.end() ? rit->second : kNone;
+    const RankIndex& ri = ix.ranks[slot];
     double ratio_sum = 0.0;
     std::uint64_t ratio_n = 0;
     for (const Interval& w : wins) {
@@ -936,11 +1019,9 @@ Report analyze(std::span<const trace::FinishedTrace> traces,
 
     double op_sum = 0.0;
     std::uint64_t op_n = 0;
-    for (const auto& [corr, spans] : ix.ops) {
-      for (const OpSpan& s : spans) {
-        op_sum += s.dur;
-        ++op_n;
-      }
+    for (const OpSpan& s : ix.ops) {
+      op_sum += s.dur;
+      ++op_n;
     }
     sr.ops_completed = op_n;
     sr.mean_op_elapsed = op_n > 0 ? op_sum / static_cast<double>(op_n) : 0.0;
@@ -951,7 +1032,7 @@ Report analyze(std::span<const trace::FinishedTrace> traces,
     // are computed over repetitions, never pooled measurements).
     std::vector<double> elapsed_samples;
     std::vector<double> blame_samples[6];
-    for (const auto& [corr, spans] : ix.ops) {
+    ix.for_each_op([&](std::uint64_t corr, std::span<const OpSpan> spans) {
       OpCritical oc = analyze_op(ix, corr, spans, opts.max_hops);
       sr.blame.compute += oc.blame.compute;
       sr.blame.progress += oc.blame.progress;
@@ -972,7 +1053,7 @@ Report analyze(std::span<const trace::FinishedTrace> traces,
         sr.has_critical = true;
       }
       sr.op_criticals.push_back(std::move(oc));
-    }
+    });
     sr.op_stats = order_stats(std::move(elapsed_samples));
     sr.blame_stats.compute = order_stats(std::move(blame_samples[0]));
     sr.blame_stats.progress = order_stats(std::move(blame_samples[1]));
@@ -998,12 +1079,10 @@ Report analyze(std::span<const trace::FinishedTrace> traces,
     if (sr.adcl.present && sr.adcl.winner >= 0) {
       double sum = 0.0;
       std::uint64_t n = 0;
-      for (const auto& [corr, spans] : ix.ops) {
-        for (const OpSpan& s : spans) {
-          if (s.ts > sr.adcl.decision_ts) {
-            sum += s.dur;
-            ++n;
-          }
+      for (const OpSpan& s : ix.ops) {
+        if (s.ts > sr.adcl.decision_ts) {
+          sum += s.dur;
+          ++n;
         }
       }
       if (n > 0) sr.post_decision_op_elapsed = sum / static_cast<double>(n);

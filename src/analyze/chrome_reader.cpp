@@ -2,6 +2,7 @@
 
 #include "analyze/json_min.hpp"
 
+#include <cmath>
 #include <concepts>
 #include <istream>
 #include <map>
@@ -21,7 +22,8 @@ using jsonmin::Value;
 
 /// Invert trace.cpp's chrome_tid mapping.
 std::int32_t track_of_tid(std::int32_t tid) {
-  return tid >= 1000000 ? -1 - (tid - 1000000) : tid;
+  return tid >= trace::kChromeWireTid ? -1 - (tid - trace::kChromeWireTid)
+                                      : tid;
 }
 
 /// `v` as a T; a number outside T's range, or no number at all, is an
@@ -31,6 +33,16 @@ T checked(const Value& v, std::size_t index, const char* field) {
   if (const std::optional<T> n = v.as_int<T>()) return *n;
   throw std::runtime_error("chrome trace: event " + std::to_string(index) +
                            ": " + field + " is not an integer in range");
+}
+
+/// `v` as a finite double (0 when it is not a number); infinity, which
+/// an out-of-range literal such as 1e999 parses to, is an error naming
+/// event `index` and `field`.
+double finite(const Value& v, std::size_t index, const char* field) {
+  const double d = v.as_num(0);
+  if (std::isfinite(d)) return d;
+  throw std::runtime_error("chrome trace: event " + std::to_string(index) +
+                           ": " + field + " is not a finite number");
 }
 
 /// Argument `key` of event `index` (0 when absent).
@@ -126,11 +138,11 @@ std::vector<trace::FinishedTrace> read_chrome(std::istream& is) {
       e.track = track_of_tid(checked<std::int32_t>(*tid, i, "tid"));
     }
     if (const Value* ts = ev.get("ts"); ts != nullptr) {
-      e.ts = ts->as_num(0) * 1e-6;  // exported in microseconds
+      e.ts = finite(*ts, i, "ts") * 1e-6;  // exported in microseconds
     }
     if (phase == "X") {
       const Value* dur = ev.get("dur");
-      e.dur = dur != nullptr ? dur->as_num(0) * 1e-6 : 0.0;
+      e.dur = dur != nullptr ? finite(*dur, i, "dur") * 1e-6 : 0.0;
     }
     const trace::KindRow& r = trace::row(e.kind);
     if (r.akey != nullptr) e.aval = arg(args, r.akey, i);

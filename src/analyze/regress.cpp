@@ -154,6 +154,9 @@ bool RegressTolerances::set(const std::string& key, const std::string& value) {
   } catch (const std::exception&) {
     return false;
   }
+  // A NaN or infinite tolerance would pass every drift, and a negative
+  // one would fail every scenario.
+  if (!std::isfinite(parsed) || parsed < 0.0) return false;
   if (key == "blame_share") {
     blame_share = parsed;
   } else if (key == "op_rel") {

@@ -86,8 +86,8 @@ struct RegressTolerances {
   double overlap = 0.10;
   bool ci_separation = true;
 
-  /// Apply one "key=value"-style setting; returns false on unknown key
-  /// or unparsable value.
+  /// Apply one "key=value"-style setting; returns false on an unknown
+  /// key or a value that is not a finite number >= 0.
   bool set(const std::string& key, const std::string& value);
 };
 

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <mutex>
 #include <ostream>
+#include <ranges>
 #include <string_view>
 #include <type_traits>
 
@@ -348,7 +350,51 @@ std::string json_escaped(std::string_view s) {
   return out;
 }
 
+namespace {
+
+/// Bit pattern of the first double past append_fixed3's integer path.
+/// Non-negative doubles order like their bit patterns, so `bits < this`
+/// selects exactly +0 <= v < 9e12: -0, negatives and NaN have larger
+/// patterns.
+constexpr std::uint64_t kFixed3FastEnd = std::bit_cast<std::uint64_t>(9e12);
+
+/// round-half-even(1000 * v), computed from the exact binary value of
+/// the double v with pattern `bits < kFixed3FastEnd`.  v = m * 2^-s with
+/// an integer mantissa m < 2^53, so 1000 * m < 2^63 is exact and the
+/// decimal rounding is a shift with its remainder: the rule printf
+/// applies to the exact value.  9e12 < 2^44, so s >= 9; the path needs
+/// only s >= 1 (v < 2^52).
+std::uint64_t thousandths(std::uint64_t bits) {
+  constexpr std::uint64_t kFraction = (std::uint64_t{1} << 52) - 1;
+  const auto biased = static_cast<int>(bits >> 52);
+  const std::uint64_t m =
+      biased == 0 ? bits : (bits & kFraction) | (kFraction + 1);
+  const int s = biased == 0 ? 1074 : 1075 - biased;
+  // v < 2^53 * 2^-64, so 1000 * v < 2^10 * 2^-11 rounds to 0.
+  if (s >= 64) return 0;
+  const std::uint64_t x = m * 1000;
+  const std::uint64_t q = x >> s;
+  const std::uint64_t rem = x & ((std::uint64_t{1} << s) - 1);
+  const std::uint64_t half = std::uint64_t{1} << (s - 1);
+  return q + (rem > half || (rem == half && (q & 1) != 0) ? 1 : 0);
+}
+
+}  // namespace
+
 void append_fixed3(std::string& out, double v) {
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  if (bits < kFixed3FastEnd) {
+    const std::uint64_t n = thousandths(bits);
+    char buf[24];
+    char* p = std::to_chars(buf, buf + 20, n / 1000).ptr;
+    const auto frac = static_cast<unsigned>(n % 1000);
+    p[0] = '.';
+    p[1] = static_cast<char>('0' + frac / 100);
+    p[2] = static_cast<char>('0' + frac / 10 % 10);
+    p[3] = static_cast<char>('0' + frac % 10);
+    out.append(buf, p + 4);
+    return;
+  }
   // Widest result: sign, the 309 integer digits of DBL_MAX, point and
   // three decimals.  On a shorter buffer to_chars fails with
   // value_too_large for large values and leaves the buffer unwritten.
@@ -362,7 +408,7 @@ namespace {
 
 /// Chrome tid for a track id (tids should be non-negative integers).
 int chrome_tid(std::int32_t track) {
-  return track >= 0 ? track : 1000000 + (-1 - track);
+  return track >= 0 ? track : kChromeWireTid + (-1 - track);
 }
 
 /// The Chrome export formats into one byte buffer and hands it to the
@@ -399,6 +445,93 @@ void append_us(std::string& out, double seconds) {
   append_fixed3(out, seconds * 1e6);
 }
 
+// The event writer opens "args" with the first argument key and only
+// continues it with the second.
+static_assert(std::ranges::none_of(kKindRows, [](const KindRow& r) {
+  return r.akey == nullptr && r.bkey != nullptr;
+}));
+
+/// A kind's export text, rendered once from its row: everything an
+/// event writes between its tid and its ts value, and the openers of
+/// its arguments (empty when the row has no such key).
+struct KindText {
+  std::string head;  ///< ,"cat":"<cat>","name":"<name>","ts":
+  std::string akey;  ///< ,"args":{"<akey>":
+  std::string bkey;  ///< ,"<bkey>":
+};
+
+const std::array<KindText, std::size(kKindRows)>& kind_texts() {
+  static const auto texts = [] {
+    std::array<KindText, std::size(kKindRows)> out;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const KindRow& r = kKindRows[i];
+      out[i].head = std::string(",\"cat\":\"") + cat_name(r.cat) +
+                    "\",\"name\":\"" + std::string(r.name) + "\",\"ts\":";
+      if (r.akey != nullptr) {
+        out[i].akey = std::string(",\"args\":{\"") + r.akey + "\":";
+      }
+      if (r.bkey != nullptr) out[i].bkey = std::string(",\"") + r.bkey + "\":";
+    }
+    return out;
+  }();
+  return texts;
+}
+
+/// One scenario's tracks in ascending order, each with its event
+/// prefix `{"pid":P,"tid":T`.
+class TrackTable {
+ public:
+  /// Collect the tracks of `events` in one pass over a seen-table
+  /// spanning [min, max] track, read in ascending order.  In-process
+  /// the span is ranks plus nodes.
+  void build(std::span<const Event> events, std::size_t pid) {
+    tracks_.clear();
+    slot_.clear();
+    text_.clear();
+    starts_.clear();
+    if (events.empty()) return;
+    const auto [lo, hi] = std::ranges::minmax(
+        events | std::views::transform(&Event::track));
+    lo_ = lo;
+    const auto span = static_cast<std::uint64_t>(std::int64_t{hi} - lo) + 1;
+    slot_.assign(span, -1);
+    for (const Event& e : events) slot_[e.track - lo] = 0;
+    for (std::uint64_t i = 0; i < span; ++i) {
+      if (slot_[i] < 0) continue;
+      slot_[i] = static_cast<std::int32_t>(tracks_.size());
+      tracks_.push_back(
+          static_cast<std::int32_t>(lo + static_cast<std::int64_t>(i)));
+    }
+    for (const std::int32_t tr : tracks_) {
+      starts_.push_back(text_.size());
+      text_ += "{\"pid\":";
+      append_int(text_, pid);
+      text_ += ",\"tid\":";
+      append_int(text_, static_cast<std::uint64_t>(chrome_tid(tr)));
+    }
+    starts_.push_back(text_.size());
+  }
+
+  [[nodiscard]] std::span<const std::int32_t> tracks() const {
+    return tracks_;
+  }
+
+  /// The event prefix of `track`, one of the tracks built from.
+  [[nodiscard]] std::string_view prefix(std::int32_t track) const {
+    const auto i = static_cast<std::size_t>(slot_[track - lo_]);
+    return std::string_view(text_).substr(starts_[i],
+                                          starts_[i + 1] - starts_[i]);
+  }
+
+ private:
+  std::int32_t lo_ = 0;
+  std::vector<std::int32_t> tracks_;  ///< ascending
+  std::vector<std::int32_t> slot_;  ///< track - lo_ -> tracks_ index, or -1
+  std::string text_;  ///< every prefix, back to back
+  /// Prefix i is text_ from starts_[i] to starts_[i + 1].
+  std::vector<std::size_t> starts_;
+};
+
 }  // namespace
 
 void Session::write_chrome(std::ostream& os) const {
@@ -418,7 +551,8 @@ void Session::write_chrome(std::ostream& os) const {
     first = false;
     out += '\n';
   };
-  std::vector<std::int32_t> tracks;
+  const auto& kinds = kind_texts();
+  TrackTable tracks;
   for (std::size_t pid = 0; pid < im.traces.size(); ++pid) {
     const FinishedTrace& t = im.traces[pid];
     sep();
@@ -436,11 +570,8 @@ void Session::write_chrome(std::ostream& os) const {
     append_int(out, pid);
     out += "}}";
     // Name every track that appears (ranks and per-node wire lanes).
-    tracks.clear();
-    for (const Event& e : t.events) tracks.push_back(e.track);
-    std::sort(tracks.begin(), tracks.end());
-    tracks.erase(std::unique(tracks.begin(), tracks.end()), tracks.end());
-    for (const std::int32_t tr : tracks) {
+    tracks.build(t.events, pid);
+    for (const std::int32_t tr : tracks.tracks()) {
       sep();
       out += "{\"ph\":\"M\",\"pid\":";
       append_int(out, pid);
@@ -459,16 +590,9 @@ void Session::write_chrome(std::ostream& os) const {
     }
     for (const Event& e : t.events) {
       sep();
-      out += "{\"pid\":";
-      append_int(out, pid);
-      out += ",\"tid\":";
-      append_int(out, static_cast<std::uint64_t>(chrome_tid(e.track)));
-      const KindRow& r = row(e.kind);
-      out += ",\"cat\":\"";
-      out += cat_name(r.cat);
-      out += "\",\"name\":\"";
-      out += r.name;
-      out += "\",\"ts\":";
+      const KindText& k = kinds[static_cast<std::size_t>(e.kind)];
+      out += tracks.prefix(e.track);
+      out += k.head;
       append_us(out, e.ts);
       if (e.is_span()) {
         out += ",\"ph\":\"X\",\"dur\":";
@@ -477,19 +601,20 @@ void Session::write_chrome(std::ostream& os) const {
         out += ",\"ph\":\"i\",\"s\":\"t\"";
       }
       // Each argument the row has a key for, then a non-zero corr.
-      bool any = false;
-      const auto arg = [&](const char* key, std::uint64_t v) {
-        out += any ? ",\"" : ",\"args\":{\"";
-        any = true;
-        out += key;
-        out += "\":";
-        append_int(out, v);
-      };
-      if (r.akey != nullptr) arg(r.akey, e.aval);
-      if (r.bkey != nullptr) arg(r.bkey, e.bval);
-      if (e.corr != 0) arg("corr", e.corr);
-      if (any) out += '}';
-      out += '}';
+      const bool keyed = !k.akey.empty();
+      if (keyed) {
+        out += k.akey;
+        append_int(out, e.aval);
+        if (!k.bkey.empty()) {
+          out += k.bkey;
+          append_int(out, e.bval);
+        }
+      }
+      if (e.corr != 0) {
+        out += keyed ? ",\"corr\":" : ",\"args\":{\"corr\":";
+        append_int(out, e.corr);
+      }
+      out += keyed || e.corr != 0 ? "}}" : "}";
     }
   }
   out += "\n],\"displayTimeUnit\":\"ms\"}\n";

@@ -323,6 +323,10 @@ static_assert(sizeof(Event) == 48, "trace::Event grew past 48 bytes");
   return -1 - node;
 }
 
+/// Chrome tid of node 0's wire track; node n's is this plus n.  A rank
+/// track exports as its own tid, so Chrome's rank tids are [0, this).
+inline constexpr std::int32_t kChromeWireTid = 1000000;
+
 struct HistData {
   /// buckets[0]: v == 0; buckets[i]: v in [2^(i-1), 2^i), up to
   /// buckets[64] for v >= 2^63.
@@ -520,7 +524,8 @@ class Session {
 
 /// Append `v` in fixed point with three decimals, byte-identical to
 /// printf("%.3f", v) for every finite double (the Chrome exporter's
-/// microsecond fields).
+/// microsecond fields).  Values in [+0, 9e12) take an exact integer
+/// path; the rest go through to_chars.
 void append_fixed3(std::string& out, double v);
 
 /// RAII: installs a fresh Tracer for one scenario when the session is

@@ -14,6 +14,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "analyze/chrome_reader.hpp"
 #include "analyze/json_min.hpp"
 #include "analyze/regress.hpp"
+#include "coll/ialltoall.hpp"
 #include "coll/ibcast.hpp"
 #include "harness/microbench.hpp"
 #include "harness/scenario_pool.hpp"
@@ -1119,6 +1121,17 @@ TEST(AnalyzeRegress, ToleranceParsing) {
   EXPECT_FALSE(tol.ci_separation);
   EXPECT_FALSE(tol.set("bogus_key", "1"));
   EXPECT_FALSE(tol.set("op_rel", "fast"));
+  // Only finite values >= 0: NaN or infinity would pass every drift.
+  for (const char* bad : {"nan", "inf", "-inf", "-0.1"}) {
+    for (const char* key :
+         {"blame_share", "op_rel", "overlap", "ci_separation"}) {
+      EXPECT_FALSE(tol.set(key, bad)) << key << " " << bad;
+    }
+  }
+  EXPECT_DOUBLE_EQ(tol.blame_share, 0.2);
+  EXPECT_DOUBLE_EQ(tol.op_rel, 0.25);
+  EXPECT_TRUE(tol.set("op_rel", "0"));
+  EXPECT_DOUBLE_EQ(tol.op_rel, 0.0);
 
   std::istringstream cfg(
       "# comment\n\nblame_share 0.15  # trailing comment\nop_rel 0.5\n");
@@ -1128,6 +1141,8 @@ TEST(AnalyzeRegress, ToleranceParsing) {
 
   std::istringstream bad("no_such_knob 1\n");
   EXPECT_THROW(analyze::read_tolerances(bad, tol), std::runtime_error);
+  std::istringstream nan_line("op_rel nan\n");
+  EXPECT_THROW(analyze::read_tolerances(nan_line, tol), std::runtime_error);
 }
 
 TEST(AnalyzeRegress, RejectsForeignJson) {
@@ -1254,6 +1269,8 @@ TEST(JsonMin, EveryReaderRangeChecksIntegers) {
             prefix + "rounds is not an integer in range");
   EXPECT_EQ(chrome_error(with("\"corr\":1", "\"corr\":-1")),
             prefix + "corr is not an integer in range");
+  EXPECT_EQ(chrome_error(with("\"ts\":1.0", "\"ts\":-1e999")),
+            prefix + "ts is not a finite number");
 
   // The --regress report reader names the scenario label or guideline id.
   const auto regress_error = [](const std::string& scenario,
@@ -1340,4 +1357,142 @@ TEST(AnalyzeReport, TableWriterMentionsEverySection) {
   EXPECT_NE(s.find("worst op:"), std::string::npos);
   EXPECT_NE(s.find("guidelines"), std::string::npos);
   EXPECT_NE(s.find("[pass] G1"), std::string::npos);
+}
+
+// ------------------------------------------- reader mutation fuzzing
+
+namespace {
+
+/// The mutator's seeded random source (splitmix64).
+struct MutationRng {
+  std::uint64_t state;
+  std::uint64_t next() {
+    std::uint64_t x = (state += 0x9E3779B97F4A7C15ULL);
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+    return x ^ (x >> 31);
+  }
+  std::size_t below(std::size_t n) { return next() % n; }
+};
+
+/// The distinct pids of the objects in `chrome`'s traceEvents, read
+/// independently of read_chrome.
+std::size_t distinct_pids(const std::string& chrome) {
+  const analyze::jsonmin::Value root = analyze::jsonmin::parse(chrome);
+  std::set<long long> pids;
+  for (const analyze::jsonmin::Value& ev : *root.get("traceEvents")->arr) {
+    const analyze::jsonmin::Value* pid = ev.get("pid");
+    if (pid != nullptr) pids.insert(pid->as_int<long long>().value());
+  }
+  return pids.size();
+}
+
+}  // namespace
+
+TEST(AnalyzeFuzz, MutatedChromeExportsFailLocatedOrAnalyze) {
+  // A small real export: a traced, keyed 4-rank Ialltoall, two ops.
+  trace::ScenarioKey key;
+  key.op = "ialltoall";
+  key.platform = "whale";
+  key.nprocs = 4;
+  key.bytes = 1024;
+  key.impl = "linear";
+  trace::Session::enable();
+  (void)trace::Session::instance().drain();
+  {
+    trace::Scope scope(key);
+    std::vector<std::byte> sbuf(4 * 1024), rbuf(4 * 1024);
+    t::run_world(net::whale(), 4, [&](mpi::Ctx& ctx) {
+      nbc::Schedule s = coll::build_ialltoall_linear(
+          ctx.world_rank(), 4, sbuf.data(), rbuf.data(), 1024);
+      nbc::Handle h(ctx, ctx.world().comm_world(), &s, 1 << 20);
+      for (int i = 0; i < 2; ++i) {
+        h.start();
+        ctx.compute(1e-6);
+        h.wait();
+      }
+    });
+  }
+  std::ostringstream chrome;
+  trace::Session::instance().write_chrome(chrome);
+  (void)trace::Session::instance().drain();
+  const std::string base = chrome.str();
+
+  // Splice sites: the value offset after every "<field>":.
+  const std::vector<std::string> fields = {"pid", "tid", "ts", "dur", "corr"};
+  std::vector<std::vector<std::size_t>> sites(fields.size());
+  for (std::size_t f = 0; f < fields.size(); ++f) {
+    const std::string needle = "\"" + fields[f] + "\":";
+    for (std::size_t at = base.find(needle); at != std::string::npos;
+         at = base.find(needle, at + 1)) {
+      sites[f].push_back(at + needle.size());
+    }
+    ASSERT_FALSE(sites[f].empty()) << fields[f];
+  }
+  const std::vector<std::string> splices = {
+      "999999", "1000000", "-1", "2147483647", "9223372036854775808",
+      "1e300",  "-5"};
+
+  MutationRng rng{20150525};
+  std::size_t rejected = 0, analyzed = 0;
+  for (int i = 0; i < 2000; ++i) {
+    std::string m = base;
+    switch (rng.below(3)) {
+      case 0:  // flip one to four bytes
+        for (std::size_t n = 1 + rng.below(4); n > 0; --n) {
+          m[rng.below(m.size())] ^= static_cast<char>(1 + rng.below(255));
+        }
+        break;
+      case 1:  // truncate
+        m.resize(rng.below(m.size()));
+        break;
+      default: {  // replace one field's number
+        const std::size_t f = rng.below(fields.size());
+        const std::size_t at = sites[f][rng.below(sites[f].size())];
+        m.replace(at, m.find_first_of(",}", at) - at,
+                  splices[rng.below(splices.size())]);
+      }
+    }
+    SCOPED_TRACE("mutant " + std::to_string(i));
+    std::vector<trace::FinishedTrace> traces;
+    try {
+      std::istringstream is(m);
+      traces = analyze::read_chrome(is);
+    } catch (const std::runtime_error& e) {
+      // Located: a byte offset, an event index, or the one top-level
+      // member every export has.
+      const std::string what = e.what();
+      EXPECT_TRUE(what.starts_with("JSON parse error at byte ") ||
+                  what.starts_with("chrome trace: event ") ||
+                  what == "chrome trace: no traceEvents array")
+          << what;
+      ++rejected;
+      continue;
+    }
+    const analyze::Report r = analyze::analyze(traces);
+    EXPECT_EQ(r.scenarios.size(), distinct_pids(m));
+    std::ostringstream json;
+    analyze::write_json(json, r);
+    ++analyzed;
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(rejected, 200u);
+  EXPECT_GT(analyzed, 200u);
+}
+
+TEST(AnalyzeFuzz, RankTrackPastChromesRankTidsIsALocatedError) {
+  trace::FinishedTrace t;
+  t.label = "wide";
+  t.events.push_back({0.0, 1.0, trace::kChromeWireTid, trace::Kind::Compute});
+  try {
+    (void)analyze::analyze(std::span(&t, 1));
+    FAIL() << "expected a rank-range error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "analyze: scenario 'wide': rank track 1000000 is outside "
+              "Chrome's rank tids [0, 1000000)");
+  }
+  // The highest rank Chrome can name analyzes.
+  t.events[0].track = trace::kChromeWireTid - 1;
+  EXPECT_EQ(analyze::analyze(std::span(&t, 1)).scenarios.size(), 1u);
 }

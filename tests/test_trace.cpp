@@ -425,22 +425,184 @@ TEST(TraceExport, ChromeJsonShapeAndEscaping) {
   EXPECT_NE(j.find("node 0 wire"), std::string::npos);
 }
 
+TEST(TraceExport, ChromeTracksWithGapsAndEveryArgumentShape) {
+  // Ranks 0 and 5 and the wire lanes of nodes 0 and 2: the thread_name
+  // records come in ascending track order (wire lanes first) and skip
+  // the tracks nobody used.  The events cover a kind with both argument
+  // keys, one with only its first key, one with neither key but a corr,
+  // one with no args at all, spans and instants.  A second scenario on
+  // its own track checks the per-scenario pid and track names.
+  trace::Session::enable();
+  (void)trace::Session::instance().drain();
+  {
+    trace::Scope scope("gaps");
+    trace::instant(1e-6, 5, trace::Kind::MsgEager, 3, 64, 11);
+    trace::span(2e-6, 0.5e-6, trace::wire_track(2), trace::Kind::WireChunk,
+                64, 0, 11);
+    trace::instant(3.25e-6, 0, trace::Kind::MsgComplete, 5, 0, 11);
+    trace::span(0.0, 4e-6, 0, trace::Kind::Compute, 0, 0, 7);
+    trace::span(5e-6, 1e-6, trace::wire_track(0), trace::Kind::WireEager,
+                128);
+    trace::instant(6e-6, 5, trace::Kind::ProgressPass);
+  }
+  {
+    trace::Scope scope("second");
+    trace::instant(7.125e-6, 2, trace::Kind::NbcStart, 4, 9, 1);
+  }
+  std::ostringstream os;
+  trace::Session::instance().write_chrome(os);
+  (void)trace::Session::instance().drain();
+  const std::string want =
+      "{\"traceEvents\":[\n"
+      "{\"ph\":\"M\",\"pid\":0,\"name\":\"process_name\",\"args\":{\"name\":"
+      "\"gaps\"}},\n"
+      "{\"ph\":\"M\",\"pid\":0,\"name\":\"process_sort_index\",\"args\":{"
+      "\"sort_index\":0}},\n"
+      "{\"ph\":\"M\",\"pid\":0,\"tid\":1000002,\"name\":\"thread_name\","
+      "\"args\":{\"name\":\"node 2 wire\"}},\n"
+      "{\"ph\":\"M\",\"pid\":0,\"tid\":1000000,\"name\":\"thread_name\","
+      "\"args\":{\"name\":\"node 0 wire\"}},\n"
+      "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"thread_name\",\"args\":{"
+      "\"name\":\"rank 0\"}},\n"
+      "{\"ph\":\"M\",\"pid\":0,\"tid\":5,\"name\":\"thread_name\",\"args\":{"
+      "\"name\":\"rank 5\"}},\n"
+      "{\"pid\":0,\"tid\":5,\"cat\":\"msg\",\"name\":\"msg.eager\",\"ts\":"
+      "1.000,\"ph\":\"i\",\"s\":\"t\",\"args\":{\"dst\":3,\"bytes\":64,"
+      "\"corr\":11}},\n"
+      "{\"pid\":0,\"tid\":1000002,\"cat\":\"wire\",\"name\":\"wire.chunk\","
+      "\"ts\":2.000,\"ph\":\"X\",\"dur\":0.500,\"args\":{\"bytes\":64,"
+      "\"corr\":11}},\n"
+      "{\"pid\":0,\"tid\":0,\"cat\":\"msg\",\"name\":\"msg.complete\",\"ts\":"
+      "3.250,\"ph\":\"i\",\"s\":\"t\",\"args\":{\"src\":5,\"corr\":11}},\n"
+      "{\"pid\":0,\"tid\":0,\"cat\":\"progress\",\"name\":\"compute\",\"ts\":"
+      "0.000,\"ph\":\"X\",\"dur\":4.000,\"args\":{\"corr\":7}},\n"
+      "{\"pid\":0,\"tid\":1000000,\"cat\":\"wire\",\"name\":\"wire.eager\","
+      "\"ts\":5.000,\"ph\":\"X\",\"dur\":1.000,\"args\":{\"bytes\":128}},\n"
+      "{\"pid\":0,\"tid\":5,\"cat\":\"progress\",\"name\":\"progress.pass\","
+      "\"ts\":6.000,\"ph\":\"i\",\"s\":\"t\"},\n"
+      "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{\"name\":"
+      "\"second\"}},\n"
+      "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_sort_index\",\"args\":{"
+      "\"sort_index\":1}},\n"
+      "{\"ph\":\"M\",\"pid\":1,\"tid\":2,\"name\":\"thread_name\",\"args\":{"
+      "\"name\":\"rank 2\"}},\n"
+      "{\"pid\":1,\"tid\":2,\"cat\":\"nbc\",\"name\":\"nbc.start\",\"ts\":"
+      "7.125,\"ph\":\"i\",\"s\":\"t\",\"args\":{\"rounds\":4,\"tag\":9,"
+      "\"corr\":1}}\n"
+      "],\"displayTimeUnit\":\"ms\"}\n";
+  EXPECT_EQ(os.str(), want);
+}
+
+TEST(TraceExport, ChromeNamesSparseTracksInOrder) {
+  // Tracks far apart relative to the event count (rank 999999 beside
+  // rank 0, the wire lane of node 70000) are named in ascending track
+  // order and prefix their events like adjacent ones.
+  trace::Session::enable();
+  (void)trace::Session::instance().drain();
+  {
+    trace::Scope scope("sparse");
+    trace::instant(1e-6, 999999, trace::Kind::ProgressPass);
+    trace::instant(2e-6, 0, trace::Kind::ProgressPass);
+    trace::span(3e-6, 1e-6, trace::wire_track(70000), trace::Kind::WireAck,
+                8);
+  }
+  std::ostringstream os;
+  trace::Session::instance().write_chrome(os);
+  (void)trace::Session::instance().drain();
+  const std::string j = os.str();
+  const std::size_t wire = j.find("\"tid\":1070000,\"name\":\"thread_name\"");
+  const std::size_t rank0 = j.find("\"tid\":0,\"name\":\"thread_name\"");
+  const std::size_t rank_max = j.find("\"tid\":999999,\"name\":\"thread_name\"");
+  ASSERT_NE(wire, std::string::npos);
+  ASSERT_NE(rank0, std::string::npos);
+  ASSERT_NE(rank_max, std::string::npos);
+  EXPECT_LT(wire, rank0);
+  EXPECT_LT(rank0, rank_max);
+  EXPECT_NE(j.find("{\"pid\":0,\"tid\":999999,\"cat\":\"progress\",\"name\":"
+                   "\"progress.pass\",\"ts\":1.000,\"ph\":\"i\",\"s\":\"t\"}"),
+            std::string::npos);
+  EXPECT_NE(j.find("{\"pid\":0,\"tid\":1070000,\"cat\":\"wire\",\"name\":"
+                   "\"wire.ack\",\"ts\":3.000,\"ph\":\"X\",\"dur\":1.000,"
+                   "\"args\":{\"bytes\":8}}"),
+            std::string::npos);
+}
+
 TEST(TraceExport, MicrosecondFormatMatchesPrintf) {
-  // The Chrome writer's "%.3f" fields come from to_chars; every value
-  // must format byte-for-byte as printf would.
-  std::vector<double> values = {0.0, -0.0, DBL_MIN, DBL_TRUE_MIN, 1e300,
-                                DBL_MAX, -DBL_MAX};
-  // Exact binary fractions of a microsecond, rounding ties among them.
+  // The Chrome writer's "%.3f" fields must format byte-for-byte as
+  // printf would, on both sides of the integer fast path's bound.
+  constexpr double kBound = 9e12;
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                DBL_MIN,
+                                DBL_TRUE_MIN,
+                                DBL_MIN / 2,
+                                -DBL_TRUE_MIN,
+                                -DBL_MIN,
+                                1e300,
+                                DBL_MAX,
+                                -DBL_MAX,
+                                -1.5,
+                                -0.0625,
+                                -0.0005,
+                                -123.4565,
+                                -8.5e12,
+                                kBound,
+                                std::nextafter(kBound, 0.0),
+                                std::nextafter(kBound, DBL_MAX),
+                                4503599627370495.5,  // 2^52 - 0.5
+                                4503599627370496.0,
+                                9007199254740991.0};
+  // Exact binary fractions of a microsecond, rounding ties among them,
+  // and one ulp either side of every k/16 tie.
   for (int k = 0; k < 100000; ++k) {
-    values.push_back(k / 16.0);
+    const double tie = k / 16.0;
+    values.push_back(tie);
+    values.push_back(std::nextafter(tie, -DBL_MAX));
+    values.push_back(std::nextafter(tie, DBL_MAX));
     values.push_back(k / 32.0);
     values.push_back(k / 1024.0);
+  }
+  // The doubles nearest the decimal ties x.xxx5, whose exact values sit
+  // just off the tie, and their neighbours.
+  for (int k = 0; k < 100000; ++k) {
+    const double near_tie = (2.0 * k + 1.0) / 2000.0;
+    values.push_back(near_tie);
+    values.push_back(std::nextafter(near_tie, 0.0));
+    values.push_back(std::nextafter(near_tie, DBL_MAX));
+    values.push_back(8.5e12 + near_tie);
+  }
+  // Values whose product with 1000 rounds to an integer N in double
+  // arithmetic while the exact product lies just above or below N.
+  std::size_t above = 0, below = 0;
+  for (int n = 1; n < 200000; ++n) {
+    for (const double scale : {1.0, 1e6, 4e9}) {
+      const double whole = n * scale;
+      const double v = whole / 1000.0;
+      if (v * 1000.0 != whole) continue;
+      const double err = std::fma(v, 1000.0, -whole);
+      if (err == 0.0) continue;
+      ++(err > 0.0 ? above : below);
+      values.push_back(v);
+    }
+  }
+  EXPECT_GT(above, 1000u);
+  EXPECT_GT(below, 1000u);
+  // Values near the fast path's bound, where 1000·v needs 53 bits.
+  for (int k = -2000; k < 2000; ++k) {
+    values.push_back(kBound + k / 8.0);
+    values.push_back(kBound + k / 16.0 + 1.0 / 32.0);
   }
   // Random simulated times, scaled to microseconds as the writer does.
   std::mt19937_64 rng(20150525);
   std::uniform_real_distribution<double> exponent(-9.0, 3.0);
   for (int i = 0; i < 200000; ++i) {
     values.push_back(std::pow(10.0, exponent(rng)) * 1e6);
+  }
+  // Random magnitudes up to well past the bound, negatives included.
+  std::uniform_real_distribution<double> wide(-20.0, 16.0);
+  for (int i = 0; i < 100000; ++i) {
+    const double v = std::pow(10.0, wide(rng));
+    values.push_back(i % 8 == 0 ? -v : v);
   }
   std::size_t mismatches = 0;
   for (const double v : values) {
