@@ -155,6 +155,24 @@ static void BM_AnalyzeScenario(benchmark::State& state) {
 }
 BENCHMARK(BM_AnalyzeScenario);
 
+// The check analyze() makes before it reuses a report attached to the
+// report scenario (equal options, the trace's digest recomputed and
+// compared), per event.  A copy carries the report, so the shared
+// fixture stays bare and BM_AnalyzeScenario keeps analyzing it.
+static void BM_AttachedReportCheck(benchmark::State& state) {
+  const trace::FinishedTrace t = report_scenario();
+  (void)analyze::attach_report(t);
+  for (auto _ : state) {
+    const analyze::ScenarioReport* r = analyze::attached_report(t);
+    if (r == nullptr) state.SkipWithError("attached report not reused");
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(t.events.size()));
+  state.SetLabel("events/s (attached-report check)");
+}
+BENCHMARK(BM_AttachedReportCheck);
+
 static void BM_EventScheduleAndRun(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {

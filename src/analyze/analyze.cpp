@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -10,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 
 #include "net/platform.hpp"
@@ -715,8 +717,10 @@ void fmt_ns(std::string& s, double seconds) {
   s += "ns";
 }
 
+}  // namespace
+
 std::vector<GuidelineResult> check_guidelines(
-    const std::vector<ScenarioReport>& scenarios, const Options& opts) {
+    std::span<const ScenarioReport> scenarios, const Options& opts) {
   std::vector<GuidelineResult> out;
 
   // G1: every started operation completes (conservation; catches lost
@@ -1001,96 +1005,204 @@ std::vector<GuidelineResult> check_guidelines(
   return out;
 }
 
-}  // namespace
-
 // ---------------------------------------------------------------- driver
+
+ScenarioReport analyze_scenario(const trace::FinishedTrace& t,
+                                const Options& opts) {
+  ScenarioReport sr;
+  sr.label = t.label;
+  sr.key = t.key;
+  const Index ix = build_index(t);
+  sr.ops_started = ix.ops_started;
+  sr.zero_compute = !ix.any_compute;
+
+  double op_sum = 0.0;
+  std::uint64_t op_n = 0;
+  for (const OpSpan& s : ix.ops) {
+    op_sum += s.dur;
+    ++op_n;
+  }
+  sr.ops_completed = op_n;
+  sr.mean_op_elapsed = op_n > 0 ? op_sum / static_cast<double>(op_n) : 0.0;
+
+  double worst_elapsed = -1.0;
+  // One repetition sample per op instance: the critical rank's elapsed
+  // time and blame partition ("MPI Benchmarking Revisited": statistics
+  // are computed over repetitions, never pooled measurements).
+  std::vector<double> elapsed_samples;
+  std::vector<double> blame_samples[6];
+  ix.for_each_op([&](std::uint64_t corr, std::span<const OpSpan> spans) {
+    OpCritical oc = analyze_op(ix, corr, spans, opts.max_hops);
+    sr.blame.compute += oc.blame.compute;
+    sr.blame.progress += oc.blame.progress;
+    sr.blame.wire += oc.blame.wire;
+    sr.blame.late_sender += oc.blame.late_sender;
+    sr.blame.missing_progress += oc.blame.missing_progress;
+    sr.blame.other += oc.blame.other;
+    elapsed_samples.push_back(oc.elapsed);
+    blame_samples[0].push_back(oc.blame.compute);
+    blame_samples[1].push_back(oc.blame.progress);
+    blame_samples[2].push_back(oc.blame.wire);
+    blame_samples[3].push_back(oc.blame.late_sender);
+    blame_samples[4].push_back(oc.blame.missing_progress);
+    blame_samples[5].push_back(oc.blame.other);
+    if (oc.elapsed > worst_elapsed) {
+      worst_elapsed = oc.elapsed;
+      sr.worst = oc;
+      sr.has_critical = true;
+    }
+    sr.op_criticals.push_back(std::move(oc));
+  });
+  sr.op_stats = order_stats(std::move(elapsed_samples));
+  sr.blame_stats.compute = order_stats(std::move(blame_samples[0]));
+  sr.blame_stats.progress = order_stats(std::move(blame_samples[1]));
+  sr.blame_stats.wire = order_stats(std::move(blame_samples[2]));
+  sr.blame_stats.late_sender = order_stats(std::move(blame_samples[3]));
+  sr.blame_stats.missing_progress = order_stats(std::move(blame_samples[4]));
+  sr.blame_stats.other = order_stats(std::move(blame_samples[5]));
+  sr.min_reps_met =
+      sr.op_stats.n >= static_cast<std::uint64_t>(std::max(opts.min_reps, 0));
+
+  sr.ranks = analyze_overlap(ix);
+  sr.adcl = analyze_adcl(t);
+  sr.faults = analyze_faults(t);
+  sr.recovery = analyze_recovery(t);
+  sr.ops_aborted = sr.recovery.aborted_ops;
+  sr.fibers_created = counter(t, trace::Ctr::SimFibersCreated);
+  sr.peak_arena_bytes = counter(t, trace::Ctr::WorldPeakArenaBytes);
+  sr.dropped_events = counter(t, trace::Ctr::TraceDroppedEvents);
+
+  // Post-decision performance: ops starting after the decision event.
+  sr.post_decision_op_elapsed = sr.mean_op_elapsed;
+  if (sr.adcl.present && sr.adcl.winner >= 0) {
+    double sum = 0.0;
+    std::uint64_t n = 0;
+    for (const OpSpan& s : ix.ops) {
+      if (s.ts > sr.adcl.decision_ts) {
+        sum += s.dur;
+        ++n;
+      }
+    }
+    if (n > 0) sr.post_decision_op_elapsed = sum / static_cast<double>(n);
+  }
+  return sr;
+}
 
 Report analyze(std::span<const trace::FinishedTrace> traces,
                const Options& opts) {
   Report report;
   report.scenarios.reserve(traces.size());
   for (const trace::FinishedTrace& t : traces) {
-    ScenarioReport sr;
-    sr.label = t.label;
-    sr.key = t.key;
-    const Index ix = build_index(t);
-    sr.ops_started = ix.ops_started;
-    sr.zero_compute = !ix.any_compute;
-
-    double op_sum = 0.0;
-    std::uint64_t op_n = 0;
-    for (const OpSpan& s : ix.ops) {
-      op_sum += s.dur;
-      ++op_n;
+    if (const ScenarioReport* r = attached_report(t, opts)) {
+      report.scenarios.push_back(*r);
+    } else {
+      report.scenarios.push_back(analyze_scenario(t, opts));
     }
-    sr.ops_completed = op_n;
-    sr.mean_op_elapsed = op_n > 0 ? op_sum / static_cast<double>(op_n) : 0.0;
-
-    double worst_elapsed = -1.0;
-    // One repetition sample per op instance: the critical rank's elapsed
-    // time and blame partition ("MPI Benchmarking Revisited": statistics
-    // are computed over repetitions, never pooled measurements).
-    std::vector<double> elapsed_samples;
-    std::vector<double> blame_samples[6];
-    ix.for_each_op([&](std::uint64_t corr, std::span<const OpSpan> spans) {
-      OpCritical oc = analyze_op(ix, corr, spans, opts.max_hops);
-      sr.blame.compute += oc.blame.compute;
-      sr.blame.progress += oc.blame.progress;
-      sr.blame.wire += oc.blame.wire;
-      sr.blame.late_sender += oc.blame.late_sender;
-      sr.blame.missing_progress += oc.blame.missing_progress;
-      sr.blame.other += oc.blame.other;
-      elapsed_samples.push_back(oc.elapsed);
-      blame_samples[0].push_back(oc.blame.compute);
-      blame_samples[1].push_back(oc.blame.progress);
-      blame_samples[2].push_back(oc.blame.wire);
-      blame_samples[3].push_back(oc.blame.late_sender);
-      blame_samples[4].push_back(oc.blame.missing_progress);
-      blame_samples[5].push_back(oc.blame.other);
-      if (oc.elapsed > worst_elapsed) {
-        worst_elapsed = oc.elapsed;
-        sr.worst = oc;
-        sr.has_critical = true;
-      }
-      sr.op_criticals.push_back(std::move(oc));
-    });
-    sr.op_stats = order_stats(std::move(elapsed_samples));
-    sr.blame_stats.compute = order_stats(std::move(blame_samples[0]));
-    sr.blame_stats.progress = order_stats(std::move(blame_samples[1]));
-    sr.blame_stats.wire = order_stats(std::move(blame_samples[2]));
-    sr.blame_stats.late_sender = order_stats(std::move(blame_samples[3]));
-    sr.blame_stats.missing_progress =
-        order_stats(std::move(blame_samples[4]));
-    sr.blame_stats.other = order_stats(std::move(blame_samples[5]));
-    sr.min_reps_met =
-        sr.op_stats.n >= static_cast<std::uint64_t>(std::max(opts.min_reps, 0));
-
-    sr.ranks = analyze_overlap(ix);
-    sr.adcl = analyze_adcl(t);
-    sr.faults = analyze_faults(t);
-    sr.recovery = analyze_recovery(t);
-    sr.ops_aborted = sr.recovery.aborted_ops;
-    sr.fibers_created = counter(t, trace::Ctr::SimFibersCreated);
-    sr.peak_arena_bytes = counter(t, trace::Ctr::WorldPeakArenaBytes);
-    sr.dropped_events = counter(t, trace::Ctr::TraceDroppedEvents);
-
-    // Post-decision performance: ops starting after the decision event.
-    sr.post_decision_op_elapsed = sr.mean_op_elapsed;
-    if (sr.adcl.present && sr.adcl.winner >= 0) {
-      double sum = 0.0;
-      std::uint64_t n = 0;
-      for (const OpSpan& s : ix.ops) {
-        if (s.ts > sr.adcl.decision_ts) {
-          sum += s.dur;
-          ++n;
-        }
-      }
-      if (n > 0) sr.post_decision_op_elapsed = sum / static_cast<double>(n);
-    }
-    report.scenarios.push_back(std::move(sr));
   }
   report.guidelines = check_guidelines(report.scenarios, opts);
   return report;
+}
+
+// ------------------------------------------------------- attached report
+
+namespace {
+
+/// The 64 x 64 -> 128-bit product folded to 64 bits (high ^ low): the
+/// mixing step of wyhash.
+std::uint64_t mum(std::uint64_t a, std::uint64_t b) {
+  const unsigned __int128 p = static_cast<unsigned __int128>(a) * b;
+  return static_cast<std::uint64_t>(p) ^ static_cast<std::uint64_t>(p >> 64);
+}
+
+/// wyhash's secret constants.
+constexpr std::uint64_t kSecret[4] = {
+    0xa0761d6478bd642fULL, 0xe7037ed1a0b428dbULL, 0x8ebc6af09c88c6e3ULL,
+    0x589965cc75374cc3ULL};
+
+/// Three lanes, each folding one pair of words per step as
+/// `lane = mum(a ^ secret[i], b ^ lane)`.  An event is three pairs, one
+/// per lane, so its three multiplies do not wait on each other.
+class Digest {
+ public:
+  void pair(int i, std::uint64_t a, std::uint64_t b) {
+    lane_[i] = mum(a ^ kSecret[i], b ^ lane_[i]);
+  }
+  void word(std::uint64_t w) { pair(0, w, 0); }
+  /// Length, then the bytes as little-endian words, zero-padded.
+  void bytes(std::string_view s) {
+    word(s.size());
+    for (std::size_t at = 0; at < s.size(); at += 8) {
+      std::uint64_t w = 0;
+      for (std::size_t j = 0; j < 8 && at + j < s.size(); ++j) {
+        w |= static_cast<std::uint64_t>(static_cast<unsigned char>(s[at + j]))
+             << (8 * j);
+      }
+      word(w);
+    }
+  }
+  void event(const Event& e) {
+    pair(0, std::bit_cast<std::uint64_t>(e.ts),
+         std::bit_cast<std::uint64_t>(e.dur));
+    pair(1,
+         static_cast<std::uint32_t>(e.track) |
+             static_cast<std::uint64_t>(e.kind) << 32,
+         e.aval);
+    pair(2, e.bval, e.corr);
+  }
+  [[nodiscard]] std::uint64_t value() const {
+    return mum(lane_[0] ^ kSecret[3], lane_[1] ^ kSecret[0]) ^ lane_[2];
+  }
+
+ private:
+  std::uint64_t lane_[3] = {kSecret[0], kSecret[1], kSecret[2]};
+};
+
+}  // namespace
+
+std::uint64_t scenario_digest(const trace::FinishedTrace& t) {
+  Digest d;
+  d.bytes(t.label);
+  d.word(t.key.has_value());
+  if (t.key) {
+    trace::ScenarioKey::for_each_field(
+        *t.key, [&](const char*, const auto& field) {
+          if constexpr (std::is_same_v<std::decay_t<decltype(field)>,
+                                       std::string>) {
+            d.bytes(field);
+          } else {
+            d.word(static_cast<std::uint64_t>(field));
+          }
+        });
+  }
+  for (const std::uint64_t c : t.counts) d.word(c);
+  d.word(t.events.size());
+  for (const Event& e : t.events) d.event(e);
+  return d.value();
+}
+
+/// A ScenarioReport riding on the trace it was computed from, with what
+/// decides whether it still holds.  Only this file sees its members.
+struct AttachedReport {
+  Options opts;              ///< the options it was computed with
+  std::uint64_t digest = 0;  ///< scenario_digest of the trace it came from
+  ScenarioReport report;
+};
+
+std::shared_ptr<const ScenarioReport> attach_report(
+    const trace::FinishedTrace& t, const Options& opts) {
+  auto a = std::make_shared<const AttachedReport>(AttachedReport{
+      opts, scenario_digest(t), analyze_scenario(t, opts)});
+  t.attach(a);
+  return {a, &a->report};  // shares ownership of the whole record
+}
+
+const ScenarioReport* attached_report(const trace::FinishedTrace& t,
+                                      const Options& opts) {
+  const AttachedReport* a = t.attached();
+  if (a == nullptr || a->opts != opts || a->digest != scenario_digest(t)) {
+    return nullptr;
+  }
+  return &a->report;
 }
 
 }  // namespace nbctune::analyze

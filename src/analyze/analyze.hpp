@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -54,7 +55,8 @@ namespace nbctune::analyze {
 using ScenarioTrace = trace::FinishedTrace;
 
 /// An identity copy, kept for perfbench, which copies each drained
-/// trace through it before analysis.
+/// trace through it before analysis.  The copy shares the trace's
+/// attached report.
 [[nodiscard]] inline ScenarioTrace from_finished(
     const trace::FinishedTrace& t) {
   return t;
@@ -310,12 +312,47 @@ struct Options {
   /// a measurement ("MPI Benchmarking Revisited": repetition control);
   /// below this ScenarioReport::min_reps_met is false.
   int min_reps = 5;
+
+  friend bool operator==(const Options&, const Options&) = default;
 };
 
-/// Analyze a batch of scenario traces (one bench run).  Deterministic:
-/// output depends only on the trace contents and options.
+/// Analyze one scenario trace: everything in its ScenarioReport.  The
+/// guidelines compare scenarios, so they are check_guidelines' job.
+[[nodiscard]] ScenarioReport analyze_scenario(const trace::FinishedTrace& t,
+                                              const Options& opts = {});
+
+/// The guideline checks G1-G7 over `scenarios`, in their order.
+[[nodiscard]] std::vector<GuidelineResult> check_guidelines(
+    std::span<const ScenarioReport> scenarios, const Options& opts = {});
+
+/// Analyze a batch of scenario traces (one bench run): every trace's
+/// ScenarioReport in order, then the guideline pass over all of them.  A
+/// trace's attached report (attach_report) is reused when
+/// attached_report accepts it, and computed afresh otherwise.
+/// Deterministic: output depends only on the trace contents and options.
 [[nodiscard]] Report analyze(std::span<const trace::FinishedTrace> traces,
                              const Options& opts = {});
+
+// ------------------------------------------------------- attached report
+
+/// A 64-bit digest of every input analyze_scenario reads: the label,
+/// the key, the events and the counters (docs/ARCHITECTURE.md gives the
+/// fields and the hash).  Host mechanism: never written anywhere.
+[[nodiscard]] std::uint64_t scenario_digest(const trace::FinishedTrace& t);
+
+/// Analyze `t`, attach the result to it with the options and `t`'s
+/// digest (trace::FinishedTrace::attach; a trace that already carries a
+/// report keeps it), and return the result.  A Session::Listener calls
+/// this from on_scope_finish, so the worker that finished a scenario
+/// analyzes it and the final analyze() reuses that.
+std::shared_ptr<const ScenarioReport> attach_report(
+    const trace::FinishedTrace& t, const Options& opts = {});
+
+/// `t`'s attached report when it still holds: computed with options
+/// equal to `opts` from a trace whose scenario_digest equals `t`'s.
+/// nullptr otherwise (no report, other options, or `t` edited since).
+[[nodiscard]] const ScenarioReport* attached_report(
+    const trace::FinishedTrace& t, const Options& opts = {});
 
 // -------------------------------------------------------------- writers
 

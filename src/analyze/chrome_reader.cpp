@@ -2,6 +2,7 @@
 
 #include "analyze/json_min.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <concepts>
 #include <istream>
@@ -13,6 +14,7 @@
 #include <string_view>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 namespace nbctune::analyze {
 
@@ -159,27 +161,47 @@ std::vector<trace::FinishedTrace> read_chrome(std::istream& is) {
 std::map<std::string, std::uint64_t> read_counters(std::istream& is) {
   std::map<std::string, std::uint64_t> out;
   std::string line;
+  std::size_t line_no = 0;
   while (std::getline(is, line)) {
+    ++line_no;
     std::istringstream ls(line);
-    std::string kind;
-    ls >> kind;
-    if (kind == "counter") {
-      std::string name;
+    std::vector<std::string> tok;
+    for (std::string w; ls >> w;) tok.push_back(std::move(w));
+    if (tok.empty()) continue;
+    const auto fail = [&](const std::string& what) {
+      throw std::runtime_error("counters: line " + std::to_string(line_no) +
+                               ": " + what);
+    };
+    // Token i, which must be a whole unsigned 64-bit decimal number.
+    const auto value = [&](std::size_t i) {
+      if (i >= tok.size()) fail(tok[0] + " line has no value");
       std::uint64_t v = 0;
-      if (ls >> name >> v) out[name] = v;
-    } else if (kind == "hist") {
+      const std::string& w = tok[i];
+      const auto [end, ec] = std::from_chars(w.data(), w.data() + w.size(), v);
+      if (ec != std::errc() || end != w.data() + w.size()) {
+        fail("'" + w + "' is not an unsigned 64-bit integer");
+      }
+      return v;
+    };
+    // The line has exactly n tokens.
+    const auto ends_at = [&](std::size_t n) {
+      if (tok.size() > n) fail("unexpected '" + tok[n] + "'");
+    };
+    const std::string& kind = tok[0];
+    if (kind == "counter") {
+      if (tok.size() < 2) fail("counter line has no name");
+      out[tok[1]] = value(2);
+      ends_at(3);
+    } else if (kind == "hist" && tok.size() >= 3 && tok[2] == "count") {
       // "hist <name> count <c> sum <s>" header lines only; per-bucket
       // lines ("hist <name> bucket <i> <n>") are skipped.
-      std::string name, f1, f2;
-      std::uint64_t v1 = 0, v2 = 0;
-      if (ls >> name >> f1 >> v1 >> f2 >> v2 && f1 == "count" &&
-          f2 == "sum") {
-        out[name + ".count"] = v1;
-        out[name + ".sum"] = v2;
-      }
+      if (tok.size() < 5 || tok[4] != "sum") fail("hist line has no sum");
+      out[tok[1] + ".count"] = value(3);
+      out[tok[1] + ".sum"] = value(5);
+      ends_at(6);
     } else if (kind == "scenarios" || kind == "trace_events") {
-      std::uint64_t v = 0;
-      if (ls >> v) out[kind] = v;
+      out[kind] = value(1);
+      ends_at(2);
     }
   }
   return out;

@@ -30,7 +30,12 @@ namespace nbctune::analyze {
 
 /// Parse a flat counter dump ("counter <name> <value>" lines) into a
 /// name -> value map; histogram lines are folded in as
-/// "<name>.count" / "<name>.sum".  Unknown lines are ignored.
+/// "<name>.count" / "<name>.sum".  Unknown lines and per-bucket lines
+/// are ignored.  Every value on a counter, hist count/sum, scenarios or
+/// trace_events line must be a whole unsigned 64-bit decimal token, and
+/// nothing may follow it: a sign, an exponent, trailing characters,
+/// overflow, a missing value or an extra token throws
+/// std::runtime_error("counters: line N: ...").
 [[nodiscard]] std::map<std::string, std::uint64_t> read_counters(
     std::istream& is);
 

@@ -8,6 +8,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "analyze/json_min.hpp"
 
@@ -51,13 +52,15 @@ std::string fmt_us(double seconds) {
   return buf;
 }
 
-ScenarioDigest digest_scenario(const Value& s) {
+/// Scenario `index` of the report's scenarios array.
+ScenarioDigest digest_scenario(const Value& s, std::size_t index) {
   ScenarioDigest d;
   if (const Value* label = s.get("label");
       label != nullptr && label->kind == Value::Kind::Str) {
     d.label = label->str;
   }
-  const std::string where = "scenario '" + d.label + "'";
+  const std::string where =
+      "scenario " + std::to_string(index) + " '" + d.label + "'";
   d.ops = int_at<std::uint64_t>(s, "ops_completed", 0, where);
   d.mean_op = num_at(s, "mean_op_ns") * 1e-9;
   if (const Value* blame = s.get("blame_ns");
@@ -119,20 +122,25 @@ ReportDigest read_report_json(std::istream& is) {
   d.schema = schema->str;
   if (const Value* scenarios = root.get("scenarios");
       scenarios != nullptr && scenarios->kind == Value::Kind::Arr) {
-    for (const Value& s : *scenarios->arr) {
-      if (s.kind == Value::Kind::Obj) d.scenarios.push_back(digest_scenario(s));
+    for (std::size_t i = 0; i < scenarios->arr->size(); ++i) {
+      const Value& s = (*scenarios->arr)[i];
+      if (s.kind == Value::Kind::Obj) {
+        d.scenarios.push_back(digest_scenario(s, i));
+      }
     }
   }
   if (const Value* guidelines = root.get("guidelines");
       guidelines != nullptr && guidelines->kind == Value::Kind::Arr) {
-    for (const Value& g : *guidelines->arr) {
+    for (std::size_t i = 0; i < guidelines->arr->size(); ++i) {
+      const Value& g = (*guidelines->arr)[i];
       if (g.kind != Value::Kind::Obj) continue;
       GuidelineDigest gd;
       if (const Value* id = g.get("id");
           id != nullptr && id->kind == Value::Kind::Str) {
         gd.id = id->str;
       }
-      const std::string where = "guideline '" + gd.id + "'";
+      const std::string where =
+          "guideline " + std::to_string(i) + " '" + gd.id + "'";
       gd.checked = int_at<std::uint64_t>(g, "checked", 0, where);
       gd.passed = int_at<std::uint64_t>(g, "passed", 0, where);
       if (const Value* v = g.get("violations");

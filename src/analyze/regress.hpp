@@ -77,7 +77,8 @@ struct ReportDigest {
 };
 
 /// Parse a report JSON (schema "nbctune-report-v1" or -v2) into a digest.
-/// Throws std::runtime_error on malformed input or wrong schema family.
+/// Throws std::runtime_error on malformed input (naming the byte, or the
+/// scenario or guideline by array index) or a wrong schema family.
 [[nodiscard]] ReportDigest read_report_json(std::istream& is);
 
 struct RegressTolerances {

@@ -170,12 +170,12 @@ Comm Ctx::split(const Comm& comm, int color, int key) {
                      return a.parent_rank < b.parent_rank;
                    });
   const int ctx_id = world_.alloc_context(comm.context(), epoch, color);
-  auto data = std::make_shared<CommData>();
-  data->context = ctx_id;
+  std::vector<int> wranks;
+  wranks.reserve(members.size());
   for (const Member& m : members) {
-    data->members.push_back(comm.world_rank(m.parent_rank));
+    wranks.push_back(comm.world_rank(m.parent_rank));
   }
-  return Comm(&world_, std::move(data));
+  return Comm(&world_, std::make_shared<CommData>(ctx_id, std::move(wranks)));
 }
 
 }  // namespace nbctune::mpi

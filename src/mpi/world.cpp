@@ -69,11 +69,9 @@ World::World(sim::Engine& engine, net::Machine& machine, WorldOptions options)
         std::make_unique<fault::Injector>(*options_.fault_plan, options_.seed);
     lossy_ = options_.fault_plan->lossy();
   }
-  auto data = std::make_shared<CommData>();
-  data->context = 0;
-  data->members.resize(options_.nprocs);
-  for (int r = 0; r < options_.nprocs; ++r) data->members[r] = r;
-  world_comm_data_ = data;
+  std::vector<int> members(static_cast<std::size_t>(options_.nprocs));
+  for (int r = 0; r < options_.nprocs; ++r) members[r] = r;
+  world_comm_data_ = std::make_shared<CommData>(0, std::move(members));
   world_comm_ = Comm(this, world_comm_data_);
 }
 
@@ -116,12 +114,10 @@ void World::launch(std::function<void(Ctx&)> program) {
 }
 
 Comm World::shrink(const std::vector<int>& survivors, int epoch) {
-  auto data = std::make_shared<CommData>();
   // Negative epoch keys keep shrink contexts disjoint from every dup/split
   // allocation (their per-comm epochs count up from zero).
-  data->context = alloc_context(0, -epoch, -1);
-  data->members = survivors;
-  return Comm(this, std::move(data));
+  return Comm(this, std::make_shared<CommData>(alloc_context(0, -epoch, -1),
+                                               survivors));
 }
 
 int World::alloc_context(int parent_context, int epoch, int color) {

@@ -5,6 +5,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <memory>
+#include <span>
+#include <vector>
 
 #include "analyze/analyze.hpp"
 
@@ -140,13 +143,14 @@ void LiveSink::on_scope_finish(const trace::FinishedTrace& t) {
                                             std::memory_order_relaxed)) {
   }
 
-  // Single-scenario analysis: the same critical-path/blame/guideline
-  // machinery the terminal report runs, restricted to this trace.  The
-  // cost is a second analysis pass per scenario, amortized to noise at
-  // sweep granularity.
-  const analyze::Report rep = analyze::analyze(std::span(&t, 1));
-  if (rep.scenarios.empty()) return;
-  const analyze::ScenarioReport& s = rep.scenarios.front();
+  // This worker analyzes the scenario once: the report rides the trace
+  // (analyze::attach_report), so the terminal report reuses it, and the
+  // record reads it plus the guideline pass over this one scenario.
+  const std::shared_ptr<const analyze::ScenarioReport> report =
+      analyze::attach_report(t);
+  const analyze::ScenarioReport& s = *report;
+  const std::vector<analyze::GuidelineResult> guidelines =
+      analyze::check_guidelines(std::span(&s, 1));
 
   std::string body = "{\"type\":\"scenario\",\"phase\":\"finished\"";
   body += ",\"label\":\"" + trace::json_escaped(s.label) + "\"";
@@ -206,8 +210,8 @@ void LiveSink::on_scope_finish(const trace::FinishedTrace& t) {
   int checked = 0;
   int passed = 0;
   std::string ids = "[";
-  for (std::size_t g = 0; g < rep.guidelines.size(); ++g) {
-    const analyze::GuidelineResult& gr = rep.guidelines[g];
+  for (std::size_t g = 0; g < guidelines.size(); ++g) {
+    const analyze::GuidelineResult& gr = guidelines[g];
     checked += gr.checked;
     passed += gr.passed;
     if (g > 0) ids += ",";

@@ -65,6 +65,9 @@ class LiveSink final : public trace::Session::Listener,
   [[nodiscard]] bool ok() const noexcept { return fd_ >= 0; }
 
   // trace::Session::Listener — completion-order scenario lifecycle.
+  // on_scope_finish analyzes the scenario and attaches the report to
+  // the trace (analyze::attach_report), so the terminal report reuses
+  // this worker's analysis instead of repeating it.
   void on_scope_start(const std::string& label) override;
   void on_scope_finish(const trace::FinishedTrace& t) override;
 

@@ -39,6 +39,10 @@
 #include <string_view>
 #include <vector>
 
+namespace nbctune::analyze {
+struct AttachedReport;  // defined by src/analyze; opaque to the trace layer
+}
+
 namespace nbctune::trace {
 
 // ------------------------------------------------------ scenario identity
@@ -445,6 +449,22 @@ struct FinishedTrace {
   std::vector<Event> events;
   std::array<std::uint64_t, static_cast<std::size_t>(Ctr::kCount)> counts{};
   std::array<HistData, static_cast<std::size_t>(Hist::kCount)> hists{};
+
+  /// The analyzer's report of this trace, computed by the worker that
+  /// finished it (analyze::attach_report, from a Session::Listener) and
+  /// shared by every copy made afterwards.  Set once, by the thread that
+  /// holds the trace: a second attach is ignored.  The fields above stay
+  /// editable, so the analyzer checks the report against them before
+  /// reusing it.
+  void attach(std::shared_ptr<const analyze::AttachedReport> r) const {
+    if (!attached_) attached_ = std::move(r);
+  }
+  [[nodiscard]] const analyze::AttachedReport* attached() const noexcept {
+    return attached_.get();
+  }
+
+ private:
+  mutable std::shared_ptr<const analyze::AttachedReport> attached_;
 };
 
 /// Process-wide collector of finished traces.  Disabled by default; a

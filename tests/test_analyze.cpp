@@ -10,13 +10,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
+#include <fstream>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
+#include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "adcl/functionsets.hpp"
@@ -32,6 +39,7 @@
 #include "mpi/world.hpp"
 #include "nbc/handle.hpp"
 #include "net/platform.hpp"
+#include "obs/live.hpp"
 #include "obs/top.hpp"
 #include "testing_util.hpp"
 #include "trace/trace.hpp"
@@ -513,6 +521,81 @@ TEST(AnalyzeChrome, CountersReaderParsesDump) {
   EXPECT_EQ(counters.at("nbc.ops_started"), 2u);
   EXPECT_EQ(counters.at("wire.bytes_per_transfer.count"), 1u);
   EXPECT_EQ(counters.at("wire.bytes_per_transfer.sum"), 4096u);
+}
+
+TEST(AnalyzeChrome, CountersReaderRejectsWhatStreamExtractionMisread) {
+  const auto error = [](const std::string& dump) {
+    std::istringstream is(dump);
+    try {
+      (void)analyze::read_counters(is);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  // `istream >> uint64_t` read these as 2^64 - 1, 1 and 12, and dropped
+  // the overflowing line.
+  EXPECT_EQ(error("# dump\ncounter x -1\n"),
+            "counters: line 2: '-1' is not an unsigned 64-bit integer");
+  EXPECT_EQ(error("counter x 1e3\n"),
+            "counters: line 1: '1e3' is not an unsigned 64-bit integer");
+  EXPECT_EQ(error("counter x 12abc\n"),
+            "counters: line 1: '12abc' is not an unsigned 64-bit integer");
+  EXPECT_EQ(error("counter x 18446744073709551616\n"),
+            "counters: line 1: '18446744073709551616' is not an unsigned "
+            "64-bit integer");
+  // Every kind of value line is checked the same way.
+  EXPECT_EQ(error("hist h count +3 sum 4\n"),
+            "counters: line 1: '+3' is not an unsigned 64-bit integer");
+  EXPECT_EQ(error("hist h count 3 sum 0x4\n"),
+            "counters: line 1: '0x4' is not an unsigned 64-bit integer");
+  EXPECT_EQ(error("hist h count 3 total 4\n"),
+            "counters: line 1: hist line has no sum");
+  EXPECT_EQ(error("scenarios 2.5\n"),
+            "counters: line 1: '2.5' is not an unsigned 64-bit integer");
+  EXPECT_EQ(error("\ntrace_events\n"),
+            "counters: line 2: trace_events line has no value");
+  EXPECT_EQ(error("counter x\n"), "counters: line 1: counter line has no value");
+  EXPECT_EQ(error("counter x 5 6\n"), "counters: line 1: unexpected '6'");
+  // The largest value, bucket lines and foreign lines still read.
+  std::istringstream ok(
+      "counter x 18446744073709551615\nhist h bucket 3 -1\nfoo bar\n");
+  const auto counters = analyze::read_counters(ok);
+  EXPECT_EQ(counters.size(), 1u);
+  EXPECT_EQ(counters.at("x"), 18446744073709551615ull);
+}
+
+TEST(AnalyzeChrome, CountersReaderRoundTripsTheFig3Golden) {
+  std::ifstream is(std::string(NBCTUNE_SOURCE_DIR) +
+                   "/bench/golden/fig3_trace_counters.txt");
+  ASSERT_TRUE(is.good());
+  std::ostringstream text;
+  text << is.rdbuf();
+  std::istringstream in(text.str());
+  const auto counters = analyze::read_counters(in);
+  // Re-derive every value line independently: counters, scenarios and
+  // trace_events by name, hist headers as <name>.count / <name>.sum.
+  std::map<std::string, std::uint64_t> expected;
+  std::istringstream lines(text.str());
+  for (std::string line; std::getline(lines, line);) {
+    std::istringstream ls(line);
+    std::string kind, name, f1, f2, v1, v2;
+    ls >> kind;
+    if (kind == "counter") {
+      ls >> name >> v1;
+      expected[name] = std::stoull(v1);
+    } else if (kind == "scenarios" || kind == "trace_events") {
+      ls >> v1;
+      expected[kind] = std::stoull(v1);
+    } else if (kind == "hist" && (ls >> name >> f1) && f1 == "count") {
+      ls >> v1 >> f2 >> v2;
+      expected[name + ".count"] = std::stoull(v1);
+      expected[name + ".sum"] = std::stoull(v2);
+    }
+  }
+  EXPECT_EQ(counters, expected);
+  EXPECT_EQ(counters.at("scenarios"), 6u);
+  EXPECT_EQ(counters.at("trace_events"), 660678u);
 }
 
 // ----------------------------------------------------------- adcl audit
@@ -1272,7 +1355,8 @@ TEST(JsonMin, EveryReaderRangeChecksIntegers) {
   EXPECT_EQ(chrome_error(with("\"ts\":1.0", "\"ts\":-1e999")),
             prefix + "ts is not a finite number");
 
-  // The --regress report reader names the scenario label or guideline id.
+  // The --regress report reader names the scenario or guideline by its
+  // array index and its label or id.
   const auto regress_error = [](const std::string& scenario,
                                 const std::string& guideline) {
     std::istringstream is(R"({"schema":"nbctune-report-v2","scenarios":[)" +
@@ -1298,11 +1382,11 @@ TEST(JsonMin, EveryReaderRangeChecksIntegers) {
   };
   for (const std::string field : {"ops_completed", "n", "winner"}) {
     EXPECT_EQ(regress_error(bad(ok_scenario, field, "1e300"), ok_guideline),
-              "scenario 's0': " + field + " is not an integer in range");
+              "scenario 0 's0': " + field + " is not an integer in range");
   }
   for (const std::string field : {"checked", "passed"}) {
     EXPECT_EQ(regress_error(ok_scenario, bad(ok_guideline, field, "-1e300")),
-              "guideline 'G1': " + field + " is not an integer in range");
+              "guideline 0 'G1': " + field + " is not an integer in range");
   }
 
   // TopState skips the line and keeps its state.
@@ -1359,6 +1443,204 @@ TEST(AnalyzeReport, TableWriterMentionsEverySection) {
   EXPECT_NE(s.find("[pass] G1"), std::string::npos);
 }
 
+// --------------------------------------------------- attached reports
+
+namespace {
+
+/// A copy of `t` that carries no attached report.
+trace::FinishedTrace bare_copy(const trace::FinishedTrace& t) {
+  trace::FinishedTrace c;
+  c.label = t.label;
+  c.key = t.key;
+  c.events = t.events;
+  c.counts = t.counts;
+  c.hists = t.hists;
+  return c;
+}
+
+/// The report JSON of analyze() over the one trace `t`.
+std::string report_json(const trace::FinishedTrace& t,
+                        const analyze::Options& opts = {}) {
+  std::ostringstream os;
+  analyze::write_json(os, analyze::analyze(std::span(&t, 1), opts));
+  return os.str();
+}
+
+}  // namespace
+
+TEST(AnalyzeAttached, CopiesShareTheReportAndAttachIsSetOnce) {
+  const trace::FinishedTrace t =
+      traced("shared", [] { run_ibcast(4, 4096, 6); });
+  EXPECT_EQ(t.attached(), nullptr);
+  EXPECT_EQ(analyze::attached_report(t), nullptr);
+  const std::shared_ptr<const analyze::ScenarioReport> a =
+      analyze::attach_report(t);
+  ASSERT_NE(t.attached(), nullptr);
+  EXPECT_EQ(analyze::attached_report(t), a.get());
+
+  // A second attach computes afresh but leaves the first report in place.
+  const analyze::AttachedReport* slot = t.attached();
+  const std::shared_ptr<const analyze::ScenarioReport> b =
+      analyze::attach_report(t);
+  EXPECT_NE(b, a);
+  EXPECT_EQ(t.attached(), slot);
+  EXPECT_EQ(analyze::attached_report(t), a.get());
+
+  // Copies share it: a plain copy, from_finished, and a session round
+  // trip through adopt and drain.
+  const trace::FinishedTrace copy = t;
+  EXPECT_EQ(copy.attached(), slot);
+  EXPECT_EQ(analyze::from_finished(t).attached(), slot);
+  (void)trace::Session::instance().drain();
+  trace::Session::instance().adopt(t);
+  const std::vector<trace::FinishedTrace> drained =
+      trace::Session::instance().drain();
+  ASSERT_EQ(drained.size(), 1u);
+  EXPECT_EQ(drained[0].attached(), slot);
+  EXPECT_EQ(analyze::attached_report(drained[0]), a.get());
+
+  // The reused report gives the bytes a fresh analysis gives.
+  EXPECT_EQ(report_json(t), report_json(bare_copy(t)));
+}
+
+TEST(AnalyzeAttached, EditedTraceIsReanalyzedNeverServedStale) {
+  const trace::FinishedTrace base =
+      traced("edited", [] { run_ibcast(4, 4096, 6); });
+  (void)analyze::attach_report(base);
+  ASSERT_NE(analyze::attached_report(base), nullptr);
+  const std::string stale = report_json(base);
+
+  const std::vector<
+      std::pair<const char*, std::function<void(trace::FinishedTrace&)>>>
+      edits = {
+          {"one event",
+           [](trace::FinishedTrace& t) {
+             for (trace::Event& e : t.events) {
+               if (e.kind == trace::Kind::NbcOp && e.is_span()) {
+                 e.dur *= 2.0;
+                 return;
+               }
+             }
+             FAIL() << "no nbc.op span";
+           }},
+          {"one counter",
+           [](trace::FinishedTrace& t) {
+             t.counts[static_cast<std::size_t>(
+                 trace::Ctr::WorldPeakArenaBytes)] += 8;
+           }},
+          {"the label", [](trace::FinishedTrace& t) { t.label += " v2"; }},
+      };
+  for (const auto& [what, edit] : edits) {
+    SCOPED_TRACE(what);
+    trace::FinishedTrace t = base;
+    ASSERT_EQ(t.attached(), base.attached());
+    edit(t);
+    EXPECT_EQ(analyze::attached_report(t), nullptr);
+    const std::string json = report_json(t);
+    EXPECT_EQ(json, report_json(bare_copy(t)));
+    EXPECT_NE(json, stale);
+  }
+  // The unedited original still reuses its report.
+  EXPECT_NE(analyze::attached_report(base), nullptr);
+}
+
+TEST(AnalyzeAttached, NonDefaultOptionsRecompute) {
+  const trace::FinishedTrace t =
+      traced("options", [] { run_ibcast(4, 4096, 6); });
+  const std::shared_ptr<const analyze::ScenarioReport> a =
+      analyze::attach_report(t);
+  ASSERT_TRUE(a->min_reps_met);
+  ASSERT_FALSE(a->worst.hops.empty());
+
+  analyze::Options more_reps;
+  more_reps.min_reps = 7;
+  analyze::Options no_hops;
+  no_hops.max_hops = 0;
+  analyze::Options wide;
+  wide.epsilon = 0.5;
+  for (const analyze::Options& o : {more_reps, no_hops, wide}) {
+    EXPECT_EQ(analyze::attached_report(t, o), nullptr);
+    EXPECT_EQ(report_json(t, o), report_json(bare_copy(t), o));
+  }
+  EXPECT_FALSE(
+      analyze::analyze(std::span(&t, 1), more_reps).scenarios[0].min_reps_met);
+  EXPECT_TRUE(
+      analyze::analyze(std::span(&t, 1), no_hops).scenarios[0].worst.hops
+          .empty());
+  // Equal options reuse it again.
+  EXPECT_EQ(analyze::attached_report(t, analyze::Options{}), a.get());
+}
+
+TEST(AnalyzeAttached, DigestCoversEveryInputAnalyzeScenarioReads) {
+  trace::FinishedTrace t;
+  t.label = "digest";
+  t.key = trace::ScenarioKey{};
+  t.key->op = "ialltoall";
+  t.key->platform = "whale";
+  t.key->nprocs = 4;
+  t.key->impl = "linear";
+  t.events.push_back({1e-6, 2e-6, 0, trace::Kind::NbcOp, 1, 2, 3});
+  t.events.push_back({4e-6, -1.0, 1, trace::Kind::MsgEager, 4, 5, 6});
+  t.counts[static_cast<std::size_t>(trace::Ctr::SimFibersCreated)] = 4;
+  const std::uint64_t base = analyze::scenario_digest(t);
+  EXPECT_EQ(analyze::scenario_digest(bare_copy(t)), base);
+
+  std::vector<std::pair<std::string, trace::FinishedTrace>> edits;
+  const auto edit = [&](std::string what,
+                        const std::function<void(trace::FinishedTrace&)>& f) {
+    trace::FinishedTrace c = bare_copy(t);
+    f(c);
+    edits.emplace_back(std::move(what), std::move(c));
+  };
+  edit("label", [](trace::FinishedTrace& c) { c.label = "digesT"; });
+  edit("no key", [](trace::FinishedTrace& c) { c.key.reset(); });
+  trace::ScenarioKey::for_each_field(
+      *t.key, [&](const char* name, const auto& field) {
+        edit(std::string("key.") + name, [&](trace::FinishedTrace& c) {
+          trace::ScenarioKey::for_each_field(
+              *c.key, [&](const char* n, auto& f) {
+                if (std::string_view(n) != name) return;
+                using T = std::decay_t<decltype(f)>;
+                if constexpr (std::is_same_v<T, std::string>) {
+                  f += "x";
+                } else if constexpr (std::is_same_v<T, bool>) {
+                  f = !f;
+                } else {
+                  f += 1;
+                }
+              });
+        });
+        (void)field;
+      });
+  edit("ts", [](trace::FinishedTrace& c) { c.events[1].ts += 1e-12; });
+  edit("dur", [](trace::FinishedTrace& c) { c.events[0].dur = 3e-6; });
+  edit("track", [](trace::FinishedTrace& c) { c.events[1].track = 2; });
+  edit("kind", [](trace::FinishedTrace& c) {
+    c.events[1].kind = trace::Kind::MsgDeliver;
+  });
+  edit("aval", [](trace::FinishedTrace& c) { c.events[0].aval ^= 1u << 31; });
+  edit("bval", [](trace::FinishedTrace& c) { c.events[1].bval = 0; });
+  edit("corr", [](trace::FinishedTrace& c) { c.events[0].corr = 33; });
+  edit("event order", [](trace::FinishedTrace& c) {
+    std::swap(c.events[0], c.events[1]);
+  });
+  edit("one more event",
+       [](trace::FinishedTrace& c) { c.events.push_back(c.events.back()); });
+  edit("no events", [](trace::FinishedTrace& c) { c.events.clear(); });
+  for (std::size_t i = 0; i < t.counts.size(); ++i) {
+    edit("counter " + std::to_string(i),
+         [i](trace::FinishedTrace& c) { c.counts[i] += 1; });
+  }
+  std::set<std::uint64_t> seen = {base};
+  for (const auto& [what, c] : edits) {
+    EXPECT_TRUE(seen.insert(analyze::scenario_digest(c)).second) << what;
+  }
+  // Histograms are not an input of analyze_scenario.
+  trace::FinishedTrace h = bare_copy(t);
+  h.hists[0].count = 9;
+  EXPECT_EQ(analyze::scenario_digest(h), base);
+}
+
 // ------------------------------------------- reader mutation fuzzing
 
 namespace {
@@ -1374,6 +1656,52 @@ struct MutationRng {
   }
   std::size_t below(std::size_t n) { return next() % n; }
 };
+
+/// The value offsets in `base` after every occurrence of each needle,
+/// one group per needle.
+std::vector<std::vector<std::size_t>> value_sites(
+    const std::string& base, const std::vector<std::string>& needles) {
+  std::vector<std::vector<std::size_t>> sites(needles.size());
+  for (std::size_t f = 0; f < needles.size(); ++f) {
+    for (std::size_t at = base.find(needles[f]); at != std::string::npos;
+         at = base.find(needles[f], at + 1)) {
+      sites[f].push_back(at + needles[f].size());
+    }
+    EXPECT_FALSE(sites[f].empty()) << needles[f];
+  }
+  return sites;
+}
+
+/// One seeded mutant of `base`: one to four bytes flipped, a
+/// truncation, or the value at one site (a group, then a site in it)
+/// replaced, up to the next of `stops`, by one of `splices`.
+std::string mutate(const std::string& base, MutationRng& rng,
+                   const std::vector<std::vector<std::size_t>>& sites,
+                   const char* stops, const std::vector<std::string>& splices) {
+  std::string m = base;
+  switch (rng.below(3)) {
+    case 0:  // flip one to four bytes
+      for (std::size_t n = 1 + rng.below(4); n > 0; --n) {
+        m[rng.below(m.size())] ^= static_cast<char>(1 + rng.below(255));
+      }
+      break;
+    case 1:  // truncate
+      m.resize(rng.below(m.size()));
+      break;
+    default: {  // replace one value
+      const std::vector<std::size_t>& group = sites[rng.below(sites.size())];
+      const std::size_t at = group[rng.below(group.size())];
+      m.replace(at, m.find_first_of(stops, at) - at,
+                splices[rng.below(splices.size())]);
+    }
+  }
+  return m;
+}
+
+/// Numbers spliced into JSON values: range edges, signs and exponents.
+const std::vector<std::string> kJsonSplices = {
+    "999999", "1000000", "-1", "2147483647", "9223372036854775808",
+    "1e300",  "-5"};
 
 /// The distinct pids of the objects in `chrome`'s traceEvents, read
 /// independently of read_chrome.
@@ -1419,40 +1747,13 @@ TEST(AnalyzeFuzz, MutatedChromeExportsFailLocatedOrAnalyze) {
   const std::string base = chrome.str();
 
   // Splice sites: the value offset after every "<field>":.
-  const std::vector<std::string> fields = {"pid", "tid", "ts", "dur", "corr"};
-  std::vector<std::vector<std::size_t>> sites(fields.size());
-  for (std::size_t f = 0; f < fields.size(); ++f) {
-    const std::string needle = "\"" + fields[f] + "\":";
-    for (std::size_t at = base.find(needle); at != std::string::npos;
-         at = base.find(needle, at + 1)) {
-      sites[f].push_back(at + needle.size());
-    }
-    ASSERT_FALSE(sites[f].empty()) << fields[f];
-  }
-  const std::vector<std::string> splices = {
-      "999999", "1000000", "-1", "2147483647", "9223372036854775808",
-      "1e300",  "-5"};
+  const std::vector<std::vector<std::size_t>> sites = value_sites(
+      base, {"\"pid\":", "\"tid\":", "\"ts\":", "\"dur\":", "\"corr\":"});
 
   MutationRng rng{20150525};
   std::size_t rejected = 0, analyzed = 0;
   for (int i = 0; i < 2000; ++i) {
-    std::string m = base;
-    switch (rng.below(3)) {
-      case 0:  // flip one to four bytes
-        for (std::size_t n = 1 + rng.below(4); n > 0; --n) {
-          m[rng.below(m.size())] ^= static_cast<char>(1 + rng.below(255));
-        }
-        break;
-      case 1:  // truncate
-        m.resize(rng.below(m.size()));
-        break;
-      default: {  // replace one field's number
-        const std::size_t f = rng.below(fields.size());
-        const std::size_t at = sites[f][rng.below(sites[f].size())];
-        m.replace(at, m.find_first_of(",}", at) - at,
-                  splices[rng.below(splices.size())]);
-      }
-    }
+    const std::string m = mutate(base, rng, sites, ",}", kJsonSplices);
     SCOPED_TRACE("mutant " + std::to_string(i));
     std::vector<trace::FinishedTrace> traces;
     try {
@@ -1478,6 +1779,164 @@ TEST(AnalyzeFuzz, MutatedChromeExportsFailLocatedOrAnalyze) {
   // Both outcomes are exercised.
   EXPECT_GT(rejected, 200u);
   EXPECT_GT(analyzed, 200u);
+}
+
+namespace {
+
+/// The text of the committed file `rel` under the source tree.
+std::string source_file(const std::string& rel) {
+  std::ifstream is(std::string(NBCTUNE_SOURCE_DIR) + "/" + rel);
+  EXPECT_TRUE(is.good()) << rel;
+  std::ostringstream text;
+  text << is.rdbuf();
+  return text.str();
+}
+
+}  // namespace
+
+TEST(AnalyzeFuzz, MutatedCounterDumpsParseOrFailOnALine) {
+  // A real dump: the fig3 sweep's counters.
+  const std::string base =
+      source_file("bench/golden/fig3_trace_counters.txt");
+  // Splice sites, one group per kind of value: counter values, hist
+  // counts, hist sums, and the scenarios / trace_events totals.
+  std::vector<std::vector<std::size_t>> sites(4);
+  for (std::size_t at = 0; at < base.size();) {
+    const std::size_t end = base.find('\n', at);
+    const std::string_view line(base.data() + at, end - at);
+    if (line.starts_with("counter ")) {
+      sites[0].push_back(at + line.rfind(' ') + 1);
+    } else if (line.starts_with("hist ") &&
+               line.find(" count ") != std::string_view::npos) {
+      sites[1].push_back(at + line.find(" count ") + 7);
+      sites[2].push_back(at + line.find(" sum ") + 5);
+    } else if (line.starts_with("scenarios ") ||
+               line.starts_with("trace_events ")) {
+      sites[3].push_back(at + line.find(' ') + 1);
+    }
+    at = end + 1;
+  }
+  for (const auto& group : sites) ASSERT_FALSE(group.empty());
+  const std::vector<std::string> splices = {
+      "-1", "1e3", "12abc", "18446744073709551616", "18446744073709551615",
+      "0",  "+7",  "",      "7 7"};
+
+  MutationRng rng{20150525};
+  std::size_t rejected = 0, parsed = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const std::string m = mutate(base, rng, sites, "\n", splices);
+    SCOPED_TRACE("mutant " + std::to_string(i));
+    std::istringstream is(m);
+    try {
+      (void)analyze::read_counters(is);
+      ++parsed;
+    } catch (const std::runtime_error& e) {
+      // Located: "counters: line N: ..." with N a line of the mutant.
+      const std::string what = e.what();
+      ASSERT_TRUE(what.starts_with("counters: line ")) << what;
+      const std::size_t n = std::stoul(what.substr(15));
+      EXPECT_GE(n, 1u) << what;
+      EXPECT_LE(n, static_cast<std::size_t>(
+                       std::count(m.begin(), m.end(), '\n') + 1))
+          << what;
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 200u);
+  EXPECT_GT(parsed, 200u);
+}
+
+TEST(AnalyzeFuzz, MutatedReportJsonParsesOrFailsLocated) {
+  const std::string base = source_file("bench/golden/fig3_report.json");
+  const std::vector<std::vector<std::size_t>> sites = value_sites(
+      base, {"\"ops_completed\":", "\"mean_op_ns\":", "\"overlap_bp\":",
+             "\"n\":", "\"median_ns\":", "\"checked\":", "\"passed\":"});
+
+  MutationRng rng{20150525};
+  std::size_t rejected = 0, parsed = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const std::string m = mutate(base, rng, sites, ",}", kJsonSplices);
+    SCOPED_TRACE("mutant " + std::to_string(i));
+    std::istringstream is(m);
+    try {
+      (void)analyze::read_report_json(is);
+      ++parsed;
+    } catch (const std::runtime_error& e) {
+      // Located: a byte offset, a scenario or guideline by array index,
+      // or the one top-level member every report has.
+      const std::string what = e.what();
+      const auto indexed = [&](const std::string& prefix) {
+        return what.starts_with(prefix) && what.size() > prefix.size() &&
+               std::isdigit(static_cast<unsigned char>(what[prefix.size()]));
+      };
+      EXPECT_TRUE(what.starts_with("JSON parse error at byte ") ||
+                  indexed("scenario ") || indexed("guideline ") ||
+                  what == "not an nbctune report (missing/foreign schema)")
+          << what;
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 200u);
+  EXPECT_GT(parsed, 200u);
+}
+
+TEST(AnalyzeFuzz, MutatedLiveStreamLinesAreReadOrSkipped) {
+  // A real stream: three scenarios on a two-worker pool, a gauge
+  // sample and the summary record.
+  const std::string path = ::testing::TempDir() + "fuzz_live.jsonl";
+  {
+    obs::LiveSink sink(path, "fuzz", 2);
+    ASSERT_TRUE(sink.ok());
+    trace::Session::enable();
+    (void)trace::Session::instance().drain();
+    trace::Session::set_listener(&sink);
+    {
+      harness::ScenarioPool pool(2);
+      pool.set_observer(&sink);
+      pool.run_indexed(3, [](std::size_t i) {
+        trace::Scope scope("fuzz " + std::to_string(i));
+        run_ibcast(2 + static_cast<int>(i), 1024, 2);
+      });
+      sink.sample(pool.stats());
+    }
+    trace::Session::set_listener(nullptr);
+    const analyze::Report r =
+        analyze::analyze(trace::Session::instance().drain());
+    std::ostringstream json;
+    analyze::write_json(json, r);
+    sink.write_summary(r, json.str());
+  }
+  std::ifstream is(path);
+  std::ostringstream text;
+  text << is.rdbuf();
+  const std::string base = text.str();
+  const std::vector<std::vector<std::size_t>> sites = value_sites(
+      base, {"\"seq\":", "\"t_ms\":", "\"tasks\":", "\"ops\":",
+             "\"median_op_ns\":", "\"checked\":", "\"rss_bytes\":"});
+
+  MutationRng rng{20150525};
+  std::size_t read = 0, skipped = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const std::string m = mutate(base, rng, sites, ",}", kJsonSplices);
+    SCOPED_TRACE("mutant " + std::to_string(i));
+    obs::TopState top;
+    std::istringstream lines(m);
+    for (std::string line; std::getline(lines, line);) {
+      std::ostringstream before;
+      top.render(before, /*ansi=*/false);
+      if (top.feed_line(line)) {
+        ++read;
+        continue;
+      }
+      // A skipped line leaves the state as it was.
+      ++skipped;
+      std::ostringstream after;
+      top.render(after, /*ansi=*/false);
+      ASSERT_EQ(before.str(), after.str()) << line;
+    }
+  }
+  EXPECT_GT(read, 2000u);
+  EXPECT_GT(skipped, 200u);
 }
 
 TEST(AnalyzeFuzz, RankTrackPastChromesRankTidsIsALocatedError) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "mpi/world.hpp"
@@ -154,6 +156,48 @@ TEST(CommManagement, SplitKeyReordersRanks) {
     ranks[ctx.world_rank()] = sub.rank_of_world(ctx.world_rank());
   });
   for (int r = 0; r < n; ++r) EXPECT_EQ(ranks[r], n - 1 - r);
+}
+
+TEST(CommManagement, RankOfWorldInvertsTheMemberList) {
+  // The inverse map against a scan of the member list: the identity, a
+  // permutation, strided and sparse member sets, a single member.
+  std::vector<std::vector<int>> sets;
+  std::vector<int> identity(1000);
+  for (int r = 0; r < 1000; ++r) identity[r] = r;
+  sets.push_back(identity);
+  std::vector<int> perm(identity);
+  std::uint64_t x = 88172645463325252ULL;
+  for (std::size_t i = perm.size(); i > 1; --i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    std::swap(perm[i - 1], perm[x % i]);
+  }
+  sets.push_back(perm);
+  std::vector<int> strided;
+  for (int r = 3; r < 131072; r += 16) strided.push_back(r);
+  sets.push_back(strided);
+  sets.push_back({131071, 5, 70000, 0});
+  sets.push_back({42});
+  for (const std::vector<int>& members : sets) {
+    const mpi::CommData d(7, members);
+    ASSERT_EQ(d.members(), members);
+    std::vector<bool> member(131072 + 64);
+    for (std::size_t r = 0; r < members.size(); ++r) {
+      EXPECT_EQ(d.rank_of(members[r]), static_cast<int>(r));
+      member[static_cast<std::size_t>(members[r])] = true;
+    }
+    // Every non-member world rank maps to -1.
+    for (std::size_t w = 0; w < member.size(); ++w) {
+      if (!member[w]) {
+        EXPECT_EQ(d.rank_of(static_cast<int>(w)), -1) << w;
+      }
+    }
+    // Copies (dup) carry the same inverse.
+    const mpi::CommData copy = d;
+    EXPECT_EQ(copy.rank_of(members.back()),
+              static_cast<int>(members.size()) - 1);
+  }
 }
 
 TEST(CommManagement, CollectivesOnSubCommunicator) {

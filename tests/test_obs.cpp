@@ -13,6 +13,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <map>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -307,6 +309,132 @@ TEST(ObsLive, FinishedRecordCarriesRecoveryBlockUnderAKillPlan) {
     EXPECT_GT(rec->get("time_to_recover_ns")->as_num(), 2e6);
   }
   EXPECT_TRUE(saw_recovery);
+}
+
+namespace {
+
+/// A keyed verification sweep (every fixed 4-rank Ialltoall member and
+/// both ADCL policies, at two message sizes) on a `threads`-worker pool
+/// streaming into `sink`; returns the session's traces.
+std::vector<trace::FinishedTrace> keyed_live_sweep(int threads,
+                                                   obs::LiveSink& sink) {
+  harness::MicroScenario s;
+  s.platform = net::whale();
+  s.nprocs = 4;
+  s.op = harness::OpKind::Ialltoall;
+  s.compute_per_iter = 1e-4;
+  s.iterations = 8;
+  s.progress_calls = 2;
+  s.noise_scale = 0.0;
+  trace::Session::enable();
+  (void)trace::Session::instance().drain();
+  trace::Session::set_listener(&sink);
+  {
+    harness::ScenarioPool pool(threads);
+    pool.set_observer(&sink);
+    for (const std::size_t bytes : {1024, 2048}) {
+      s.bytes = bytes;
+      (void)harness::run_verification(s, /*tests_per_function=*/1, &pool);
+    }
+  }
+  trace::Session::set_listener(nullptr);
+  return trace::Session::instance().drain();
+}
+
+std::string report_json(std::span<const trace::FinishedTrace> traces) {
+  std::ostringstream os;
+  analyze::write_json(os, analyze::analyze(traces));
+  return os.str();
+}
+
+}  // namespace
+
+TEST(ObsLive, KeyedSweepReportEqualsAFreshAnalysis) {
+  // The live sink analyzes each scenario in its worker and attaches the
+  // report; the terminal analysis reuses it.  Its bytes equal analyzing
+  // copies that carry no report, at one worker and at four.
+  std::string json[2];
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    obs::LiveSink sink(::testing::TempDir() + "obs_keyed.jsonl", "keyed",
+                       threads);
+    ASSERT_TRUE(sink.ok());
+    const std::vector<trace::FinishedTrace> traces =
+        keyed_live_sweep(threads, sink);
+    ASSERT_GE(traces.size(), 8u);
+    std::vector<trace::FinishedTrace> fresh;
+    for (const trace::FinishedTrace& t : traces) {
+      ASSERT_TRUE(t.key.has_value()) << t.label;
+      EXPECT_NE(analyze::attached_report(t), nullptr) << t.label;
+      trace::FinishedTrace c;
+      c.label = t.label;
+      c.key = t.key;
+      c.events = t.events;
+      c.counts = t.counts;
+      c.hists = t.hists;
+      EXPECT_EQ(c.attached(), nullptr);
+      fresh.push_back(std::move(c));
+    }
+    json[threads == 1 ? 0 : 1] = report_json(traces);
+    EXPECT_EQ(report_json(traces), report_json(fresh));
+    // The comparative guidelines ran over the keyed groups.
+    const analyze::Report r = analyze::analyze(traces);
+    ASSERT_EQ(r.guidelines[1].id, "G2");
+    EXPECT_EQ(r.guidelines[1].checked, 4);
+  }
+  EXPECT_EQ(json[0], json[1]);
+}
+
+TEST(ObsLive, FinishedRecordsAgreeWithTheReport) {
+  const std::string path = ::testing::TempDir() + "obs_agree.jsonl";
+  analyze::Report report;
+  {
+    obs::LiveSink sink(path, "agree", 4);
+    ASSERT_TRUE(sink.ok());
+    report = analyze::analyze(keyed_live_sweep(4, sink));
+  }
+  std::map<std::string, const analyze::ScenarioReport*> by_label;
+  for (const analyze::ScenarioReport& s : report.scenarios) {
+    ASSERT_TRUE(by_label.emplace(s.label, &s).second) << s.label;
+  }
+  const auto ns = [](double seconds) {
+    return static_cast<long long>(std::llround(seconds * 1e9));
+  };
+  std::size_t finished = 0;
+  std::size_t tuned = 0;
+  for (const std::string& line : read_lines(path)) {
+    const jm::Value v = jm::parse(line);
+    if (v.get("type")->str != "scenario" ||
+        v.get("phase")->str != "finished") {
+      continue;
+    }
+    ++finished;
+    const std::string label = v.get("label")->str;
+    SCOPED_TRACE(label);
+    ASSERT_EQ(by_label.count(label), 1u);
+    const analyze::ScenarioReport& s = *by_label.at(label);
+    EXPECT_EQ(v.get("op")->str, s.key->op);
+    EXPECT_EQ(v.get("ops")->as_int<std::uint64_t>(), s.ops_completed);
+    EXPECT_EQ(v.get("ops_started")->as_int<std::uint64_t>(), s.ops_started);
+    EXPECT_EQ(v.get("mean_op_ns")->as_int<long long>(),
+              ns(s.mean_op_elapsed));
+    EXPECT_EQ(v.get("median_op_ns")->as_int<long long>(),
+              ns(s.op_stats.median));
+    EXPECT_EQ(v.get("min_reps_met")->b, s.min_reps_met);
+    if (s.adcl.present) {
+      ++tuned;
+      ASSERT_NE(v.get("winner"), nullptr);
+      EXPECT_EQ(v.get("winner")->as_int<int>(), s.adcl.winner);
+    } else {
+      EXPECT_EQ(v.get("winner"), nullptr);
+    }
+    // The one-scenario guideline pass: G1 is the ledger of this report.
+    const bool ledger = s.ops_started == s.ops_completed + s.ops_aborted;
+    EXPECT_EQ(v.get("guidelines")->get("status")->str,
+              ledger ? "pass" : "FAIL");
+  }
+  EXPECT_EQ(finished, report.scenarios.size());
+  EXPECT_EQ(tuned, 4u);
 }
 
 TEST(ObsLive, EscapeRoundTripsThroughJsonMin) {

@@ -50,9 +50,11 @@
 // Exit codes: 0 ok, 1 I/O or parse error, 2 usage, 3 guideline failure
 // (analysis mode), 4 regression beyond tolerance (regress mode).
 
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -263,7 +265,23 @@ int main(int argc, char** argv) {
     }
   }
 
+  std::map<std::string, std::uint64_t> session_counters;
+  if (!counters_path.empty()) {
+    std::ifstream is(counters_path);
+    if (!is) {
+      std::cerr << "cannot open counters file: " << counters_path << "\n";
+      return 1;
+    }
+    try {
+      session_counters = analyze::read_counters(is);
+    } catch (const std::exception& e) {
+      std::cerr << counters_path << ": " << e.what() << "\n";
+      return 1;
+    }
+  }
+
   analyze::Report report = analyze::analyze(traces, opts);
+  report.session_counters = std::move(session_counters);
   if (!flame_path.empty()) {
     std::ofstream os(flame_path);
     if (!os) {
@@ -273,14 +291,6 @@ int main(int argc, char** argv) {
     obs::write_collapsed(os, report);
     std::cerr << "flame: " << obs::profile_total_weight_ns(report)
               << " ns of blame -> " << flame_path << "\n";
-  }
-  if (!counters_path.empty()) {
-    std::ifstream is(counters_path);
-    if (!is) {
-      std::cerr << "cannot open counters file: " << counters_path << "\n";
-      return 1;
-    }
-    report.session_counters = analyze::read_counters(is);
   }
 
   std::ostringstream body;
