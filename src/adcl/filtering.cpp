@@ -10,6 +10,11 @@
 
 namespace nbctune::adcl {
 
+namespace {
+/// The fraction of a batch FilterKind::TrimmedMean drops at each end.
+constexpr double kTrimFrac = 0.25;
+}  // namespace
+
 double quantile(std::vector<double> s, double q) {
   if (s.empty()) throw std::invalid_argument("quantile of empty set");
   if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile q out of range");
@@ -22,7 +27,7 @@ double quantile(std::vector<double> s, double q) {
 }
 
 std::vector<double> filtered_samples(const std::vector<double>& samples,
-                                     FilterKind kind, double trim_frac) {
+                                     FilterKind kind) {
   if (samples.empty()) return {};
   switch (kind) {
     case FilterKind::None:
@@ -45,7 +50,7 @@ std::vector<double> filtered_samples(const std::vector<double>& samples,
       std::vector<double> s = samples;
       std::sort(s.begin(), s.end());
       const auto cut = static_cast<std::size_t>(
-          std::floor(trim_frac * static_cast<double>(s.size())));
+          std::floor(kTrimFrac * static_cast<double>(s.size())));
       if (2 * cut >= s.size()) return s;  // would trim everything
       return {s.begin() + static_cast<std::ptrdiff_t>(cut),
               s.end() - static_cast<std::ptrdiff_t>(cut)};
@@ -54,10 +59,9 @@ std::vector<double> filtered_samples(const std::vector<double>& samples,
   return samples;
 }
 
-double robust_score(const std::vector<double>& samples, FilterKind kind,
-                    double trim_frac) {
+double robust_score(const std::vector<double>& samples, FilterKind kind) {
   if (samples.empty()) return std::numeric_limits<double>::infinity();
-  const std::vector<double> kept = filtered_samples(samples, kind, trim_frac);
+  const std::vector<double> kept = filtered_samples(samples, kind);
   trace::count(trace::Ctr::AdclSamplesSeen, samples.size());
   trace::count(trace::Ctr::AdclSamplesFiltered, samples.size() - kept.size());
   return std::accumulate(kept.begin(), kept.end(), 0.0) /

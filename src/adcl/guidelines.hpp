@@ -53,9 +53,6 @@ class GuidelineBook {
     dominated_.push_back({std::move(function), std::move(guideline)});
   }
 
-  [[nodiscard]] const std::vector<MockupBound>& mockups() const noexcept {
-    return mockups_;
-  }
   [[nodiscard]] const std::vector<DominatedMark>& dominated() const noexcept {
     return dominated_;
   }

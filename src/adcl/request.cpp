@@ -33,7 +33,7 @@ void Request::consult_history() {
   if (opts_.history == nullptr) return;
   const std::string key = history_key(
       ctx_.world().platform().name, fset_->name(), args_.comm.size(),
-      args_.bytes != 0 ? args_.bytes : args_.count, opts_.history_extra);
+      args_.bytes != 0 ? args_.bytes : args_.count);
   state_->set_history_key(key);
   if (auto winner = opts_.history->get(key)) {
     const int idx = fset_->find_by_name(*winner);
@@ -131,7 +131,7 @@ void Request::recover(const mpi::Comm& comm, int resume_iteration) {
     // The group size changed: decisions record under the new key.
     state_->set_history_key(history_key(
         ctx_.world().platform().name, fset_->name(), args_.comm.size(),
-        args_.bytes != 0 ? args_.bytes : args_.count, opts_.history_extra));
+        args_.bytes != 0 ? args_.bytes : args_.count));
   }
   state_->reset_for_shrink(ctx_, resume_iteration);
   trace::count(trace::Ctr::NbcRebuilds);

@@ -99,22 +99,12 @@ class AttributeHeuristicPolicy final : public Policy {
       winner_ = fset_.size() == 1 ? 0 : -1;
       return -1;
     }
-    if (fset_.attributes().empty()) {
-      // No attribute description: degenerate to brute force.
-      brute_ = std::make_unique<BruteForcePolicy>(fset_);
-      return brute_->first();
-    }
     base_ = fset_.function(0).attrs;
     begin_phase(0);
     return advance();
   }
 
   int next(int func, double score) override {
-    if (brute_) {
-      const int r = brute_->next(func, score);
-      if (r < 0) winner_ = brute_->winner();
-      return r;
-    }
     scores_[func] = score;
     ++phase_pos_;
     return advance();
@@ -187,7 +177,6 @@ class AttributeHeuristicPolicy final : public Policy {
   }
 
   const FunctionSet& fset_;
-  std::unique_ptr<BruteForcePolicy> brute_;
   std::vector<int> candidates_;
   std::vector<int> base_;
   std::size_t attr_ = 0;
@@ -214,20 +203,11 @@ class TwoKFactorialPolicy final : public Policy {
       winner_ = fset_.size() == 1 ? 0 : -1;
       return -1;
     }
-    if (fset_.attributes().empty()) {
-      brute_ = std::make_unique<BruteForcePolicy>(fset_);
-      return brute_->first();
-    }
     build_corners();
     return advance();
   }
 
   int next(int func, double score) override {
-    if (brute_) {
-      const int r = brute_->next(func, score);
-      if (r < 0) winner_ = brute_->winner();
-      return r;
-    }
     scores_[func] = score;
     ++pos_;
     return advance();
@@ -333,7 +313,6 @@ class TwoKFactorialPolicy final : public Policy {
   }
 
   const FunctionSet& fset_;
-  std::unique_ptr<BruteForcePolicy> brute_;
   std::vector<int> corners_;
   std::vector<int> list_;
   std::size_t pos_ = 0;
@@ -428,12 +407,17 @@ class GuidelinePrunedPolicy final : public Policy {
 
 std::unique_ptr<Policy> make_policy(PolicyKind kind, const FunctionSet& fset,
                                     const GuidelineBook* book) {
+  // The attribute-driven policies need attributes to search over; a set
+  // without any is searched exhaustively.
+  const bool attributed = !fset.attributes().empty();
   switch (kind) {
     case PolicyKind::BruteForce:
       return std::make_unique<BruteForcePolicy>(fset);
     case PolicyKind::AttributeHeuristic:
+      if (!attributed) return std::make_unique<BruteForcePolicy>(fset);
       return std::make_unique<AttributeHeuristicPolicy>(fset);
     case PolicyKind::TwoKFactorial:
+      if (!attributed) return std::make_unique<BruteForcePolicy>(fset);
       return std::make_unique<TwoKFactorialPolicy>(fset);
     case PolicyKind::GuidelinePruned:
       return std::make_unique<GuidelinePrunedPolicy>(
@@ -549,7 +533,7 @@ void SelectionState::record(mpi::Ctx& ctx, const mpi::Comm& comm,
   if (static_cast<int>(batch_.size()) < opts_.tests_per_function) return;
   // Batch complete: agree on this function's score across the ranks (the
   // operation is only as fast as its slowest participant) and advance.
-  const double local = robust_score(batch_, opts_.filter, opts_.trim_frac);
+  const double local = robust_score(batch_, opts_.filter);
   const double agreed = ctx.allreduce(comm, local, mpi::ReduceOp::Max);
   batch_.clear();
   scores_[current_] = agreed;
@@ -579,8 +563,7 @@ void SelectionState::maybe_drift(mpi::Ctx& ctx, const mpi::Comm& comm,
   if (opts_.drift_window <= 0) return;
   drift_batch_.push_back(sample);
   if (static_cast<int>(drift_batch_.size()) < opts_.drift_window) return;
-  const double local =
-      robust_score(drift_batch_, opts_.filter, opts_.trim_frac);
+  const double local = robust_score(drift_batch_, opts_.filter);
   const double agreed = ctx.allreduce(comm, local, mpi::ReduceOp::Max);
   drift_batch_.clear();
   if (std::isnan(baseline_score_)) {
@@ -595,7 +578,6 @@ void SelectionState::maybe_drift(mpi::Ctx& ctx, const mpi::Comm& comm,
   // longer best).  Re-open tuning with a fresh policy.  The check score is
   // rank-agreed, so every rank re-opens at the same iteration.
   ++retunes_;
-  retune_iterations_.push_back(iterations_);
   trace::count(trace::Ctr::AdclRetunes);
   if (trace::active()) {
     trace::instant(ctx.now(), ctx.world_rank(), trace::Kind::AdclRetuneDrift,
@@ -604,26 +586,7 @@ void SelectionState::maybe_drift(mpi::Ctx& ctx, const mpi::Comm& comm,
                        std::llround(baseline_score_ * 1e9)),
                    static_cast<std::uint64_t>(iterations_));
   }
-  decided_ = false;
-  winner_ = -1;
-  decision_iteration_ = -1;
-  decision_time_ = std::numeric_limits<double>::quiet_NaN();
-  baseline_score_ = std::numeric_limits<double>::quiet_NaN();
-  scores_.clear();
-  batch_.clear();
-  policy_ = make_policy(opts_.policy, *fset_, opts_.guidelines.get());
-  policy_elims_seen_ = 0;
-  const int f = policy_->first();
-  // A fresh guideline-pruned policy re-applies pre-marked verdicts:
-  // convicted members stay out across drift re-tunes (audited again at
-  // the current iteration).
-  adopt_policy_eliminations();
-  emit_elimination_events(ctx);
-  if (f < 0) {
-    finalize(ctx);
-  } else {
-    current_ = f;
-  }
+  reopen(ctx);
 }
 
 void SelectionState::reset_for_shrink(mpi::Ctx& ctx, int resume_iteration) {
@@ -631,16 +594,19 @@ void SelectionState::reset_for_shrink(mpi::Ctx& ctx, int resume_iteration) {
   // interrupted ahead of the failure had recorded samples the others
   // never saw, and redoing from the agreed iteration realigns them.
   ++retunes_;
-  retune_iterations_.push_back(resume_iteration);
   trace::count(trace::Ctr::AdclRetunes);
   if (trace::active()) {
     trace::instant(ctx.now(), ctx.world_rank(), trace::Kind::AdclRetuneShrink,
                    1, static_cast<std::uint64_t>(resume_iteration),
                    static_cast<std::uint64_t>(resume_iteration));
   }
+  iterations_ = resume_iteration;
+  reopen(ctx);
+}
+
+void SelectionState::reopen(mpi::Ctx& ctx) {
   decided_ = false;
   winner_ = -1;
-  iterations_ = resume_iteration;
   decision_iteration_ = -1;
   decision_time_ = std::numeric_limits<double>::quiet_NaN();
   baseline_score_ = std::numeric_limits<double>::quiet_NaN();
@@ -650,6 +616,9 @@ void SelectionState::reset_for_shrink(mpi::Ctx& ctx, int resume_iteration) {
   policy_ = make_policy(opts_.policy, *fset_, opts_.guidelines.get());
   policy_elims_seen_ = 0;
   const int f = policy_->first();
+  // A fresh guideline-pruned policy re-applies pre-marked verdicts:
+  // convicted members stay out across re-tunes (audited again at the
+  // current iteration).
   adopt_policy_eliminations();
   emit_elimination_events(ctx);
   if (f < 0) {

@@ -51,11 +51,8 @@ struct TuningOptions {
   /// Measurements per candidate implementation before scoring it.
   int tests_per_function = 8;
   FilterKind filter = FilterKind::Iqr;
-  double trim_frac = 0.25;
   /// Optional historic-learning store: reuse past winners, record new ones.
   HistoryStore* history = nullptr;
-  /// Extra key component for history lookups (e.g. progress-call count).
-  std::string history_extra;
   /// NBC cancel-on-timeout recovery (0 = off); wired into nbc::Handle by
   /// adcl::Request under lossy fault plans.
   double op_timeout = 0.0;
@@ -185,16 +182,16 @@ class SelectionState {
       const noexcept {
     return eliminations_;
   }
-  /// Times drift detection re-opened tuning, and at which iterations.
+  /// Times drift detection or a shrink re-opened tuning.
   [[nodiscard]] int retunes() const noexcept { return retunes_; }
-  [[nodiscard]] const std::vector<int>& retune_iterations() const noexcept {
-    return retune_iterations_;
-  }
 
  private:
   void finalize(mpi::Ctx& ctx);
   /// Post-decision sample monitoring; may re-open tuning (drift).
   void maybe_drift(mpi::Ctx& ctx, const mpi::Comm& comm, double sample);
+  /// Re-open tuning with a fresh policy (a drift re-tune or a shrink):
+  /// every decision and agreed score is dropped.
+  void reopen(mpi::Ctx& ctx);
   /// Copy eliminations the policy produced since the last call into
   /// `eliminations_`, stamped with the current iteration.  Covers prunes
   /// from Policy::first() (pre-tuning verdicts) as well as from next().
@@ -221,7 +218,6 @@ class SelectionState {
   std::size_t policy_elims_seen_ = 0;  ///< adopted from the current policy
   std::size_t traced_elims_ = 0;       ///< emitted as trace events
   int retunes_ = 0;
-  std::vector<int> retune_iterations_;
   double baseline_score_ = std::numeric_limits<double>::quiet_NaN();
   std::vector<double> drift_batch_;
 };

@@ -717,6 +717,56 @@ void fmt_ns(std::string& s, double seconds) {
   s += "ns";
 }
 
+/// Keyed scenarios that agree on everything but a projected key field.
+using Cells = std::vector<const ScenarioReport*>;
+using Groups = std::map<trace::ScenarioKey, Cells>;
+
+/// Order every group's cells by the key field `field` projects.
+template <class Field>
+void sort_groups(Groups& groups, Field field) {
+  for (auto& [key, cells] : groups) {
+    std::sort(cells.begin(), cells.end(),
+              [&](const ScenarioReport* x, const ScenarioReport* y) {
+                return field(*x->key) < field(*y->key);
+              });
+  }
+}
+
+/// The relative dip G4 and G6 forgive: protocol switches and topology
+/// effects measured under noise.
+constexpr double kMonotonicityTolerance = 0.05;
+
+/// G4 and G6: op time is monotone non-decreasing in the key field
+/// `field` projects, across each group sorted by it (sort_groups);
+/// `at(key)` prints where a cell sits in that field.
+template <class Field, class At>
+GuidelineResult check_monotone(const char* id, const char* description,
+                               const Groups& groups, Field field, At at) {
+  GuidelineResult g;
+  g.id = id;
+  g.description = description;
+  for (const auto& [key, cells] : groups) {
+    for (std::size_t i = 0; i + 1 < cells.size(); ++i) {
+      const ScenarioReport& lo = *cells[i];
+      const ScenarioReport& hi = *cells[i + 1];
+      if (field(*lo.key) == field(*hi.key)) continue;
+      ++g.checked;
+      if (hi.mean_op_elapsed >=
+          lo.mean_op_elapsed * (1.0 - kMonotonicityTolerance)) {
+        ++g.passed;
+      } else {
+        std::string v = hi.label + ": ";
+        fmt_ns(v, hi.mean_op_elapsed);
+        v += at(*hi.key) + " < ";
+        fmt_ns(v, lo.mean_op_elapsed);
+        v += at(*lo.key);
+        g.violations.push_back(std::move(v));
+      }
+    }
+  }
+  return g;
+}
+
 }  // namespace
 
 std::vector<GuidelineResult> check_guidelines(
@@ -752,12 +802,11 @@ std::vector<GuidelineResult> check_guidelines(
 
   // Group keyed scenarios for the comparative guidelines.  Each group
   // holds the scenarios whose keys agree on everything but the projected
-  // field(s): the member (G2/G3/G7), the message size (G4/G5) or the
-  // process count (G6).
-  using Cells = std::vector<const ScenarioReport*>;
-  std::map<trace::ScenarioKey, Cells> groups;       // G2/G3/G7
-  std::map<trace::ScenarioKey, Cells> size_groups;  // G4/G5
-  std::map<trace::ScenarioKey, Cells> rank_groups;  // G6
+  // field(s): the member (G2/G3/G7), the message size (G4/G5, sorted by
+  // size) or the process count (G6, sorted by count).
+  Groups groups;       // G2/G3/G7
+  Groups size_groups;  // G4/G5
+  Groups rank_groups;  // G6
   for (const ScenarioReport& s : scenarios) {
     if (!s.key || s.ops_completed == 0) continue;
     trace::ScenarioKey member = *s.key;
@@ -771,6 +820,10 @@ std::vector<GuidelineResult> check_guidelines(
     ranks.nprocs = 0;
     rank_groups[ranks].push_back(&s);
   }
+  const auto bytes = [](const trace::ScenarioKey& k) { return k.bytes; };
+  const auto nprocs = [](const trace::ScenarioKey& k) { return k.nprocs; };
+  sort_groups(size_groups, bytes);
+  sort_groups(rank_groups, nprocs);
 
   // G2: the tuned winner is no slower than the best fixed candidate
   // (post-decision iterations, tolerance epsilon).
@@ -845,37 +898,11 @@ std::vector<GuidelineResult> check_guidelines(
 
   // G4: op time is monotone in message size for a fixed implementation
   // (allowing a small dip for protocol switches measured under noise).
-  {
-    GuidelineResult g;
-    g.id = "G4";
-    g.description = "op time monotone non-decreasing in message size";
-    for (const auto& [key, cells] : size_groups) {
-      if (cells.size() < 2) continue;
-      Cells sorted = cells;
-      std::sort(sorted.begin(), sorted.end(),
-                [](const ScenarioReport* x, const ScenarioReport* y) {
-                  return x->key->bytes < y->key->bytes;
-                });
-      for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
-        if (sorted[i]->key->bytes == sorted[i + 1]->key->bytes) continue;
-        ++g.checked;
-        const double small = sorted[i]->mean_op_elapsed;
-        const double big = sorted[i + 1]->mean_op_elapsed;
-        if (big >= small * (1.0 - opts.monotonicity_tolerance)) {
-          ++g.passed;
-        } else {
-          std::string v = sorted[i + 1]->label + ": ";
-          fmt_ns(v, big);
-          v += " at " + std::to_string(sorted[i + 1]->key->bytes) +
-               "B < " ;
-          fmt_ns(v, small);
-          v += " at " + std::to_string(sorted[i]->key->bytes) + "B";
-          g.violations.push_back(std::move(v));
-        }
-      }
-    }
-    out.push_back(std::move(g));
-  }
+  out.push_back(check_monotone(
+      "G4", "op time monotone non-decreasing in message size", size_groups,
+      bytes, [](const trace::ScenarioKey& k) {
+        return " at " + std::to_string(k.bytes) + "B";
+      }));
 
   // G5: pattern-split mock-up (Hunold).  Splitting an operation into two
   // half-size instances is a valid alternative implementation, so the
@@ -886,13 +913,7 @@ std::vector<GuidelineResult> check_guidelines(
     g.id = "G5";
     g.description =
         "doubling the message size at most doubles op time (split mock-up)";
-    for (const auto& [key, cells] : size_groups) {
-      if (cells.size() < 2) continue;
-      Cells sorted = cells;
-      std::sort(sorted.begin(), sorted.end(),
-                [](const ScenarioReport* x, const ScenarioReport* y) {
-                  return x->key->bytes < y->key->bytes;
-                });
+    for (const auto& [key, sorted] : size_groups) {
       for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
         if (sorted[i + 1]->key->bytes != 2 * sorted[i]->key->bytes) continue;
         ++g.checked;
@@ -917,36 +938,11 @@ std::vector<GuidelineResult> check_guidelines(
   // fixed implementation and message size (more participants never make
   // a collective faster; a small dip is tolerated for topology effects
   // measured under noise).
-  {
-    GuidelineResult g;
-    g.id = "G6";
-    g.description = "op time monotone non-decreasing in process count";
-    for (const auto& [key, cells] : rank_groups) {
-      if (cells.size() < 2) continue;
-      Cells sorted = cells;
-      std::sort(sorted.begin(), sorted.end(),
-                [](const ScenarioReport* x, const ScenarioReport* y) {
-                  return x->key->nprocs < y->key->nprocs;
-                });
-      for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
-        if (sorted[i]->key->nprocs == sorted[i + 1]->key->nprocs) continue;
-        ++g.checked;
-        const double small = sorted[i]->mean_op_elapsed;
-        const double big = sorted[i + 1]->mean_op_elapsed;
-        if (big >= small * (1.0 - opts.monotonicity_tolerance)) {
-          ++g.passed;
-        } else {
-          std::string v = sorted[i + 1]->label + ": ";
-          fmt_ns(v, big);
-          v += " at np" + std::to_string(sorted[i + 1]->key->nprocs) + " < ";
-          fmt_ns(v, small);
-          v += " at np" + std::to_string(sorted[i]->key->nprocs);
-          g.violations.push_back(std::move(v));
-        }
-      }
-    }
-    out.push_back(std::move(g));
-  }
+  out.push_back(check_monotone(
+      "G6", "op time monotone non-decreasing in process count", rank_groups,
+      nprocs, [](const trace::ScenarioKey& k) {
+        return " at np" + std::to_string(k.nprocs);
+      }));
 
   // G7: on multi-node runs a hierarchy-aware two-level implementation is
   // no slower than its flat counterpart (tolerance epsilon) — topology

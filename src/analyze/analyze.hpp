@@ -303,9 +303,6 @@ struct Options {
   /// violation (tuning measures under noise, so exact dominance is not a
   /// realistic requirement — see paper §IV).
   double epsilon = 0.25;
-  /// Allowed relative dip for the message-size monotonicity check (G4)
-  /// and the rank-count monotonicity check (G6).
-  double monotonicity_tolerance = 0.05;
   /// Hop limit for the backwards critical-path walk.
   int max_hops = 16;
   /// Minimum op-instance samples for a scenario's statistics to count as

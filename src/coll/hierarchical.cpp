@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "coll/binomial.hpp"
 #include "coll/ibcast.hpp"
 
 namespace nbctune::coll {
@@ -49,54 +50,6 @@ std::vector<int> local_list(const std::vector<int>& leader_of, int leader) {
 int virtual_rank(const std::vector<int>& ranks, int me) {
   return static_cast<int>(std::find(ranks.begin(), ranks.end(), me) -
                           ranks.begin());
-}
-
-/// Binomial reduce of `acc` towards virtual rank 0 of `ranks` (the
-/// reduce half of the flat reduce_bcast, over an arbitrary rank list).
-/// Safe to call back-to-back with other phases: every send is preceded
-/// by a barrier and every fold runs at round-post time.
-void binomial_reduce(nbc::Schedule& s, const std::vector<int>& ranks, int v,
-                     std::byte* acc, std::size_t bytes, std::size_t count,
-                     nbc::DType dtype, mpi::ReduceOp op, bool real) {
-  const int vcount = static_cast<int>(ranks.size());
-  std::byte* in = nullptr;
-  for (int mask = 1; mask < vcount; mask <<= 1) {
-    if (v & mask) {
-      s.barrier();
-      s.send(acc, bytes, ranks[static_cast<std::size_t>(v - mask)]);
-      break;
-    }
-    if (v + mask < vcount) {
-      if (in == nullptr && real) in = s.scratch(bytes);
-      s.recv(in, bytes, ranks[static_cast<std::size_t>(v + mask)]);
-      s.barrier();
-      s.op(in, acc, count, dtype, op);
-    }
-  }
-}
-
-/// Binomial broadcast of `acc` from virtual rank 0 of `ranks` (the bcast
-/// half of the flat reduce_bcast).
-void binomial_bcast(nbc::Schedule& s, const std::vector<int>& ranks, int v,
-                    std::byte* acc, std::size_t bytes) {
-  const int vcount = static_cast<int>(ranks.size());
-  int mask = 1;
-  while (mask < vcount) {
-    if (v & mask) {
-      s.recv(acc, bytes, ranks[static_cast<std::size_t>(v - mask)]);
-      s.barrier();
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if ((v & (mask - 1)) == 0 && (v | mask) < vcount && !(v & mask)) {
-      s.send(acc, bytes, ranks[static_cast<std::size_t>(v | mask)]);
-      s.barrier();
-    }
-    mask >>= 1;
-  }
 }
 
 }  // namespace
@@ -194,23 +147,28 @@ nbc::Schedule build_iallreduce_two_level(int me, int n, const void* sbuf,
   const std::vector<int> local = local_list(leader_of, my_leader);
   const int lv = virtual_rank(local, me);
 
+  const int lcount = static_cast<int>(local.size());
+  const auto local_peer = [&](int v) { return local[std::size_t(v)]; };
+
   // Intra-node binomial reduce to the leader.
-  binomial_reduce(s, local, lv, acc, bytes, count, dtype, op, real);
+  binomial_reduce(s, lcount, lv, local_peer, acc, bytes, count, dtype, op,
+                  real);
 
   if (me == my_leader) {
     // Inter-node phase over virtual leader ranks: binomial reduce to
     // v = 0, binomial broadcast back (the flat reduce_bcast shape).
-    const std::vector<int> leaders =
-        leader_list(leader_of, leader_of[0]);
+    const std::vector<int> leaders = leader_list(leader_of, leader_of[0]);
+    const int vcount = static_cast<int>(leaders.size());
     const int v = virtual_rank(leaders, me);
-    binomial_reduce(s, leaders, v, acc, bytes, count, dtype, op, real);
+    const auto leader = [&](int u) { return leaders[std::size_t(u)]; };
+    binomial_reduce(s, vcount, v, leader, acc, bytes, count, dtype, op, real);
     s.barrier();
-    binomial_bcast(s, leaders, v, acc, bytes);
+    binomial_bcast(s, vcount, v, leader, acc, bytes);
   }
 
   // Intra-node result broadcast from the leader.
   s.barrier();
-  binomial_bcast(s, local, lv, acc, bytes);
+  binomial_bcast(s, lcount, lv, local_peer, acc, bytes);
   s.finalize();
   nbc::trace_built(s, trace::Kind::IallreduceTwoLevel, me);
   return s;

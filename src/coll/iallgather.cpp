@@ -4,22 +4,14 @@
 
 namespace nbctune::coll {
 
-namespace {
-// Null-propagating block addressing: cost-model runs pass null buffers.
-std::byte* blk(void* base, std::size_t block, int i) {
-  if (base == nullptr) return nullptr;
-  return static_cast<std::byte*>(base) + std::size_t(i) * block;
-}
-}  // namespace
-
 nbc::Schedule build_iallgather_linear(int me, int n, const void* sbuf,
                                       void* rbuf, std::size_t block) {
   nbc::Schedule s;
-  s.copy(sbuf, blk(rbuf, block, me), block);
+  s.copy(sbuf, nbc::offset(rbuf, me * block), block);
   for (int off = 1; off < n; ++off) {
     const int to = (me + off) % n;
     const int from = (me - off + n) % n;
-    s.recv(blk(rbuf, block, from), block, from);
+    s.recv(nbc::offset(rbuf, from * block), block, from);
     s.send(sbuf, block, to);
   }
   s.finalize();
@@ -30,15 +22,15 @@ nbc::Schedule build_iallgather_linear(int me, int n, const void* sbuf,
 nbc::Schedule build_iallgather_ring(int me, int n, const void* sbuf,
                                     void* rbuf, std::size_t block) {
   nbc::Schedule s;
-  s.copy(sbuf, blk(rbuf, block, me), block);
+  s.copy(sbuf, nbc::offset(rbuf, me * block), block);
   s.barrier();
   const int to = (me + 1) % n;
   const int from = (me - 1 + n) % n;
   for (int step = 0; step < n - 1; ++step) {
     const int send_block = (me - step + n) % n;
     const int recv_block = (me - step - 1 + n) % n;
-    s.recv(blk(rbuf, block, recv_block), block, from);
-    s.send(blk(rbuf, block, send_block), block, to);
+    s.recv(nbc::offset(rbuf, recv_block * block), block, from);
+    s.send(nbc::offset(rbuf, send_block * block), block, to);
     s.barrier();
   }
   s.finalize();
@@ -54,15 +46,16 @@ nbc::Schedule build_iallgather_recursive_doubling(int me, int n,
         "recursive doubling allgather requires a power-of-two size");
   }
   nbc::Schedule s;
-  s.copy(sbuf, blk(rbuf, block, me), block);
+  s.copy(sbuf, nbc::offset(rbuf, me * block), block);
   s.barrier();
   // After step k this rank owns the 2^(k+1) blocks of its aligned group.
   for (int mask = 1; mask < n; mask <<= 1) {
     const int peer = me ^ mask;
     const int my_base = me & ~(mask - 1);      // start of my owned run
     const int peer_base = peer & ~(mask - 1);  // start of the run I get
-    s.recv(blk(rbuf, block, peer_base), std::size_t(mask) * block, peer);
-    s.send(blk(rbuf, block, my_base), std::size_t(mask) * block, peer);
+    const std::size_t run = std::size_t(mask) * block;
+    s.recv(nbc::offset(rbuf, peer_base * block), run, peer);
+    s.send(nbc::offset(rbuf, my_base * block), run, peer);
     s.barrier();
   }
   s.finalize();

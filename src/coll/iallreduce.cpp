@@ -3,15 +3,10 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "coll/binomial.hpp"
 #include "coll/iallgather.hpp"  // is_pow2
 
 namespace nbctune::coll {
-
-namespace {
-std::byte* off(std::byte* base, std::size_t elems, std::size_t esz) {
-  return base == nullptr ? nullptr : base + elems * esz;
-}
-}  // namespace
 
 nbc::Schedule build_iallreduce_recursive_doubling(int me, int n,
                                                   const void* sbuf, void* rbuf,
@@ -63,40 +58,10 @@ nbc::Schedule build_iallreduce_reduce_bcast(int me, int n, const void* sbuf,
   auto* acc = static_cast<std::byte*>(rbuf);  // everyone reduces in place
 
   s.copy(sbuf, acc, bytes);
-  // --- binomial reduce towards rank 0 ---
-  std::byte* in = nullptr;
-  for (int mask = 1; mask < n; mask <<= 1) {
-    if (me & mask) {
-      s.barrier();
-      s.send(acc, bytes, me - mask);
-      break;
-    }
-    if (me + mask < n) {
-      if (in == nullptr && real) in = s.scratch(bytes);
-      s.recv(in, bytes, me + mask);
-      s.barrier();
-      s.op(in, acc, count, dtype, op);
-    }
-  }
+  const auto identity = [](int v) { return v; };
+  binomial_reduce(s, n, me, identity, acc, bytes, count, dtype, op, real);
   s.barrier();
-  // --- binomial broadcast of the result from rank 0 ---
-  int mask = 1;
-  while (mask < n) {
-    if (me & mask) {
-      s.recv(acc, bytes, me - mask);
-      s.barrier();
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if ((me & (mask - 1)) == 0 && (me | mask) < n && !(me & mask)) {
-      s.send(acc, bytes, me | mask);
-      s.barrier();
-    }
-    mask >>= 1;
-  }
+  binomial_bcast(s, n, me, identity, acc, bytes);
   s.finalize();
   nbc::trace_built(s, trace::Kind::IallreduceReduceBcast, me);
   return s;
@@ -114,6 +79,7 @@ nbc::Schedule build_iallreduce_ring(int me, int n, const void* sbuf,
   auto chunk_len = [&](int c) {
     return std::min<std::size_t>(q, count - chunk_off(c));
   };
+  auto chunk = [&](int c) { return nbc::offset(acc, chunk_off(c) * esz); };
   std::byte* tmp = real && q > 0 ? s.scratch(q * esz) : nullptr;
   const int right = (me + 1) % n;
   const int left = (me - 1 + n) % n;
@@ -135,11 +101,10 @@ nbc::Schedule build_iallreduce_ring(int me, int n, const void* sbuf,
       // Fold the chunk received in the previous step; it is also the
       // chunk forwarded below, so the order op -> send matters.
       const int prev_c = (me - step + n) % n;
-      s.op(tmp, off(acc, chunk_off(prev_c), esz), chunk_len(prev_c), dtype,
-           op);
+      s.op(tmp, chunk(prev_c), chunk_len(prev_c), dtype, op);
     }
     s.recv(tmp, chunk_len(recv_c) * esz, left);
-    s.send(off(acc, chunk_off(send_c), esz), chunk_len(send_c) * esz, right);
+    s.send(chunk(send_c), chunk_len(send_c) * esz, right);
     s.barrier();
   }
   // --- allgather: circulate the reduced chunks. ---
@@ -148,11 +113,10 @@ nbc::Schedule build_iallreduce_ring(int me, int n, const void* sbuf,
     const int recv_c = (me - step + n) % n;
     if (step == 0) {
       // Final fold of the reduce-scatter, producing my owned chunk.
-      s.op(tmp, off(acc, chunk_off(send_c), esz), chunk_len(send_c), dtype,
-           op);
+      s.op(tmp, chunk(send_c), chunk_len(send_c), dtype, op);
     }
-    s.recv(off(acc, chunk_off(recv_c), esz), chunk_len(recv_c) * esz, left);
-    s.send(off(acc, chunk_off(send_c), esz), chunk_len(send_c) * esz, right);
+    s.recv(chunk(recv_c), chunk_len(recv_c) * esz, left);
+    s.send(chunk(send_c), chunk_len(send_c) * esz, right);
     s.barrier();
   }
   s.finalize();

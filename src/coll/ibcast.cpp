@@ -62,11 +62,7 @@ nbc::Schedule build_ibcast(int me, int n, void* buf, std::size_t bytes,
 
   const std::size_t seg = seg_bytes == 0 ? bytes : std::min(seg_bytes, bytes);
   const std::size_t nseg = (bytes + seg - 1) / seg;
-  auto* base = static_cast<std::byte*>(buf);
-
-  auto seg_ptr = [&](std::size_t i) -> std::byte* {
-    return base == nullptr ? nullptr : base + i * seg;
-  };
+  auto seg_ptr = [&](std::size_t i) { return nbc::offset(buf, i * seg); };
   auto seg_len = [&](std::size_t i) {
     return std::min(seg, bytes - i * seg);
   };

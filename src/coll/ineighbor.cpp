@@ -44,15 +44,6 @@ int cart_neighbor(const CartTopo& topo, int rank, int dim, int disp) {
 
 namespace {
 
-const std::byte* blk(const void* base, std::size_t block, int i) {
-  if (base == nullptr) return nullptr;
-  return static_cast<const std::byte*>(base) + std::size_t(i) * block;
-}
-std::byte* blk(void* base, std::size_t block, int i) {
-  if (base == nullptr) return nullptr;
-  return static_cast<std::byte*>(base) + std::size_t(i) * block;
-}
-
 struct Dir {
   int neighbor;  // communicator rank, or -1
   int slot;      // block index in sbuf/rbuf
@@ -63,9 +54,6 @@ Dir dir_of(const CartTopo& topo, int me, int dim, int disp) {
              2 * dim + (disp > 0 ? 1 : 0)};
 }
 
-}  // namespace
-
-namespace {
 // Per-dimension posting convention: both receives first (low slot, high
 // slot), then both sends (high face, low face).  The asymmetric send
 // order matters when a periodic dimension has size 2 and both faces
@@ -75,10 +63,14 @@ void post_dim(nbc::Schedule& s, const CartTopo& topo, int me, int dim,
               const void* sbuf, void* rbuf, std::size_t block) {
   const Dir lo = dir_of(topo, me, dim, -1);
   const Dir hi = dir_of(topo, me, dim, +1);
-  if (lo.neighbor >= 0) s.recv(blk(rbuf, block, lo.slot), block, lo.neighbor);
-  if (hi.neighbor >= 0) s.recv(blk(rbuf, block, hi.slot), block, hi.neighbor);
-  if (hi.neighbor >= 0) s.send(blk(sbuf, block, hi.slot), block, hi.neighbor);
-  if (lo.neighbor >= 0) s.send(blk(sbuf, block, lo.slot), block, lo.neighbor);
+  for (const Dir& d : {lo, hi}) {
+    if (d.neighbor < 0) continue;
+    s.recv(nbc::offset(rbuf, d.slot * block), block, d.neighbor);
+  }
+  for (const Dir& d : {hi, lo}) {
+    if (d.neighbor < 0) continue;
+    s.send(nbc::offset(sbuf, d.slot * block), block, d.neighbor);
+  }
 }
 }  // namespace
 
@@ -127,8 +119,8 @@ nbc::Schedule build_ineighbor_even_odd(const CartTopo& topo, int me,
       const int disp = (phase == 0) == even ? +1 : -1;
       const Dir d = dir_of(topo, me, dim, disp);
       if (d.neighbor >= 0) {
-        s.recv(blk(rbuf, block, d.slot), block, d.neighbor);
-        s.send(blk(sbuf, block, d.slot), block, d.neighbor);
+        s.recv(nbc::offset(rbuf, d.slot * block), block, d.neighbor);
+        s.send(nbc::offset(sbuf, d.slot * block), block, d.neighbor);
       }
       s.barrier();
     }

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <vector>
+
+#include "coll/binomial.hpp"
 
 namespace nbctune::coll {
 
@@ -26,26 +27,8 @@ nbc::Schedule build_ireduce_binomial(int me, int n, const void* sbuf,
     acc = real ? s.scratch(bytes) : nullptr;
   }
   s.copy(sbuf, acc, bytes);
-
-  // Children in virtual-rank space: v + mask while mask bits below v's
-  // lowest set bit.  Receive child subtotals one round each (a child with
-  // a bigger subtree arrives later), folding as they come.
-  std::vector<int> children;
-  for (int mask = 1; mask < n; mask <<= 1) {
-    if (v & mask) break;
-    if (v + mask < n) children.push_back(v + mask);
-  }
-  for (int cv : children) {
-    std::byte* in = real ? s.scratch(bytes) : nullptr;
-    s.recv(in, bytes, (cv + root) % n);
-    s.barrier();
-    s.op(in, acc, count, dtype, op);
-  }
-  if (v != 0) {
-    const int parent = ((v & ~(v & -v)) + root) % n;
-    s.barrier();
-    s.send(acc, bytes, parent);
-  }
+  const auto rotated = [&](int u) { return (u + root) % n; };
+  binomial_reduce(s, n, v, rotated, acc, bytes, count, dtype, op, real);
   s.finalize();
   nbc::trace_built(s, trace::Kind::IreduceBinomial, me);
   return s;
@@ -84,11 +67,10 @@ nbc::Schedule build_ireduce_chain(int me, int n, const void* sbuf, void* rbuf,
     if (have_child) {
       s.recv(in, len * esz, (v + 1 + root) % n);
       s.barrier();
-      s.op(in, acc == nullptr ? nullptr : acc + off * esz, len, dtype, op);
+      s.op(in, nbc::offset(acc, off * esz), len, dtype, op);
     }
     if (!is_root) {
-      s.send(acc == nullptr ? nullptr : acc + off * esz, len * esz,
-             (v - 1 + root) % n);
+      s.send(nbc::offset(acc, off * esz), len * esz, (v - 1 + root) % n);
       s.barrier();
     }
   }

@@ -6,18 +6,13 @@ namespace nbctune::coll {
 
 namespace {
 
-const std::byte* block(const void* base, int i, std::size_t bytes) {
-  return base == nullptr
-             ? nullptr
-             : static_cast<const std::byte*>(base) + std::size_t(i) * bytes;
-}
-
 void check_args(int n, int root) {
   if (root < 0 || root >= n) throw std::invalid_argument("iscatter: bad root");
 }
 
 /// Common shape: one round of root-side sends (rail chosen per (dst,
-/// stripe) by `rail_of`), plus the root's local copy of its own block.
+/// stripe) by `rail_of`, -1 for the transport's default), plus the
+/// root's local copy of its own block.
 template <typename RailOf>
 nbc::Schedule build(int me, int n, const void* sbuf, void* rbuf,
                     std::size_t bytes, int root,
@@ -29,32 +24,19 @@ nbc::Schedule build(int me, int n, const void* sbuf, void* rbuf,
     if (me == root) {
       for (int d = 0; d < n; ++d) {
         if (d == root) continue;
-        const std::byte* b = block(sbuf, d, bytes);
         for (const net::Stripe& st : stripes) {
-          const int rail = rail_of(d, st);
-          if (rail < 0) {
-            s.send(b == nullptr ? nullptr : b + st.offset, st.bytes, d);
-          } else {
-            s.send_rail(b == nullptr ? nullptr : b + st.offset, st.bytes, d,
-                        rail);
-          }
+          s.send(nbc::offset(sbuf, d * bytes + st.offset), st.bytes, d,
+                 rail_of(d, st));
         }
       }
     } else {
-      auto* r = static_cast<std::byte*>(rbuf);
       for (const net::Stripe& st : stripes) {
-        const int rail = rail_of(me, st);
-        if (rail < 0) {
-          s.recv(r == nullptr ? nullptr : r + st.offset, st.bytes, root);
-        } else {
-          s.recv_rail(r == nullptr ? nullptr : r + st.offset, st.bytes, root,
-                      rail);
-        }
+        s.recv(nbc::offset(rbuf, st.offset), st.bytes, root, rail_of(me, st));
       }
     }
   }
   if (me == root && bytes > 0) {
-    s.copy(block(sbuf, root, bytes), rbuf, bytes);
+    s.copy(nbc::offset(sbuf, root * bytes), rbuf, bytes);
   }
   s.finalize();
   nbc::trace_built(s, what, me);

@@ -7,6 +7,19 @@
 
 namespace nbctune::fft {
 
+namespace {
+
+/// One element of a tile copy, in the direction `to_buf` names.
+void transfer(cplx& local, cplx& buf, bool to_buf) {
+  if (to_buf) {
+    buf = local;
+  } else {
+    local = buf;
+  }
+}
+
+}  // namespace
+
 const char* pattern_name(Pattern p) noexcept {
   switch (p) {
     case Pattern::Pipelined:
@@ -128,20 +141,21 @@ void Fft3d::chunked_compute(double seconds, bool progress) {
   }
 }
 
-void Fft3d::pack_tile(int tile, int slot) {
-  // Send block for peer q: my planes of this tile restricted to q's
-  // x-range; layout [zl][y][xl], blocks ordered by q.
+void Fft3d::copy_planes(int tile, cplx* buf, bool to_buf) {
+  // The block for peer q is this tile's planes restricted to q's
+  // x columns, layout [zl][y][xl], blocks ordered by q: the forward
+  // transpose packs it, the inverse unpacks it.
   if (opt_.real_math) {
     const int n = opt_.n;
-    cplx* out = send_[slot].data();
     for (int q = 0; q < nprocs_; ++q) {
       for (int zl = 0; zl < tile_planes_; ++zl) {
-        const cplx* plane =
-            planes_data_.data() +
-            (std::size_t(tile) * tile_planes_ + zl) * n * n;
+        cplx* plane = planes_data_.data() +
+                      (std::size_t(tile) * tile_planes_ + zl) * n * n;
         for (int y = 0; y < n; ++y) {
-          const cplx* row = plane + std::size_t(y) * n + q * width_;
-          for (int xl = 0; xl < width_; ++xl) *out++ = row[xl];
+          cplx* row = plane + std::size_t(y) * n + q * width_;
+          for (int xl = 0; xl < width_; ++xl) {
+            transfer(row[xl], *buf++, to_buf);
+          }
         }
       }
     }
@@ -149,18 +163,19 @@ void Fft3d::pack_tile(int tile, int slot) {
   ctx_.compute(copy_cost(block_ * nprocs_));
 }
 
-void Fft3d::unpack_tile(int tile, int slot) {
-  // Received block from peer q: q's planes of this tile for my x-range;
-  // scatter into pencils [xl][y][z] at z = q * planes_ + tile offset.
+void Fft3d::copy_pencils(int tile, cplx* buf, bool to_buf) {
+  // The block of peer q is q's tile planes for my x range, at pencil
+  // z = q * planes_ + tile offset, layout [zl][y][xl]: the forward
+  // transpose unpacks it, the inverse packs it.
   if (opt_.real_math) {
     const int n = opt_.n;
-    const cplx* in = recv_[slot].data();
     for (int q = 0; q < nprocs_; ++q) {
       for (int zl = 0; zl < tile_planes_; ++zl) {
         const int z = q * planes_ + tile * tile_planes_ + zl;
         for (int y = 0; y < n; ++y) {
           for (int xl = 0; xl < width_; ++xl) {
-            pencils_[(std::size_t(xl) * n + y) * n + z] = *in++;
+            transfer(pencils_[(std::size_t(xl) * n + y) * n + z], *buf++,
+                     to_buf);
           }
         }
       }
@@ -184,60 +199,23 @@ void Fft3d::wait_slot(int slot, bool inverse) {
   if (slot_tile_[slot] < 0) return;
   if (opt_.backend != Backend::Blocking) reqs_[slot]->wait();
   if (inverse) {
-    unpack_tile_inverse(slot_tile_[slot], slot);
+    copy_planes(slot_tile_[slot], recv_[slot].data(), /*to_buf=*/false);
   } else {
-    unpack_tile(slot_tile_[slot], slot);
+    copy_pencils(slot_tile_[slot], recv_[slot].data(), /*to_buf=*/false);
   }
   slot_tile_[slot] = -1;
 }
 
-void Fft3d::pack_tile_inverse(int tile, int slot) {
-  // Mirror of pack_tile: the block for peer q is the pencil data whose z
-  // range is q's tile-t planes, layout [zl][y][xl] so q can unpack with
-  // the forward routine's inverse.
-  if (opt_.real_math) {
-    const int n = opt_.n;
-    cplx* out = send_[slot].data();
-    for (int q = 0; q < nprocs_; ++q) {
-      for (int zl = 0; zl < tile_planes_; ++zl) {
-        const int z = q * planes_ + tile * tile_planes_ + zl;
-        for (int y = 0; y < n; ++y) {
-          for (int xl = 0; xl < width_; ++xl) {
-            *out++ = pencils_[(std::size_t(xl) * n + y) * n + z];
-          }
-        }
-      }
-    }
-  }
-  ctx_.compute(copy_cost(block_ * nprocs_));
-}
-
-void Fft3d::unpack_tile_inverse(int tile, int slot) {
-  // Received from peer q: my tile-t planes restricted to q's x columns.
-  if (opt_.real_math) {
-    const int n = opt_.n;
-    const cplx* in = recv_[slot].data();
-    for (int q = 0; q < nprocs_; ++q) {
-      for (int zl = 0; zl < tile_planes_; ++zl) {
-        cplx* plane = planes_data_.data() +
-                      (std::size_t(tile) * tile_planes_ + zl) * n * n;
-        for (int y = 0; y < n; ++y) {
-          cplx* row = plane + std::size_t(y) * n + q * width_;
-          for (int xl = 0; xl < width_; ++xl) row[xl] = *in++;
-        }
-      }
-    }
-  }
-  ctx_.compute(copy_cost(block_ * nprocs_));
+std::pair<double, double> Fft3d::fft_costs() const {
+  const double rate = ctx_.world().platform().flops_per_sec;
+  const int n = opt_.n;
+  return {tile_planes_ * 2.0 * n * fft_flops(n) / rate,
+          static_cast<double>(width_) * n * fft_flops(n) / rate};
 }
 
 void Fft3d::run_iteration() {
-  const auto& platform = ctx_.world().platform();
   const int n = opt_.n;
-  const double tile_2d_cost =
-      tile_planes_ * 2.0 * n * fft_flops(n) / platform.flops_per_sec;
-  const double z_cost =
-      static_cast<double>(width_) * n * fft_flops(n) / platform.flops_per_sec;
+  const auto [tile_2d_cost, z_cost] = fft_costs();
 
   if (timer_) timer_->start();
 
@@ -261,7 +239,7 @@ void Fft3d::run_iteration() {
     }
     const int slot = tile % window_;
     wait_slot(slot, false);  // free the buffers if an older tile holds them
-    pack_tile(tile, slot);
+    copy_planes(tile, send_[slot].data(), /*to_buf=*/true);
     slot_tile_[slot] = tile;
     start_slot(slot);
     if (opt_.backend == Backend::Blocking) wait_slot(slot, false);
@@ -282,12 +260,8 @@ void Fft3d::run_iteration() {
 }
 
 void Fft3d::run_inverse_iteration() {
-  const auto& platform = ctx_.world().platform();
   const int n = opt_.n;
-  const double tile_2d_cost =
-      tile_planes_ * 2.0 * n * fft_flops(n) / platform.flops_per_sec;
-  const double z_cost =
-      static_cast<double>(width_) * n * fft_flops(n) / platform.flops_per_sec;
+  const auto [tile_2d_cost, z_cost] = fft_costs();
 
   if (timer_) timer_->start();
 
@@ -307,7 +281,7 @@ void Fft3d::run_inverse_iteration() {
   for (int tile = 0; tile < tiles_; ++tile) {
     const int slot = tile % window_;
     wait_slot(slot, true);
-    pack_tile_inverse(tile, slot);
+    copy_pencils(tile, send_[slot].data(), /*to_buf=*/true);
     slot_tile_[slot] = tile;
     start_slot(slot);
     if (opt_.backend == Backend::Blocking) wait_slot(slot, true);

@@ -29,6 +29,7 @@
 
 #include <complex>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "adcl/adcl.hpp"
@@ -107,10 +108,15 @@ class Fft3d {
 
  private:
   void chunked_compute(double seconds, bool progress);
-  void pack_tile(int tile, int slot);
-  void unpack_tile(int tile, int slot);
-  void pack_tile_inverse(int tile, int slot);
-  void unpack_tile_inverse(int tile, int slot);
+  /// Copy one tile between the z-slab planes and a transpose buffer
+  /// (`to_buf`: planes -> buffer), charging the copy.  Forward packs
+  /// send blocks with it; inverse unpacks received ones.
+  void copy_planes(int tile, cplx* buf, bool to_buf);
+  /// The same between the pencils and a buffer: forward unpacks,
+  /// inverse packs.
+  void copy_pencils(int tile, cplx* buf, bool to_buf);
+  /// Simulated cost of one tile's 2-D FFTs and of the z pass.
+  [[nodiscard]] std::pair<double, double> fft_costs() const;
   void wait_slot(int slot, bool inverse);
   void start_slot(int slot);
   double copy_cost(std::size_t bytes) const;

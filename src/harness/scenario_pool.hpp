@@ -95,15 +95,6 @@ class ScenarioPool {
     return out;
   }
 
-  /// Run a batch of nullary callables, returning their results in
-  /// submission order.
-  template <typename R>
-  std::vector<R> run_all(const std::vector<std::function<R()>>& tasks) {
-    std::vector<R> out(tasks.size());
-    run_indexed(tasks.size(), [&](std::size_t i) { out[i] = tasks[i](); });
-    return out;
-  }
-
   /// Install a batch-lifecycle observer (nullptr to detach); read
   /// atomically at batch submission.
   void set_observer(PoolObserver* o) noexcept {

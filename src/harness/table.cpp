@@ -37,17 +37,6 @@ void Table::print(std::ostream& os) const {
   for (const auto& row : rows_) line(row);
 }
 
-void Table::print_csv(std::ostream& os) const {
-  auto line = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      os << (c == 0 ? "" : ",") << row[c];
-    }
-    os << '\n';
-  };
-  line(header_);
-  for (const auto& row : rows_) line(row);
-}
-
 void banner(const std::string& title, std::ostream& os) {
   os << '\n' << std::string(72, '=') << '\n'
      << title << '\n'

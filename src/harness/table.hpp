@@ -1,7 +1,7 @@
 #pragma once
 
-// Minimal aligned-table / CSV printer used by the benchmark binaries to
-// emit the rows and series of the paper's figures.
+// Minimal aligned-table printer used by the benchmark binaries to emit
+// the rows and series of the paper's figures.
 
 #include <iostream>
 #include <string>
@@ -9,7 +9,7 @@
 
 namespace nbctune::harness {
 
-/// Column-aligned text table with an optional CSV dump.
+/// Column-aligned text table.
 class Table {
  public:
   explicit Table(std::vector<std::string> header)
@@ -21,7 +21,6 @@ class Table {
   static std::string num(double v, int precision = 4);
 
   void print(std::ostream& os = std::cout) const;
-  void print_csv(std::ostream& os) const;
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
 

@@ -209,11 +209,6 @@ class World {
   /// survivor, so membership is globally consistent by construction.
   Comm shrink(const std::vector<int>& survivors, int epoch);
 
-  /// True once `wrank` was fail-stopped by a kill plan.
-  [[nodiscard]] bool rank_dead(int wrank) const {
-    return ranks_.at(static_cast<std::size_t>(wrank)).dead;
-  }
-
   /// Total messages put on the wire (diagnostics).
   [[nodiscard]] std::uint64_t total_data_msgs() const noexcept;
   [[nodiscard]] std::uint64_t total_ctrl_msgs() const noexcept;
@@ -323,7 +318,6 @@ class Ctx {
 
   // ---- identity & time ----
   [[nodiscard]] int world_rank() const noexcept { return wrank_; }
-  [[nodiscard]] int world_size() const noexcept { return world_.size(); }
   [[nodiscard]] World& world() noexcept { return world_; }
   [[nodiscard]] sim::Time now() const noexcept { return world_.engine().now(); }
 

@@ -125,7 +125,6 @@ double Handle::post_round(std::size_t r) {
 
 void Handle::start() {
   if (active_) throw std::logic_error("start() while operation in flight");
-  round_ = 0;
   completion_emitted_ = false;
   start_time_ = ctx_.now();
   op_corr_ = ctx_.alloc_op_corr();
@@ -135,35 +134,35 @@ void Handle::start() {
                    schedule_->num_rounds(), static_cast<std::uint64_t>(tag_),
                    op_corr_);
   }
+  begin();
+}
+
+void Handle::begin() {
+  round_ = 0;
   done_ = schedule_->num_rounds() == 0;
   active_ = !done_;
   pending_.clear();
   pending_ptrs_.clear();
-  if (done_) {
-    trace_completion();
-    return;
+  if (!done_) {
+    ctx_.charge(post_round(0));
+    // A schedule whose first rounds are local-only completes them here;
+    // their posting cost is a second charge.
+    double extra = 0.0;
+    if (!done_ && pending_.empty()) advance(extra);
+    ctx_.charge(extra);
   }
-  ctx_.charge(post_round(0));
-  ctx_.charge(start_cascade());
-  start_finish();
+  if (done_) trace_completion();
 }
 
-double Handle::start_cascade() {
-  // A schedule whose first rounds are local-only completes them here.
-  double extra = 0.0;
-  while (!done_ && pending_.empty()) {
+void Handle::advance(double& cost) {
+  do {
     if (++round_ >= schedule_->num_rounds()) {
       done_ = true;
       active_ = false;
-      break;
+      return;
     }
-    extra += post_round(round_);
-  }
-  return extra;
-}
-
-void Handle::start_finish() {
-  if (done_) trace_completion();
+    cost += post_round(round_);
+  } while (pending_.empty());
 }
 
 double Handle::poke([[maybe_unused]] mpi::Ctx& ctx) {
@@ -184,15 +183,11 @@ double Handle::poke([[maybe_unused]] mpi::Ctx& ctx) {
     // freshly posted round before leaving NBC_Progress.  Rounds waiting on
     // wire traffic stop the loop, so multi-round schedules still need one
     // progress invocation per communication round.
-    do {
-      if (++round_ >= schedule_->num_rounds()) {
-        done_ = true;
-        active_ = false;
-        trace_completion();
-        return cost;
-      }
-      cost += post_round(round_);
-    } while (pending_.empty());
+    advance(cost);
+    if (done_) {
+      trace_completion();
+      return cost;
+    }
   }
 }
 
@@ -225,21 +220,11 @@ void Handle::recover() {
   // messages for the old tag rot unmatched in the unexpected queues.
   schedule_ = recovery_.fallback;
   tag_ = ctx_.alloc_nbc_tag();
-  round_ = 0;
-  done_ = schedule_->num_rounds() == 0;
-  active_ = !done_;
   // Like start(), but with no nbc.start / ops-started emission: this is
   // still the same logical operation (G1 counts one start, one
   // completion).  Data-movement schedules are idempotent, so ranks that
   // had already finished simply re-execute.
-  if (done_) {
-    active_ = false;
-    trace_completion();
-    return;
-  }
-  ctx_.charge(post_round(0));
-  ctx_.charge(start_cascade());
-  start_finish();
+  begin();
 }
 
 void Handle::wait() {

@@ -86,11 +86,14 @@ class Handle : public mpi::ProgressClient {
 
  private:
   double post_round(std::size_t r);  // returns CPU cost of posting
-  /// Cascade through rounds that completed synchronously; returns the
-  /// extra posting cost.
-  double start_cascade();
-  /// Emit the completion span if the cascade finished the operation.
-  void start_finish();
+  /// The execution body start() and recover() share: reset to round 0,
+  /// post it, cascade through rounds that complete synchronously, and
+  /// complete if that finished the schedule.
+  void begin();
+  /// Post the rounds after the current one until one waits on
+  /// communication or the schedule ends, adding their posting cost to
+  /// `cost`.
+  void advance(double& cost);
   void trace_completion();           // emit the op-lifetime span
   void recover();                    // cancel + restart on the fallback
   [[nodiscard]] bool any_pending_failed() const;

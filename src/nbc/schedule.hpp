@@ -56,21 +56,14 @@ class Schedule {
   Schedule() { rounds_.emplace_back(); }
 
   // ---- builder interface ----
-  void send(const void* buf, std::size_t bytes, int peer) {
-    rounds_.back().push_back(
-        Action{Action::Kind::Send, buf, nullptr, bytes, peer, {}, {}});
-  }
-  void recv(void* buf, std::size_t bytes, int peer) {
-    rounds_.back().push_back(
-        Action{Action::Kind::Recv, nullptr, buf, bytes, peer, {}, {}});
-  }
-  /// Rail-pinned transfers (multi-NIC striping; see Action::rail).  The
-  /// sender and its matching receiver must agree on `rail`.
-  void send_rail(const void* buf, std::size_t bytes, int peer, int rail) {
+  /// Transfers; a `rail` >= 0 pins one to a NIC rail (multi-NIC
+  /// striping; see Action::rail), and the sender and its matching
+  /// receiver must then agree on it.
+  void send(const void* buf, std::size_t bytes, int peer, int rail = -1) {
     rounds_.back().push_back(
         Action{Action::Kind::Send, buf, nullptr, bytes, peer, {}, {}, rail});
   }
-  void recv_rail(void* buf, std::size_t bytes, int peer, int rail) {
+  void recv(void* buf, std::size_t bytes, int peer, int rail = -1) {
     rounds_.back().push_back(
         Action{Action::Kind::Recv, nullptr, buf, bytes, peer, {}, {}, rail});
   }
@@ -126,6 +119,17 @@ class Schedule {
   std::vector<std::vector<Action>> rounds_;
   std::vector<std::unique_ptr<std::byte[]>> scratch_;
 };
+
+/// `base + bytes`, or null when `base` is null: cost-model runs build
+/// schedules over null buffers, and the nulls propagate to every action.
+[[nodiscard]] inline std::byte* offset(void* base, std::size_t bytes) {
+  return base == nullptr ? nullptr : static_cast<std::byte*>(base) + bytes;
+}
+[[nodiscard]] inline const std::byte* offset(const void* base,
+                                             std::size_t bytes) {
+  return base == nullptr ? nullptr
+                         : static_cast<const std::byte*>(base) + bytes;
+}
 
 /// Record construction of a finalized schedule.  Every collective builder
 /// calls this just before returning; `what` is the algorithm's kind (a

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <ostream>
 
 #include "analyze/json_min.hpp"
@@ -37,6 +38,17 @@ long long num_i64(const Value* v) {
 std::uint64_t num_u64(const Value* v) {
   const long long n = num_i64(v);
   return n > 0 ? static_cast<std::uint64_t>(n) : 0;
+}
+
+/// a + b, pinned to long long's range: a stream may carry any in-range
+/// values, and their sum must not overflow.
+long long sat_add(long long a, long long b) {
+  long long sum = 0;
+  if (__builtin_add_overflow(a, b, &sum)) {
+    return b > 0 ? std::numeric_limits<long long>::max()
+                 : std::numeric_limits<long long>::min();
+  }
+  return sum;
 }
 
 std::string str_or(const Value* v, const char* fallback) {
@@ -131,10 +143,12 @@ bool TopState::feed_line(const std::string& line) {
       OpAgg& agg = ops_[str_or(v.get("op"), "?")];
       ++agg.scenarios;
       agg.ops += num_u64(v.get("ops"));
-      agg.median_sum_ns += num_i64(v.get("median_op_ns"));
+      agg.median_sum_ns =
+          sat_add(agg.median_sum_ns, num_i64(v.get("median_op_ns")));
       if (const Value* blame = v.get("blame_bp")) {
         for (int p = 0; p < 6; ++p) {
-          agg.blame_bp_sum[p] += num_i64(blame->get(kBlameNames[p]));
+          agg.blame_bp_sum[p] = sat_add(agg.blame_bp_sum[p],
+                                        num_i64(blame->get(kBlameNames[p])));
         }
       }
       dropped_events_ += num_u64(v.get("dropped_events"));
@@ -144,8 +158,10 @@ bool TopState::feed_line(const std::string& line) {
         recovery_.epochs += num_u64(rec->get("epochs"));
         recovery_.rebuilds += num_u64(rec->get("rebuilds"));
         recovery_.aborted_ops += num_u64(rec->get("aborted_ops"));
-        recovery_.detection_sum_ns += num_i64(rec->get("detection_ns"));
-        recovery_.ttr_sum_ns += num_i64(rec->get("time_to_recover_ns"));
+        recovery_.detection_sum_ns = sat_add(recovery_.detection_sum_ns,
+                                             num_i64(rec->get("detection_ns")));
+        recovery_.ttr_sum_ns = sat_add(recovery_.ttr_sum_ns,
+                                       num_i64(rec->get("time_to_recover_ns")));
       }
       if (const Value* g = v.get("guidelines")) {
         if (const Value* ids = g->get("ids");
@@ -192,8 +208,10 @@ long long TopState::eta_ms() const noexcept {
   if (done() || finished_ == 0 || submitted_ <= finished_) return -1;
   const double per = static_cast<double>(last_t_ms_) /
                      static_cast<double>(finished_);
-  return static_cast<long long>(per *
-                                static_cast<double>(submitted_ - finished_));
+  const double eta = per * static_cast<double>(submitted_ - finished_);
+  // 2^63 is the first double past long long's range.
+  return eta < 0x1p63 ? static_cast<long long>(eta)
+                      : std::numeric_limits<long long>::max();
 }
 
 void TopState::render(std::ostream& os, bool ansi) const {

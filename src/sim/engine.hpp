@@ -119,9 +119,6 @@ class Engine {
   Process& add_process(std::string name, std::function<void(Process&)> body,
                        std::size_t stack_bytes = 0);
 
-  [[nodiscard]] std::size_t process_count() const noexcept {
-    return processes_.size();
-  }
   [[nodiscard]] Process& process(int id) { return *processes_.at(id); }
 
   /// Run until the event queue is empty.  Throws DeadlockError if the

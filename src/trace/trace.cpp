@@ -224,7 +224,7 @@ std::size_t Tracer::default_max_events() noexcept {
 }
 
 void Tracer::record(Hist h, std::uint64_t v) noexcept {
-  HistData& d = hists_[static_cast<std::size_t>(h)];
+  HistData& d = trace_.hists[static_cast<std::size_t>(h)];
   // bucket 0: v == 0; bucket i >= 1: v in [2^(i-1), 2^i).
   std::size_t b = 0;
   for (std::uint64_t x = v; x != 0; x >>= 1) ++b;
@@ -682,18 +682,13 @@ Scope::Scope(std::string label) {
 }
 
 Scope::Scope(ScenarioKey key) : Scope(key.label()) {
-  if (tracer_) tracer_->key_ = std::move(key);
+  if (tracer_) tracer_->trace_.key = std::move(key);
 }
 
 Scope::~Scope() {
   if (!tracer_) return;
   set_current(prev_);
-  FinishedTrace f;
-  f.label = std::move(tracer_->label_);
-  f.key = std::move(tracer_->key_);
-  f.events = std::move(tracer_->events_);
-  f.counts = tracer_->counts_;
-  f.hists = tracer_->hists_;
+  FinishedTrace f = std::move(tracer_->trace_);
   // The listener sees the finished trace in completion order, before the
   // submission-order staging/adoption path takes ownership — this is the
   // live-streaming seam (src/obs).

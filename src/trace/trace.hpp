@@ -339,6 +339,32 @@ struct HistData {
   std::uint64_t sum = 0;
 };
 
+/// A per-scenario trace: a Tracer records into one, and its Scope moves
+/// it out when the scenario finishes.
+struct FinishedTrace {
+  std::string label;
+  std::optional<ScenarioKey> key;  ///< absent for unkeyed scopes
+  std::vector<Event> events;
+  std::array<std::uint64_t, static_cast<std::size_t>(Ctr::kCount)> counts{};
+  std::array<HistData, static_cast<std::size_t>(Hist::kCount)> hists{};
+
+  /// The analyzer's report of this trace, computed by the worker that
+  /// finished it (analyze::attach_report, from a Session::Listener) and
+  /// shared by every copy made afterwards.  Set once, by the thread that
+  /// holds the trace: a second attach is ignored.  The fields above stay
+  /// editable, so the analyzer checks the report against them before
+  /// reusing it.
+  void attach(std::shared_ptr<const analyze::AttachedReport> r) const {
+    if (!attached_) attached_ = std::move(r);
+  }
+  [[nodiscard]] const analyze::AttachedReport* attached() const noexcept {
+    return attached_.get();
+  }
+
+ private:
+  mutable std::shared_ptr<const analyze::AttachedReport> attached_;
+};
+
 // ---------------------------------------------------------------- tracer
 
 /// The event buffer and metric registry of ONE simulation.  A simulation
@@ -346,8 +372,9 @@ struct HistData {
 /// array adds — no locks, no allocation beyond vector growth.
 class Tracer {
  public:
-  explicit Tracer(std::string label)
-      : label_(std::move(label)), max_events_(default_max_events()) {}
+  explicit Tracer(std::string label) : max_events_(default_max_events()) {
+    trace_.label = std::move(label);
+  }
 
   /// Event-buffer cap for new tracers: $NBCTUNE_TRACE_MAX_EVENTS, 0 (the
   /// default) = unbounded.  A mega-scale sweep can emit hundreds of
@@ -357,37 +384,34 @@ class Tracer {
   [[nodiscard]] static std::size_t default_max_events() noexcept;
 
   void emit(const Event& e) {
-    if (max_events_ != 0 && events_.size() >= max_events_) {
-      counts_[static_cast<std::size_t>(Ctr::TraceDroppedEvents)] += 1;
+    if (max_events_ != 0 && trace_.events.size() >= max_events_) {
+      trace_.counts[static_cast<std::size_t>(Ctr::TraceDroppedEvents)] += 1;
       return;
     }
-    events_.push_back(e);
+    trace_.events.push_back(e);
   }
   void count(Ctr c, std::uint64_t d = 1) noexcept {
-    counts_[static_cast<std::size_t>(c)] += d;
+    trace_.counts[static_cast<std::size_t>(c)] += d;
   }
   void record(Hist h, std::uint64_t v) noexcept;
 
-  [[nodiscard]] const std::string& label() const noexcept { return label_; }
+  [[nodiscard]] const std::string& label() const noexcept {
+    return trace_.label;
+  }
   [[nodiscard]] const std::vector<Event>& events() const noexcept {
-    return events_;
+    return trace_.events;
   }
   [[nodiscard]] std::uint64_t counter(Ctr c) const noexcept {
-    return counts_[static_cast<std::size_t>(c)];
+    return trace_.counts[static_cast<std::size_t>(c)];
   }
   [[nodiscard]] const HistData& histogram(Hist h) const noexcept {
-    return hists_[static_cast<std::size_t>(h)];
+    return trace_.hists[static_cast<std::size_t>(h)];
   }
 
  private:
-  friend class Session;
   friend class Scope;
-  std::string label_;
-  std::optional<ScenarioKey> key_;  ///< set by Scope(ScenarioKey)
+  FinishedTrace trace_;  ///< the key is set by Scope(ScenarioKey)
   std::size_t max_events_ = 0;  ///< 0 = unbounded
-  std::vector<Event> events_;
-  std::array<std::uint64_t, static_cast<std::size_t>(Ctr::kCount)> counts_{};
-  std::array<HistData, static_cast<std::size_t>(Hist::kCount)> hists_{};
 };
 
 namespace detail {
@@ -441,31 +465,6 @@ void instant(double ts, std::int32_t track, Cat cat, const char* name,
 [[nodiscard]] inline bool active() noexcept { return current() != nullptr; }
 
 // --------------------------------------------------------------- session
-
-/// A finished per-scenario trace, detached from its Tracer.
-struct FinishedTrace {
-  std::string label;
-  std::optional<ScenarioKey> key;  ///< absent for unkeyed scopes
-  std::vector<Event> events;
-  std::array<std::uint64_t, static_cast<std::size_t>(Ctr::kCount)> counts{};
-  std::array<HistData, static_cast<std::size_t>(Hist::kCount)> hists{};
-
-  /// The analyzer's report of this trace, computed by the worker that
-  /// finished it (analyze::attach_report, from a Session::Listener) and
-  /// shared by every copy made afterwards.  Set once, by the thread that
-  /// holds the trace: a second attach is ignored.  The fields above stay
-  /// editable, so the analyzer checks the report against them before
-  /// reusing it.
-  void attach(std::shared_ptr<const analyze::AttachedReport> r) const {
-    if (!attached_) attached_ = std::move(r);
-  }
-  [[nodiscard]] const analyze::AttachedReport* attached() const noexcept {
-    return attached_.get();
-  }
-
- private:
-  mutable std::shared_ptr<const analyze::AttachedReport> attached_;
-};
 
 /// Process-wide collector of finished traces.  Disabled by default; a
 /// bench driver enables it once (`--trace`).  Adoption order is the

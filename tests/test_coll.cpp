@@ -5,16 +5,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <numeric>
 #include <tuple>
 #include <vector>
 
 #include "coll/blocking.hpp"
+#include "coll/hierarchical.hpp"
 #include "coll/iallgather.hpp"
+#include "coll/iallreduce.hpp"
 #include "coll/ialltoall.hpp"
 #include "coll/ibcast.hpp"
+#include "coll/ineighbor.hpp"
 #include "coll/ireduce.hpp"
+#include "coll/iscatter.hpp"
 #include "mpi/world.hpp"
 #include "nbc/handle.hpp"
 #include "net/platform.hpp"
@@ -386,4 +391,252 @@ TEST(AlgorithmShape, DataVolumesMatchTheory) {
   EXPECT_EQ(lin.num_rounds(), 1u);
   EXPECT_EQ(pw.num_rounds(), std::size_t(n));      // copy + n-1 exchanges
   EXPECT_EQ(br.num_rounds(), 5u);                  // rotate+4 steps
+}
+
+// ------------------------------------------------------- schedule oracle
+//
+// Every builder's schedule, fingerprinted over n = 1..40, every rank and
+// every root, with null (cost-model) and real buffers.  The fingerprint
+// covers round boundaries and each action's kind, peer, bytes, rail,
+// dtype, op and buffer: null, an offset into the send or receive buffer,
+// or schedule scratch.  The constants pin the schedules exactly, so a
+// refactor of the builders must leave every one of them unchanged.
+
+namespace {
+
+constexpr int kOracleMaxRanks = 40;
+constexpr std::size_t kOracleArena = 1 << 16;
+
+class ScheduleFingerprint {
+ public:
+  ScheduleFingerprint()
+      : sbuf_(kOracleArena), rbuf_(kOracleArena) {}
+
+  /// Send/receive buffers: null for cost-model runs, else the arenas.
+  [[nodiscard]] void* sbuf(bool real) { return real ? sbuf_.data() : nullptr; }
+  [[nodiscard]] void* rbuf(bool real) { return real ? rbuf_.data() : nullptr; }
+
+  void add(const nbc::Schedule& s) {
+    mix(0x5c4ed01eULL);
+    mix(s.num_rounds());
+    for (std::size_t r = 0; r < s.num_rounds(); ++r) {
+      mix(0x40a4dULL);
+      mix(s.round(r).size());
+      for (const nbc::Action& a : s.round(r)) {
+        mix(static_cast<std::uint64_t>(a.kind));
+        mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(a.peer)));
+        mix(a.bytes);
+        mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(a.rail)));
+        mix(static_cast<std::uint64_t>(a.dtype));
+        mix(static_cast<std::uint64_t>(a.op));
+        mix(where(a.src));
+        mix(where(a.dst));
+      }
+    }
+  }
+
+  [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
+
+ private:
+  // FNV-1a over the eight little-endian bytes of v.
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xff;
+      h_ *= 1099511628211ULL;
+    }
+  }
+
+  // 0 = null, (offset << 2) | 1 = send arena, | 2 = receive arena,
+  // 3 = anywhere else (schedule scratch).
+  [[nodiscard]] std::uint64_t where(const void* p) const {
+    if (p == nullptr) return 0;
+    const auto a = reinterpret_cast<std::uintptr_t>(p);
+    const auto in = [a](const std::vector<std::byte>& v) {
+      const auto base = reinterpret_cast<std::uintptr_t>(v.data());
+      return a >= base && a < base + v.size();
+    };
+    if (in(sbuf_)) {
+      return ((a - reinterpret_cast<std::uintptr_t>(sbuf_.data())) << 2) | 1;
+    }
+    if (in(rbuf_)) {
+      return ((a - reinterpret_cast<std::uintptr_t>(rbuf_.data())) << 2) | 2;
+    }
+    return 3;
+  }
+
+  std::vector<std::byte> sbuf_;
+  std::vector<std::byte> rbuf_;
+  std::uint64_t h_ = 14695981039346656037ULL;
+};
+
+/// Fold build(fp, n, me, real) over every n, rank and buffer mode.
+template <class Build>
+std::uint64_t fingerprint_all(Build build) {
+  ScheduleFingerprint fp;
+  for (int real = 0; real < 2; ++real) {
+    for (int n = 1; n <= kOracleMaxRanks; ++n) {
+      for (int me = 0; me < n; ++me) build(fp, n, me, real != 0);
+    }
+  }
+  return fp.value();
+}
+
+/// As fingerprint_all, also over every root.
+template <class Build>
+std::uint64_t fingerprint_rooted(Build build) {
+  return fingerprint_all([&](ScheduleFingerprint& fp, int n, int me,
+                             bool real) {
+    for (int root = 0; root < n; ++root) build(fp, n, me, root, real);
+  });
+}
+
+/// Node layouts for the two-level builders: blocks of four ranks, ranks
+/// dealt round-robin over three nodes, and a single node.
+std::vector<std::vector<int>> oracle_layouts(int n) {
+  std::vector<std::vector<int>> out(3, std::vector<int>(n));
+  for (int r = 0; r < n; ++r) {
+    out[0][r] = r / 4;
+    out[1][r] = r % 3;
+    out[2][r] = 0;
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(ScheduleOracle, Alltoall) {
+  constexpr std::size_t kBlock = 24;
+  EXPECT_EQ(fingerprint_all([](ScheduleFingerprint& fp, int n, int me,
+                               bool real) {
+              fp.add(coll::build_ialltoall_linear(me, n, fp.sbuf(real),
+                                                  fp.rbuf(real), kBlock));
+              fp.add(coll::build_ialltoall_pairwise(me, n, fp.sbuf(real),
+                                                    fp.rbuf(real), kBlock));
+              fp.add(coll::build_ialltoall_bruck(me, n, fp.sbuf(real),
+                                                 fp.rbuf(real), kBlock));
+            }),
+            0x574a254d91f850e1ULL);
+}
+
+TEST(ScheduleOracle, Allgather) {
+  constexpr std::size_t kBlock = 24;
+  EXPECT_EQ(fingerprint_all([](ScheduleFingerprint& fp, int n, int me,
+                               bool real) {
+              fp.add(coll::build_iallgather_linear(me, n, fp.sbuf(real),
+                                                   fp.rbuf(real), kBlock));
+              fp.add(coll::build_iallgather_ring(me, n, fp.sbuf(real),
+                                                 fp.rbuf(real), kBlock));
+              if (coll::is_pow2(n)) {
+                fp.add(coll::build_iallgather_recursive_doubling(
+                    me, n, fp.sbuf(real), fp.rbuf(real), kBlock));
+              }
+            }),
+            0xf5599a6f1829b357ULL);
+}
+
+TEST(ScheduleOracle, Allreduce) {
+  EXPECT_EQ(fingerprint_all([](ScheduleFingerprint& fp, int n, int me,
+                               bool real) {
+              for (const auto& [count, dtype, op] :
+                   {std::tuple{std::size_t{13}, nbc::DType::F64,
+                               mpi::ReduceOp::Sum},
+                    std::tuple{std::size_t{5}, nbc::DType::I32,
+                               mpi::ReduceOp::Max}}) {
+                if (coll::is_pow2(n)) {
+                  fp.add(coll::build_iallreduce_recursive_doubling(
+                      me, n, fp.sbuf(real), fp.rbuf(real), count, dtype, op));
+                }
+                fp.add(coll::build_iallreduce_reduce_bcast(
+                    me, n, fp.sbuf(real), fp.rbuf(real), count, dtype, op));
+                fp.add(coll::build_iallreduce_ring(
+                    me, n, fp.sbuf(real), fp.rbuf(real), count, dtype, op));
+              }
+            }),
+            0xd02f9186a84c2b85ULL);
+}
+
+TEST(ScheduleOracle, Reduce) {
+  EXPECT_EQ(fingerprint_rooted([](ScheduleFingerprint& fp, int n, int me,
+                                  int root, bool real) {
+              fp.add(coll::build_ireduce_binomial(
+                  me, n, fp.sbuf(real), fp.rbuf(real), 13, nbc::DType::F64,
+                  mpi::ReduceOp::Sum, root));
+              for (std::size_t seg : {std::size_t{0}, std::size_t{4}}) {
+                fp.add(coll::build_ireduce_chain(
+                    me, n, fp.sbuf(real), fp.rbuf(real), 13, nbc::DType::I32,
+                    mpi::ReduceOp::Max, root, seg));
+              }
+            }),
+            0xe7b5bd5ab0e01a64ULL);
+}
+
+TEST(ScheduleOracle, Bcast) {
+  EXPECT_EQ(fingerprint_rooted([](ScheduleFingerprint& fp, int n, int me,
+                                  int root, bool real) {
+              for (int fanout : {coll::kFanoutLinear, coll::kFanoutBinomial,
+                                 1, 2, 3}) {
+                for (std::size_t seg : {std::size_t{0}, std::size_t{32}}) {
+                  fp.add(coll::build_ibcast(me, n, fp.rbuf(real), 100, root,
+                                            fanout, seg));
+                }
+              }
+            }),
+            0x397453d0eb215839ULL);
+}
+
+TEST(ScheduleOracle, Scatter) {
+  constexpr std::size_t kBytes = 100;
+  const std::vector<net::Stripe> stripes{{0, 0, 40}, {1, 40, 60}};
+  EXPECT_EQ(fingerprint_rooted([&](ScheduleFingerprint& fp, int n, int me,
+                                   int root, bool real) {
+              void* s = fp.sbuf(real);
+              void* r = fp.rbuf(real);
+              fp.add(coll::build_iscatter_linear(me, n, s, r, kBytes, root));
+              fp.add(coll::build_iscatter_fan(me, n, s, r, kBytes, root, 1));
+              fp.add(coll::build_iscatter_rail(me, n, s, r, kBytes, root, 2));
+              fp.add(coll::build_iscatter_striped(me, n, s, r, kBytes, root,
+                                                  stripes));
+            }),
+            0x3f7de1b2965e922cULL);
+}
+
+TEST(ScheduleOracle, TwoLevel) {
+  EXPECT_EQ(fingerprint_rooted([](ScheduleFingerprint& fp, int n, int me,
+                                  int root, bool real) {
+              for (const std::vector<int>& node_of : oracle_layouts(n)) {
+                fp.add(coll::build_ibcast_two_level(me, n, fp.rbuf(real), 100,
+                                                    root, node_of));
+                if (root != 0) continue;
+                fp.add(coll::build_iallreduce_two_level(
+                    me, n, fp.sbuf(real), fp.rbuf(real), 13, nbc::DType::F64,
+                    mpi::ReduceOp::Sum, node_of));
+              }
+            }),
+            0xc68baaae29a177e1ULL);
+}
+
+TEST(ScheduleOracle, Neighbor) {
+  constexpr std::size_t kBlock = 16;
+  EXPECT_EQ(fingerprint_all([](ScheduleFingerprint& fp, int n, int me,
+                               bool real) {
+              std::vector<coll::CartTopo> topos;
+              for (bool periodic : {true, false}) {
+                topos.push_back({{n}, periodic});
+                for (int a = 2; a * a <= n; ++a) {
+                  if (n % a == 0) {
+                    topos.push_back({{a, n / a}, periodic});
+                    break;
+                  }
+                }
+              }
+              for (const coll::CartTopo& t : topos) {
+                fp.add(coll::build_ineighbor_all_at_once(
+                    t, me, fp.sbuf(real), fp.rbuf(real), kBlock));
+                fp.add(coll::build_ineighbor_dimension_ordered(
+                    t, me, fp.sbuf(real), fp.rbuf(real), kBlock));
+                fp.add(coll::build_ineighbor_even_odd(
+                    t, me, fp.sbuf(real), fp.rbuf(real), kBlock));
+              }
+            }),
+            0xa492e496f847ee05ULL);
 }

@@ -233,15 +233,13 @@ TEST(FiberStack, ExhaustionErrorNamesTheRemedies) {
   }
 }
 
-TEST(TableFormat, AlignsAndCsvs) {
+TEST(TableFormat, Aligns) {
   Table t({"impl", "time"});
   t.add_row({"linear", Table::num(1.5, 2)});
   t.add_row({"pairwise", Table::num(2.0, 2)});
-  std::ostringstream text, csv;
+  std::ostringstream text;
   t.print(text);
-  t.print_csv(csv);
   EXPECT_NE(text.str().find("impl"), std::string::npos);
   EXPECT_NE(text.str().find("-----"), std::string::npos);
-  EXPECT_EQ(csv.str(), "impl,time\nlinear,1.50\npairwise,2.00\n");
   EXPECT_EQ(t.rows(), 2u);
 }
