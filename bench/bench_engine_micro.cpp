@@ -372,7 +372,6 @@ static void BM_AlltoallSchedule(benchmark::State& state) {
       h.wait();
     });
     eng.run();
-    benchmark::DoNotOptimize(world.total_data_msgs());
   }
   state.SetItemsProcessed(state.iterations() * np * (np - 1));
   state.SetLabel("messages simulated/s");

@@ -1,8 +1,11 @@
 #include "fault/fault.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 
 namespace nbctune::fault {
@@ -43,18 +46,30 @@ std::vector<Kv> parse_kvs(const std::string& what, const std::string& body) {
   return kvs;
 }
 
+[[noreturn]] void bad_number(const std::string& what, const std::string& v) {
+  throw std::invalid_argument("fault plan: bad number for '" + what + "': '" +
+                              v + "'");
+}
+
+/// A real value: the whole token, finite.
 double to_num(const std::string& what, const std::string& v) {
   char* end = nullptr;
-  double x = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0') {
-    throw std::invalid_argument("fault plan: bad number for '" + what +
-                                "': '" + v + "'");
+  const double x = std::strtod(v.c_str(), &end);
+  if (end == v.c_str() || *end != '\0' || !std::isfinite(x)) {
+    bad_number(what, v);
   }
   return x;
 }
 
-int to_int(const std::string& what, const std::string& v) {
-  return static_cast<int>(to_num(what, v));
+/// An integer value: the whole token, in T's range, with no fraction or
+/// exponent (and no sign when T is unsigned).
+template <typename T = int>
+T to_int(const std::string& what, const std::string& v) {
+  T x{};
+  const char* const last = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), last, x);
+  if (ec != std::errc{} || ptr != last) bad_number(what, v);
+  return x;
 }
 
 [[noreturn]] void unknown_key(const std::string& comp, const std::string& key) {
@@ -200,7 +215,7 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
       const auto kvs = parse_kvs("plan", comp);
       for (const Kv& kv : kvs) {
         if (kv.key == "seed") {
-          p.seed = static_cast<std::uint64_t>(to_num("seed", kv.val));
+          p.seed = to_int<std::uint64_t>("seed", kv.val);
         } else if (kv.key == "rto") {
           p.rto = to_num("rto", kv.val);
         } else if (kv.key == "retries") {

@@ -42,7 +42,7 @@ struct Request {
   ReqState state = ReqState::Complete;
   bool chunk_in_flight = false;  // CPU-driven bulk: a push is on the wire
 
-  int peer = kAnySource;  ///< world rank of the peer (resolved for sends)
+  int peer = -1;  ///< world rank of the peer
   int context = 0;
   int tag = 0;
   int rail = -1;  ///< pinned NIC rail (-1 = transport default spreading)
@@ -51,8 +51,6 @@ struct Request {
 
   const void* send_buf = nullptr;
   void* recv_buf = nullptr;
-
-  std::uint64_t post_seq = 0;  ///< matching order among posted receives
 
   /// For rendezvous: identifies this request to the peer (packed handle).
   std::uint64_t match_id = 0;

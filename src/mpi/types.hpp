@@ -7,11 +7,6 @@
 
 namespace nbctune::mpi {
 
-/// Wildcard source rank for receives.
-inline constexpr int kAnySource = -1;
-/// Wildcard tag for receives.
-inline constexpr int kAnyTag = -1;
-
 /// Reduction operators supported by the bootstrap collectives.
 enum class ReduceOp { Sum, Max, Min };
 
@@ -28,8 +23,8 @@ struct Req {
 
 /// Completion information for a receive.
 struct Status {
-  int source = kAnySource;
-  int tag = kAnyTag;
+  int source = -1;
+  int tag = -1;
   std::size_t bytes = 0;
 };
 

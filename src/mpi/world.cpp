@@ -37,6 +37,13 @@ std::uint32_t match_index(std::uint64_t m) noexcept {
 std::uint32_t match_gen(std::uint64_t m) noexcept {
   return static_cast<std::uint32_t>(m);
 }
+
+/// The oldest entry of `key` in a matching table, or end().
+template <typename Table>
+auto oldest(Table& table, const MatchKey& key) {
+  const auto it = table.lower_bound(key);
+  return it != table.end() && it->first == key ? it : table.end();
+}
 }  // namespace
 
 std::uint64_t pack_match(Req h) noexcept {
@@ -135,17 +142,6 @@ double World::jitter(int wrank, double cost) {
   return cost * std::max(0.0, f);
 }
 
-std::uint64_t World::total_data_msgs() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& r : ranks_) n += r.data_msgs;
-  return n;
-}
-std::uint64_t World::total_ctrl_msgs() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& r : ranks_) n += r.ctrl_msgs;
-  return n;
-}
-
 std::size_t World::dedup_entries(int src) const noexcept {
   std::size_t n = 0;
   for (const auto& r : ranks_) {
@@ -211,14 +207,12 @@ sim::Time World::ship(Envelope env, sim::Time earliest) {
   // A fail-stopped sender's NIC is silenced: in-flight transport
   // continuations (chunk pushes, acks, retransmits) die here.
   if (ft_ != nullptr && ranks_[env.src].dead) return earliest;
-  RankState& src = ranks_[env.src];
-  const int src_node = src.node;
+  const int src_node = ranks_[env.src].node;
   const int dst_node = ranks_[env.dst].node;
   env.seq = ++next_msg_seq_;
   const bool eager = env.kind == Envelope::Kind::Eager;
   const std::size_t wire_bytes = eager ? env.bytes : kCtrlBytes;
   const ShipRow& row = kShipRows[static_cast<std::size_t>(env.kind)];
-  ++(eager ? src.data_msgs : src.ctrl_msgs);
   trace::count(row.ctr);
   if (trace::active()) {
     trace::instant(earliest, env.src, row.post,
@@ -341,7 +335,6 @@ void World::deliver(Envelope env) {
       send_ack(env);
     }
   }
-  env.arrival_seq = dst.next_arrival_seq++;
   if (trace::active()) {
     trace::instant(engine_.now(), dst_rank, trace::Kind::MsgDeliver,
                    static_cast<std::uint64_t>(env.src), env.bytes, env.seq);
@@ -354,7 +347,6 @@ void World::start_nic_bulk(int src, Req sreq, const Request& r,
                            sim::Time earliest) {
   const int dst = r.peer;
   const int dst_node = ranks_[dst].node;
-  ++ranks_[src].data_msgs;
   const std::uint64_t seq = ++next_msg_seq_;
   trace::count(trace::Ctr::MsgsNicBulks);
   if (trace::active()) {
@@ -623,7 +615,6 @@ Req Ctx::post_isend(const Comm& comm, const void* buf, std::size_t bytes,
   r.rail = rail;
   r.bytes = bytes;
   r.send_buf = buf;
-  ++rs.outstanding;
 
   const bool eager = bytes <= p.eager_limit;
   const bool same_node = rs.node == world_.ranks_[dst_w].node;
@@ -686,16 +677,14 @@ Req Ctx::post_isend(const Comm& comm, const void* buf, std::size_t bytes,
 
 Req Ctx::post_irecv(const Comm& comm, void* buf, std::size_t bytes, int src,
                     int tag, double& cpu_cost, int rail) {
-  RankState& rs = st();
+  if (src < 0 || src >= comm.size()) {
+    throw std::invalid_argument("post_irecv: bad source rank");
+  }
   // Mirror post_isend's rail sub-tagging: the matching send carries the
   // same pinned rail (builder contract, nbc::Action::rail).
-  if (rail >= 0 && tag != kAnyTag) tag += 1 + rail % (kTagStride - 1);
-  const int src_w =
-      src == kAnySource ? kAnySource
-                        : (src >= 0 && src < comm.size()
-                               ? comm.world_rank(src)
-                               : throw std::invalid_argument(
-                                     "post_irecv: bad source rank"));
+  if (rail >= 0) tag += 1 + rail % (kTagStride - 1);
+  const int src_w = comm.world_rank(src);
+  RankState& rs = st();
   Req h = rs.pool.allocate();
   Request& r = rs.pool.get(h);
   r.kind = ReqKind::Recv;
@@ -705,53 +694,17 @@ Req Ctx::post_irecv(const Comm& comm, void* buf, std::size_t bytes, int src,
   r.rail = rail;
   r.bytes = bytes;
   r.recv_buf = buf;
-  r.post_seq = rs.next_post_seq++;
   r.state = ReqState::Posted;
-  ++rs.outstanding;
   cpu_cost += world_.platform().per_req_poll_cost;
 
-  if (try_match_unexpected(h, cpu_cost)) return h;
-
-  if (src_w == kAnySource || tag == kAnyTag) {
-    rs.wildcard_posted.push_back(h);
+  // The oldest unexpected message of the key, else wait in the table.
+  const MatchKey key{comm.context(), tag, src_w};
+  if (const auto it = oldest(rs.unexpected, key); it != rs.unexpected.end()) {
+    accept(rs.unexpected.extract(it).mapped(), h, cpu_cost);
   } else {
-    rs.exact_posted[MatchKey{comm.context(), tag, src_w}].push_back(h);
+    rs.posted.emplace(key, h);
   }
   return h;
-}
-
-bool Ctx::try_match_unexpected(Req rh, double& cpu_cost) {
-  RankState& rs = st();
-  Request& r = rs.pool.get(rh);
-  Envelope env;
-  if (r.peer != kAnySource && r.tag != kAnyTag) {
-    auto it = rs.unexpected.find(MatchKey{r.context, r.tag, r.peer});
-    if (it == rs.unexpected.end() || it->second.empty()) return false;
-    env = std::move(it->second.front());
-    it->second.pop_front();
-    if (it->second.empty()) rs.unexpected.erase(it);
-  } else {
-    // Wildcard: earliest arrival among all matching queues.
-    std::map<MatchKey, std::deque<Envelope>>::iterator best =
-        rs.unexpected.end();
-    for (auto it = rs.unexpected.begin(); it != rs.unexpected.end(); ++it) {
-      const MatchKey& k = it->first;
-      if (k.context != r.context) continue;
-      if (r.tag != kAnyTag && k.tag != r.tag) continue;
-      if (r.peer != kAnySource && k.src != r.peer) continue;
-      if (it->second.empty()) continue;
-      if (best == rs.unexpected.end() ||
-          it->second.front().arrival_seq < best->second.front().arrival_seq) {
-        best = it;
-      }
-    }
-    if (best == rs.unexpected.end()) return false;
-    env = std::move(best->second.front());
-    best->second.pop_front();
-    if (best->second.empty()) rs.unexpected.erase(best);
-  }
-  accept(env, rh, cpu_cost);
-  return true;
 }
 
 void Ctx::accept(const Envelope& env, Req rh, double& cpu_cost) {
@@ -851,43 +804,16 @@ void Ctx::handle_envelope(Envelope& env, double& cpu_cost) {
     return;
   }
 
-  // Eager data or RTS: match against posted receives.
-  Req matched{};
-  bool have = false;
-  auto exact_it = rs.exact_posted.find(MatchKey{env.context, env.tag, env.src});
-  std::uint64_t exact_seq = UINT64_MAX;
-  if (exact_it != rs.exact_posted.end() && !exact_it->second.empty()) {
-    exact_seq = rs.pool.get(exact_it->second.front()).post_seq;
-  }
-  std::size_t wild_pos = SIZE_MAX;
-  std::uint64_t wild_seq = UINT64_MAX;
-  for (std::size_t i = 0; i < rs.wildcard_posted.size(); ++i) {
-    Request& r = rs.pool.get(rs.wildcard_posted[i]);
-    if (r.context != env.context) continue;
-    if (r.tag != kAnyTag && r.tag != env.tag) continue;
-    if (r.peer != kAnySource && r.peer != env.src) continue;
-    wild_pos = i;
-    wild_seq = r.post_seq;
-    break;  // wildcard_posted is in posting order
-  }
-  if (exact_seq != UINT64_MAX && exact_seq <= wild_seq) {
-    matched = exact_it->second.front();
-    exact_it->second.pop_front();
-    if (exact_it->second.empty()) rs.exact_posted.erase(exact_it);
-    have = true;
-  } else if (wild_pos != SIZE_MAX) {
-    matched = rs.wildcard_posted[wild_pos];
-    rs.wildcard_posted.erase(rs.wildcard_posted.begin() +
-                             static_cast<std::ptrdiff_t>(wild_pos));
-    have = true;
-  }
-
-  if (!have) {
-    rs.unexpected[MatchKey{env.context, env.tag, env.src}].push_back(
-        std::move(env));
+  // Eager data or RTS: the oldest posted receive of the key, else the
+  // message waits in the unexpected table.
+  const MatchKey key{env.context, env.tag, env.src};
+  const auto it = oldest(rs.posted, key);
+  if (it == rs.posted.end()) {
+    rs.unexpected.emplace(key, std::move(env));
     return;
   }
-
+  const Req matched = it->second;
+  rs.posted.erase(it);
   accept(env, matched, cpu_cost);
 }
 
@@ -919,7 +845,6 @@ void Ctx::push_chunks(double& cpu_cost) {
     world_.engine().schedule_at(wire.landed, [w = &world_, dst_node] {
       w->machine().remove_inflight(dst_node);
     });
-    ++rs.data_msgs;
     r.cursor += chunk;
     r.chunk_in_flight = true;
     const Req h = v[i];
@@ -949,7 +874,7 @@ double Ctx::progress_work(bool explicit_call) {
   trace::count(trace::Ctr::ProgressPasses);
   if (explicit_call) trace::count(trace::Ctr::ProgressCallsExplicit);
   double cost = explicit_call ? p.progress_cost : 0.0;
-  cost += p.per_req_poll_cost * static_cast<double>(rs.outstanding);
+  cost += p.per_req_poll_cost * static_cast<double>(rs.pool.live_count());
   if (fault::Injector* inj = world_.injector()) {
     const double penalty = inj->starvation_penalty(wrank_, now());
     if (penalty > 0.0) {
@@ -1011,20 +936,8 @@ void Ctx::observe(Req& h, Status* status) {
   Request& r = rs.pool.get(h);
   assert(r.state == ReqState::Complete);
   if (status != nullptr) *status = r.status;
-  --rs.outstanding;
   rs.pool.release(h);
   h = Req{};
-}
-
-template <typename Pred>
-void Ctx::block_until(Pred&& pred) {
-  check_ft();
-  progress_pass(false);
-  while (!pred()) {
-    st().process->suspend();
-    check_ft();
-    progress_pass(false);
-  }
 }
 
 void Ctx::check_ft() {
@@ -1033,10 +946,6 @@ void Ctx::check_ft() {
   if (ft != nullptr && !in_recovery_ && ft->detectable() > ft_acked_) {
     throw RanksFailed();
   }
-}
-
-void Ctx::wait_until(const std::function<bool()>& pred) {
-  block_until([&] { return pred(); });
 }
 
 namespace {
@@ -1062,7 +971,7 @@ bool Ctx::test(Req& h, Status* status) {
 
 void Ctx::wait(Req& h, Status* status) {
   if (h.null()) return;
-  block_until([&] {
+  wait_until([&] {
     const Request& r = st().pool.get(h);
     return r.state == ReqState::Complete || r.failed;
   });
@@ -1074,7 +983,7 @@ void Ctx::wait(Req& h, Status* status) {
 }
 
 void Ctx::wait_all(std::vector<Req>& hs) {
-  block_until([&] {
+  wait_until([&] {
     for (const Req& h : hs) {
       if (h.null()) continue;
       const Request& r = st().pool.get(h);
@@ -1112,32 +1021,14 @@ void Ctx::cancel_request(Req& h) {
     world_.engine().cancel(r.timer_id);
     r.timer_id = 0;
   }
-  const auto is_h = [&](const Req& q) {
-    return q.index == h.index && q.generation == h.generation;
-  };
   if (r.kind == ReqKind::Recv && r.state == ReqState::Posted) {
-    if (r.peer != kAnySource && r.tag != kAnyTag) {
-      auto it = rs.exact_posted.find(MatchKey{r.context, r.tag, r.peer});
-      if (it != rs.exact_posted.end()) {
-        auto& dq = it->second;
-        for (auto qi = dq.begin(); qi != dq.end(); ++qi) {
-          if (is_h(*qi)) {
-            dq.erase(qi);
-            break;
-          }
-        }
-        if (dq.empty()) rs.exact_posted.erase(it);
-      }
-    } else {
-      auto& v = rs.wildcard_posted;
-      v.erase(std::remove_if(v.begin(), v.end(), is_h), v.end());
-    }
+    auto [it, end] = rs.posted.equal_range(MatchKey{r.context, r.tag, r.peer});
+    while (it != end && it->second != h) ++it;
+    if (it != end) rs.posted.erase(it);
   }
-  auto& bulks = rs.cpu_bulk_sends;
-  bulks.erase(std::remove_if(bulks.begin(), bulks.end(), is_h), bulks.end());
+  std::erase(rs.cpu_bulk_sends, h);
   // Any in-flight transport event for this request (NIC bulk completion,
   // chunk drain, RTO) is generation-checked and becomes a no-op.
-  --rs.outstanding;
   rs.pool.release(h);
   h = Req{};
 }
@@ -1165,7 +1056,7 @@ FtDecision Ctx::ft_wait(int iteration, bool finished) {
   // detectable), so suppress RanksFailed until the decision lands.
   in_recovery_ = true;
   try {
-    block_until([&] { return ft->epoch() >= target; });
+    wait_until([&] { return ft->epoch() >= target; });
   } catch (...) {
     in_recovery_ = false;  // RankKilled mid-wait: unwind as usual
     throw;
@@ -1198,21 +1089,13 @@ void Ctx::ft_cleanup(const FtDecision& d) {
     if (world_.ranks_[static_cast<std::size_t>(e.src)].dead) return true;
     return e.tag >= kReliableTagBase && e.tag < floor_tag;
   };
-  for (auto it = rs.unexpected.begin(); it != rs.unexpected.end();) {
-    auto& dq = it->second;
-    for (auto qi = dq.begin(); qi != dq.end();) {
-      qi = stale(*qi) ? dq.erase(qi) : std::next(qi);
-    }
-    it = dq.empty() ? rs.unexpected.erase(it) : std::next(it);
-  }
-  auto& inb = rs.inbound;
-  inb.erase(std::remove_if(inb.begin(), inb.end(), stale), inb.end());
+  std::erase_if(rs.unexpected,
+                [&](const auto& entry) { return stale(entry.second); });
+  std::erase_if(rs.inbound, stale);
   // Dedup entries keyed by a dead sender can never match again: reclaim.
-  for (auto it = rs.seen_msgs.begin(); it != rs.seen_msgs.end();) {
-    const bool dead =
-        world_.ranks_[static_cast<std::size_t>(std::get<1>(*it))].dead;
-    it = dead ? rs.seen_msgs.erase(it) : std::next(it);
-  }
+  std::erase_if(rs.seen_msgs, [&](const auto& entry) {
+    return world_.ranks_[static_cast<std::size_t>(std::get<1>(entry))].dead;
+  });
 
   // Resync the collective/tag counters: every survivor enters the new
   // epoch with identical counters no matter where it was interrupted.

@@ -14,7 +14,6 @@
 //     semantics whose consequences the paper studies.
 
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -97,13 +96,13 @@ struct Envelope {
   std::uint64_t peer_match_id = 0;  ///< receiver request (Cts)
   const void* send_buf = nullptr;   ///< sender buffer (rendezvous delivery)
   std::vector<std::byte> payload;   ///< copied eager payload
-  std::uint64_t arrival_seq = 0;    ///< per-receiver arrival order
   /// World-unique message id; the trace correlation linking this
   /// message's post instant, wire span(s) and delivery instant.
   std::uint64_t seq = 0;
 };
 
-/// Exact-match key for the posted-receive / unexpected-message tables.
+/// Key of the posted-receive and unexpected-message tables: every
+/// receive names its source and tag, so matching is exact.
 struct MatchKey {
   int context;
   int tag;
@@ -116,19 +115,15 @@ struct RankState {
   sim::Process* process = nullptr;
   Ctx* ctx = nullptr;
   int node = 0;
-  RequestPool pool;
-  // Posted receives: exact (context,tag,src) fast path plus a slow list
-  // for wildcard receives; post_seq in Request keeps MPI matching order.
-  std::map<MatchKey, std::deque<Req>> exact_posted;
-  std::vector<Req> wildcard_posted;
-  std::map<MatchKey, std::deque<Envelope>> unexpected;
+  RequestPool pool;  // its live count is the un-observed requests
+  // The matching tables.  emplace() inserts at the end of a key's equal
+  // range, so lower_bound(key) is its oldest entry: FIFO per key, MPI's
+  // non-overtaking order.
+  std::multimap<MatchKey, Req> posted;           // receives awaiting data
+  std::multimap<MatchKey, Envelope> unexpected;  // arrivals awaiting a recv
   std::vector<Envelope> inbound;            // arrived, not yet processed
   std::vector<Req> cpu_bulk_sends;          // CPU-driven bulks in progress
   std::vector<ProgressClient*> clients;
-  std::size_t outstanding = 0;              // live un-observed requests
-  std::uint64_t next_post_seq = 0;
-  std::uint64_t next_arrival_seq = 0;
-  std::uint64_t ctrl_msgs = 0, data_msgs = 0;
   /// Fail-stop kill executed: the NIC is silenced (ship/deliver discard),
   /// the progress engine is stopped, and the fiber unwinds via RankKilled.
   bool dead = false;
@@ -208,10 +203,6 @@ class World {
   /// the RecoveryService; the decision shares the result with every
   /// survivor, so membership is globally consistent by construction.
   Comm shrink(const std::vector<int>& survivors, int epoch);
-
-  /// Total messages put on the wire (diagnostics).
-  [[nodiscard]] std::uint64_t total_data_msgs() const noexcept;
-  [[nodiscard]] std::uint64_t total_ctrl_msgs() const noexcept;
 
   /// Duplicate-suppression entries naming `src` across every rank's
   /// seen_msgs table (diagnostics; recovery reclaims a dead rank's
@@ -405,8 +396,18 @@ class Ctx {
 
   /// Block (progressing) until pred() becomes true.  The predicate is
   /// evaluated after each progress pass; the rank sleeps between passes
-  /// and is woken by message events.  Used by higher layers (NBC wait).
-  void wait_until(const std::function<bool()>& pred);
+  /// and is woken by message events.  The one blocking loop: wait,
+  /// wait_all, the recovery wait and the NBC wait all run it.
+  template <typename Pred>
+  void wait_until(Pred&& pred) {
+    check_ft();
+    progress_pass(false);
+    while (!pred()) {
+      st().process->suspend();
+      check_ft();
+      progress_pass(false);
+    }
+  }
 
   /// Cancel an un-observed request without completing it (NBC timeout
   /// recovery): stops its RTO timer, unlinks posted receives and
@@ -444,10 +445,6 @@ class Ctx {
   /// fault-dilation draws included); `seconds` must be positive.
   double compute_cost(double seconds);
 
-  /// Blocking-loop helper: progress until pred() is true.
-  template <typename Pred>
-  void block_until(Pred&& pred);
-
   /// Fail-stop interruption point: throws RankKilled when this rank is
   /// dead, RanksFailed when a peer failure is detectable and not yet
   /// acknowledged (suppressed inside the recovery wait itself).
@@ -455,7 +452,6 @@ class Ctx {
   FtDecision ft_wait(int iteration, bool finished);
   void ft_cleanup(const FtDecision& d);
 
-  bool try_match_unexpected(Req rh, double& cpu_cost);
   void handle_envelope(detail::Envelope& env, double& cpu_cost);
   /// A matched eager or RTS envelope for receive request `rh`: complete
   /// the eager receive, or answer the RTS with a CTS.

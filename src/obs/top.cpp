@@ -205,10 +205,11 @@ bool TopState::feed_line(const std::string& line) {
 }
 
 long long TopState::eta_ms() const noexcept {
-  if (done() || finished_ == 0 || submitted_ <= finished_) return -1;
+  const std::uint64_t completed = gauges_.pool_completed;
+  if (done() || completed == 0 || submitted_ <= completed) return -1;
   const double per = static_cast<double>(last_t_ms_) /
-                     static_cast<double>(finished_);
-  const double eta = per * static_cast<double>(submitted_ - finished_);
+                     static_cast<double>(completed);
+  const double eta = per * static_cast<double>(submitted_ - completed);
   // 2^63 is the first double past long long's range.
   return eta < 0x1p63 ? static_cast<long long>(eta)
                       : std::numeric_limits<long long>::max();
@@ -228,23 +229,26 @@ void TopState::render(std::ostream& os, bool ansi) const {
   }
   os << "\n\n";
 
-  // Progress bar over submitted scenarios.
-  const std::uint64_t total = submitted_;
-  const std::uint64_t fin = finished_;
-  constexpr int kBarWidth = 32;
-  int filled = 0;
-  if (total > 0) {
-    filled = static_cast<int>(fin * kBarWidth / total);
-    if (filled > kBarWidth) filled = kBarWidth;
+  // Progress over pool tasks: the batch records sum the submitted tasks
+  // and the latest sample counts the completed ones.  One task may run
+  // several scenario scopes, so scenario records are counted apart, and
+  // without a sample there is no task fraction to show.
+  if (gauges_.seen) {
+    const std::uint64_t total = submitted_;
+    const std::uint64_t done_tasks = std::min(gauges_.pool_completed, total);
+    constexpr int kBarWidth = 32;
+    const int filled =
+        total > 0 ? static_cast<int>(done_tasks * kBarWidth / total) : 0;
+    os << "  progress [";
+    if (ansi) os << "\x1b[32m";
+    for (int i = 0; i < filled; ++i) os << '#';
+    if (ansi) os << reset;
+    for (int i = filled; i < kBarWidth; ++i) os << '.';
+    os << "] " << done_tasks << "/" << total << " tasks\n";
   }
-  os << "  progress [";
-  if (ansi) os << "\x1b[32m";
-  for (int i = 0; i < filled; ++i) os << '#';
-  if (ansi) os << reset;
-  for (int i = filled; i < kBarWidth; ++i) os << '.';
-  os << "] " << fin << "/" << total;
-  const std::uint64_t running = started_ > fin ? started_ - fin : 0;
-  if (running > 0) os << "  (" << running << " running)";
+  os << "  scenarios " << finished_ << " finished";
+  const std::uint64_t running = started_ > finished_ ? started_ - finished_ : 0;
+  if (running > 0) os << ", " << running << " running";
   os << "  elapsed " << human_ms(last_t_ms_);
   const long long eta = eta_ms();
   if (eta >= 0) os << "  eta ~" << human_ms(eta);

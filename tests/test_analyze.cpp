@@ -1973,7 +1973,8 @@ TEST(AnalyzeFuzz, MutatedReportJsonParsesOrFailsLocated) {
 
 TEST(AnalyzeFuzz, TopSaturatesInRangeExtremes) {
   // Every number below fits in long long, so the records are accepted;
-  // two of them summed, or the ETA they imply, do not.  The sums saturate
+  // two of them summed, or the ETA they imply (2 of 10 tasks sampled
+  // done), do not.  The sums saturate
   // and the ETA clamps, so the frame shows the largest values instead of
   // wrapped negatives (and the sanitizer build sees no overflow).
   obs::TopState top;
@@ -1982,6 +1983,7 @@ TEST(AnalyzeFuzz, TopSaturatesInRangeExtremes) {
            R"({"seq":1,"t_ms":0,"type":"batch","tasks":10})",
            R"({"seq":2,"t_ms":1,"type":"scenario","phase":"finished","label":"a","op":"ibcast","ops":1,"median_op_ns":9000000000000000000,"blame_bp":{"compute":9000000000000000000},"recovery":{"deaths":1,"detection_ns":9000000000000000000,"time_to_recover_ns":9000000000000000000}})",
            R"({"seq":3,"t_ms":9000000000000000000,"type":"scenario","phase":"finished","label":"b","op":"ibcast","ops":1,"median_op_ns":9000000000000000000,"blame_bp":{"compute":9000000000000000000},"recovery":{"deaths":1,"detection_ns":9000000000000000000,"time_to_recover_ns":9000000000000000000}})",
+           R"({"seq":4,"t_ms":9000000000000000000,"type":"sample","pool":{"submitted":10,"completed":2}})",
        }) {
     ASSERT_TRUE(top.feed_line(line)) << line;
   }
@@ -1990,7 +1992,7 @@ TEST(AnalyzeFuzz, TopSaturatesInRangeExtremes) {
   EXPECT_EQ(top.ops().at("ibcast").blame_bp_sum[0], kMax);
   EXPECT_EQ(top.recovery().detection_sum_ns, kMax);
   EXPECT_EQ(top.recovery().ttr_sum_ns, kMax);
-  EXPECT_EQ(top.eta_ms(), kMax);  // 4.5e18 ms per scenario, 8 to go
+  EXPECT_EQ(top.eta_ms(), kMax);  // 4.5e18 ms per task, 8 to go
   std::ostringstream frame;
   top.render(frame, /*ansi=*/false);
   const std::string f = frame.str();

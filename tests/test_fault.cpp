@@ -86,6 +86,21 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_THROW(fault::FaultPlan::parse("drop:p"), std::invalid_argument);
   EXPECT_THROW(fault::FaultPlan::parse("rto=abc"), std::invalid_argument);
   EXPECT_THROW(fault::FaultPlan::parse("wat=1"), std::invalid_argument);
+  // Integer keys take a whole integer in their type's range, and real
+  // keys a finite number.
+  for (const char* spec :
+       {"retries=1e10", "seed=-1", "max_attempts=2.5", "kill=3.7@0.001",
+        "drop:p=nan", "dup:p=0.5,max=1e3", "stall:node=+1", "rto=inf",
+        "drift:window=3x", "straggler:rank=", "seed=18446744073709551616"}) {
+    EXPECT_THROW(fault::FaultPlan::parse(spec), std::invalid_argument)
+        << spec;
+  }
+  try {
+    (void)fault::FaultPlan::parse("retries=1e10");
+    ADD_FAILURE() << "retries=1e10 parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "fault plan: bad number for 'retries': '1e10'");
+  }
 }
 
 TEST(FaultPlan, CannedPlansParseAndEnable) {

@@ -270,7 +270,8 @@ TEST(Fft3d, PatternParamsMatchPaper) {
 TEST(Fft3d, CostModelModeMovesNoData) {
   // In cost-model mode (real_math = false) the kernel must run without
   // allocating grid buffers and still exchange the right message sizes.
-  std::uint64_t msgs = 0;
+  trace::Tracer tr("fft cost model");
+  t::InstallTracer install(tr);
   sim::Engine engine(1);
   net::Machine machine(net::whale());
   mpi::WorldOptions wopts;
@@ -286,7 +287,6 @@ TEST(Fft3d, CostModelModeMovesNoData) {
     k.run_iteration();
   });
   engine.run();
-  msgs = world.total_data_msgs();
   // 16 tiles (64/4 planes, tile 1) x 4 ranks x 3 peers (linear alltoall).
-  EXPECT_EQ(msgs, 16u * 4u * 3u);
+  EXPECT_EQ(t::data_msgs(tr), 16u * 4u * 3u);
 }

@@ -125,6 +125,8 @@ TEST(Fft3dRoundTrip, RepeatedRoundTripsStayStable) {
 
 TEST(Fft3dRoundTrip, CostModelInverseRuns) {
   // Cost-model mode: the inverse moves the mirrored message volume.
+  trace::Tracer tr("fft inverse cost model");
+  t::InstallTracer install(tr);
   sim::Engine engine(1);
   net::Machine machine(net::whale());
   mpi::WorldOptions wopts;
@@ -142,5 +144,5 @@ TEST(Fft3dRoundTrip, CostModelInverseRuns) {
   });
   engine.run();
   // Forward and inverse each move tiles x P x (P-1) messages.
-  EXPECT_EQ(world.total_data_msgs(), 2u * 8u * 4u * 3u);
+  EXPECT_EQ(t::data_msgs(tr), 2u * 8u * 4u * 3u);
 }

@@ -320,6 +320,43 @@ TEST(FtRecovery, FinishedRanksStandAtTerminationAgreement) {
   EXPECT_EQ(resumed[1], 4);
 }
 
+TEST(FtRecovery, CleanupDropsADeadSendersUnexpectedMessagesOnly) {
+  // Ranks 1 and 2 each send rank 0 one eager message; a progress pass
+  // queues both as unexpected before rank 2 dies.  Recovery's cleanup
+  // purges the dead sender's message and keeps the survivor's.
+  const fault::FaultPlan plan =
+      fault::FaultPlan::parse("kill=2@0.002;lease=1e-3");
+  int from_survivor = 0;
+  bool dead_matched = true;
+  run_ft(3, plan, [&](mpi::Ctx& ctx) {
+    auto comm = ctx.world().comm_world();
+    const int me = ctx.world_rank();
+    if (me != 0) {
+      const int v = me * 10 + 1;
+      ctx.send(comm, &v, sizeof v, 0, 5);
+    } else {
+      ctx.compute(1e-3);
+      ctx.progress();
+    }
+    try {
+      for (;;) ctx.compute(2e-4);
+    } catch (const mpi::RanksFailed&) {
+      (void)ctx.ft_recover(0);
+      if (me == 0) {
+        int v = 0;
+        mpi::Req from_dead = ctx.irecv(comm, &v, sizeof v, 2, 5);
+        dead_matched = ctx.test(from_dead);
+        ctx.cancel_request(from_dead);
+        EXPECT_EQ(ctx.recv(comm, &v, sizeof v, 1, 5).source, 1);
+        from_survivor = v;
+      }
+      (void)ctx.ft_finish();
+    }
+  });
+  EXPECT_FALSE(dead_matched);
+  EXPECT_EQ(from_survivor, 11);
+}
+
 // --------------------------------------- no resurrection of dead traffic
 
 TEST(FtRecovery, RetransmitNeverResurrectsTrafficToADeadRank) {

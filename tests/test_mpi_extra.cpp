@@ -18,6 +18,8 @@ const net::Platform kIb = net::whale();
 }
 
 TEST(Transport, RendezvousCountsControlMessages) {
+  trace::Tracer tr("rndv");
+  t::InstallTracer install(tr);
   sim::Engine engine(1);
   net::Machine machine(kIb);
   mpi::WorldOptions o;
@@ -35,11 +37,13 @@ TEST(Transport, RendezvousCountsControlMessages) {
   });
   engine.run();
   // One rendezvous: RTS + CTS control messages, one bulk data message.
-  EXPECT_EQ(world.total_ctrl_msgs(), 2u);
-  EXPECT_EQ(world.total_data_msgs(), 1u);
+  EXPECT_EQ(t::ctrl_msgs(tr), 2u);
+  EXPECT_EQ(t::data_msgs(tr), 1u);
 }
 
 TEST(Transport, EagerSendsNoControlMessages) {
+  trace::Tracer tr("eager");
+  t::InstallTracer install(tr);
   sim::Engine engine(1);
   net::Machine machine(kIb);
   mpi::WorldOptions o;
@@ -56,8 +60,8 @@ TEST(Transport, EagerSendsNoControlMessages) {
     }
   });
   engine.run();
-  EXPECT_EQ(world.total_ctrl_msgs(), 0u);
-  EXPECT_EQ(world.total_data_msgs(), 1u);
+  EXPECT_EQ(t::ctrl_msgs(tr), 0u);
+  EXPECT_EQ(t::data_msgs(tr), 1u);
 }
 
 TEST(Transport, RendezvousStatusCarriesSourceAndSize) {
@@ -191,6 +195,8 @@ TEST(Misuse, TooManyRanksForPlatform) {
 }
 
 TEST(WorldAccounting, MessageTotalsAcrossCollective) {
+  trace::Tracer tr("barrier");
+  t::InstallTracer install(tr);
   sim::Engine engine(1);
   net::Machine machine(kIb);
   mpi::WorldOptions o;
@@ -202,5 +208,5 @@ TEST(WorldAccounting, MessageTotalsAcrossCollective) {
   });
   engine.run();
   // Dissemination barrier: log2(8) = 3 rounds, one message per rank each.
-  EXPECT_EQ(world.total_data_msgs(), 8u * 3u);
+  EXPECT_EQ(t::data_msgs(tr), 8u * 3u);
 }

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <stdexcept>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -151,20 +152,13 @@ TEST(Pt2Pt, TagSelectsMessage) {
   EXPECT_EQ(got4, 40);
 }
 
-TEST(Pt2Pt, AnySourceReceives) {
-  std::vector<int> got(2, -1);
-  t::run_world(kIb, 3, [&](mpi::Ctx& ctx) {
+TEST(Pt2Pt, ReceiveFromSourceMinusOneThrows) {
+  // Every receive names a rank of its communicator: there is no wildcard.
+  t::run_world(kIb, 2, [&](mpi::Ctx& ctx) {
     auto comm = ctx.world().comm_world();
-    if (ctx.world_rank() != 0) {
-      int v = ctx.world_rank() * 10;
-      ctx.send(comm, &v, sizeof v, 0, 1);
-    } else {
-      mpi::Status st0 = ctx.recv(comm, &got[0], sizeof(int), mpi::kAnySource, 1);
-      mpi::Status st1 = ctx.recv(comm, &got[1], sizeof(int), mpi::kAnySource, 1);
-      EXPECT_NE(st0.source, st1.source);
-    }
+    int v = 0;
+    EXPECT_THROW(ctx.irecv(comm, &v, sizeof v, -1, 1), std::invalid_argument);
   });
-  EXPECT_EQ(got[0] + got[1], 30);
 }
 
 TEST(Pt2Pt, UnexpectedEagerBufferedUntilRecv) {
@@ -236,6 +230,112 @@ TEST(Pt2Pt, RecvBufferTooSmallThrows) {
                      }
                    }),
       std::length_error);
+}
+
+// ------------------------------------------------------- matching order
+//
+// Receives and messages of one (communicator, tag, source) key match
+// first-posted to first-arrived, whatever the protocol.
+
+namespace {
+
+constexpr int kSameKeyMsgs = 3;
+
+/// The payload of message `k` of a same-key run.
+std::vector<std::byte> nth_payload(int k, std::size_t n) {
+  return t::make_pattern(k + 1, n);
+}
+
+/// Rank 0 sends kSameKeyMsgs messages of `n` bytes on one tag to rank 1,
+/// which receives them into buffers in the order it posts them.  With
+/// `post_first`, rank 1 posts every receive before the first message
+/// leaves; otherwise every message has arrived, and been queued as
+/// unexpected, before rank 1 posts.  Returns rank 1's buffers.
+std::vector<std::vector<std::byte>> same_key_run(const net::Platform& platform,
+                                                 int receiver, std::size_t n,
+                                                 bool post_first) {
+  std::vector<std::vector<std::byte>> got(
+      kSameKeyMsgs, std::vector<std::byte>(n, std::byte{0}));
+  t::run_world(platform, receiver + 1, [&](mpi::Ctx& ctx) {
+    auto comm = ctx.world().comm_world();
+    if (ctx.world_rank() == 0) {
+      if (post_first) ctx.compute(1e-3);
+      std::vector<std::vector<std::byte>> data;
+      std::vector<mpi::Req> reqs;
+      for (int k = 0; k < kSameKeyMsgs; ++k) data.push_back(nth_payload(k, n));
+      for (int k = 0; k < kSameKeyMsgs; ++k) {
+        reqs.push_back(ctx.isend(comm, data[k].data(), n, receiver, 3));
+      }
+      ctx.wait_all(reqs);
+    } else if (ctx.world_rank() == receiver) {
+      if (!post_first) {
+        ctx.compute(1e-2);
+        ctx.progress();  // every arrival goes to the unexpected table
+      }
+      std::vector<mpi::Req> reqs;
+      for (int k = 0; k < kSameKeyMsgs; ++k) {
+        reqs.push_back(ctx.irecv(comm, got[k].data(), n, 0, 3));
+      }
+      ctx.wait_all(reqs);
+    }
+  });
+  return got;
+}
+
+}  // namespace
+
+TEST(MatchOrder, PostedReceivesMatchInPostOrder) {
+  // Eager and rendezvous, within a node (rank 1) and across nodes (rank 8).
+  for (const std::size_t n : {std::size_t{1024}, std::size_t{256 * 1024}}) {
+    for (const int receiver : {1, 8}) {
+      const auto got = same_key_run(kIb, receiver, n, /*post_first=*/true);
+      for (int k = 0; k < kSameKeyMsgs; ++k) {
+        EXPECT_EQ(got[k], nth_payload(k, n))
+            << "bytes " << n << " receiver " << receiver << " message " << k;
+      }
+    }
+  }
+}
+
+TEST(MatchOrder, UnexpectedMessagesDrainInArrivalOrder) {
+  for (const std::size_t n : {std::size_t{1024}, std::size_t{256 * 1024}}) {
+    for (const int receiver : {1, 8}) {
+      const auto got = same_key_run(kIb, receiver, n, /*post_first=*/false);
+      for (int k = 0; k < kSameKeyMsgs; ++k) {
+        EXPECT_EQ(got[k], nth_payload(k, n))
+            << "bytes " << n << " receiver " << receiver << " message " << k;
+      }
+    }
+  }
+}
+
+TEST(MatchOrder, CancellingTheMiddleReceiveKeepsTheOthersInOrder) {
+  // Three same-key receives are posted and the middle one is cancelled:
+  // the two messages that follow match the first and the third.
+  const std::size_t n = 1024;
+  std::vector<std::vector<std::byte>> got(
+      kSameKeyMsgs, std::vector<std::byte>(n, std::byte{0}));
+  t::run_world(kIb, 2, [&](mpi::Ctx& ctx) {
+    auto comm = ctx.world().comm_world();
+    if (ctx.world_rank() == 0) {
+      ctx.compute(1e-3);
+      const auto a = nth_payload(0, n);
+      const auto b = nth_payload(1, n);
+      ctx.send(comm, a.data(), n, 1, 3);
+      ctx.send(comm, b.data(), n, 1, 3);
+    } else {
+      std::vector<mpi::Req> reqs;
+      for (int k = 0; k < kSameKeyMsgs; ++k) {
+        reqs.push_back(ctx.irecv(comm, got[k].data(), n, 0, 3));
+      }
+      ctx.cancel_request(reqs[1]);
+      EXPECT_TRUE(reqs[1].null());
+      ctx.wait_all(reqs);
+    }
+  });
+  EXPECT_EQ(got[0], nth_payload(0, n));
+  EXPECT_EQ(got[1], std::vector<std::byte>(n, std::byte{0}));
+  EXPECT_EQ(got[2], nth_payload(1, n));
 }
 
 // --------------------------------------------------- timing / semantics
@@ -425,11 +525,7 @@ std::vector<trace::Event> wire_spans(
     const std::function<void(mpi::Ctx&)>& program,
     const fault::FaultPlan* plan = nullptr) {
   trace::Tracer tr("wire");
-  struct Install {
-    explicit Install(trace::Tracer* t) : prev(trace::set_current(t)) {}
-    ~Install() { trace::set_current(prev); }
-    trace::Tracer* prev;
-  } install(&tr);
+  t::InstallTracer install(tr);
   {
     sim::Engine engine(1);
     net::Machine machine(platform);

@@ -706,6 +706,80 @@ TEST(ObsTop, FeedsStreamAndSkipsForeignLines) {
   EXPECT_NE(ansi.str().find("\x1b["), std::string::npos);
 }
 
+namespace {
+
+/// Feeds live records to `top`, numbering their seq fields.
+class StreamFeeder {
+ public:
+  explicit StreamFeeder(obs::TopState& top) : top_(top) {}
+  void operator()(long long t_ms, const std::string& body) {
+    const std::string line = "{\"seq\":" + std::to_string(seq_++) +
+                             ",\"t_ms\":" + std::to_string(t_ms) + "," +
+                             body + "}";
+    EXPECT_TRUE(top_.feed_line(line)) << line;
+  }
+  /// `n` scenario scopes that start and finish at `t_ms`.
+  void scenarios(int n, long long t_ms) {
+    for (int i = 0; i < n; ++i) {
+      (*this)(t_ms, R"("type":"scenario","phase":"started","label":"s")");
+      (*this)(t_ms, R"("type":"scenario","phase":"finished","label":"s")");
+    }
+  }
+
+ private:
+  obs::TopState& top_;
+  long long seq_ = 0;
+};
+
+}  // namespace
+
+TEST(ObsTop, ProgressCountsPoolTasksNotScenarioRecords) {
+  // The fault sweep's shape: two batches of 6 pool tasks, whose scopes
+  // finish 17 scenarios.  The bar and the ETA follow the sampled task
+  // count; the scenario records are counted apart.
+  obs::TopState top;
+  StreamFeeder feed(top);
+  feed(0, R"("type":"hello","schema":"nbctune-live-v1","bench":"fault_sweep","threads":4)");
+  feed(0, R"("type":"batch","tasks":6,"total_submitted":6)");
+  feed.scenarios(9, 300);
+  feed(400, R"("type":"sample","pool":{"submitted":6,"completed":4,"steals":0,"queued":0,"inflight":2})");
+  EXPECT_EQ(top.eta_ms(), 200);  // 100 ms per task, 2 to go
+  feed(500, R"("type":"batch","tasks":6,"total_submitted":12)");
+  feed.scenarios(8, 800);
+  feed(900, R"("type":"sample","pool":{"submitted":12,"completed":10,"steals":0,"queued":0,"inflight":2})");
+  EXPECT_EQ(top.submitted(), 12u);
+  EXPECT_EQ(top.finished(), 17u);
+  EXPECT_EQ(top.eta_ms(), 180);  // 90 ms per task, 2 to go
+
+  std::ostringstream frame;
+  top.render(frame, /*ansi=*/false);
+  const std::string f = frame.str();
+  EXPECT_NE(f.find("] 10/12 tasks"), std::string::npos) << f;
+  EXPECT_NE(f.find("scenarios 17 finished"), std::string::npos) << f;
+  EXPECT_NE(f.find("eta ~0.2s"), std::string::npos) << f;
+  EXPECT_EQ(f.find("17/12"), std::string::npos) << f;
+}
+
+TEST(ObsTop, NoSampleShowsNoTaskFraction) {
+  // With --live-sample-ms 0 the stream carries no pool sample: no task
+  // count is known, so neither a bar nor an ETA is drawn.
+  obs::TopState top;
+  StreamFeeder feed(top);
+  feed(0, R"("type":"hello","schema":"nbctune-live-v1","bench":"fault_sweep","threads":4)");
+  feed(0, R"("type":"batch","tasks":6,"total_submitted":6)");
+  feed.scenarios(9, 300);
+  feed(310, R"("type":"scenario","phase":"started","label":"s")");
+  EXPECT_EQ(top.eta_ms(), -1);
+
+  std::ostringstream frame;
+  top.render(frame, /*ansi=*/false);
+  const std::string f = frame.str();
+  EXPECT_EQ(f.find("progress ["), std::string::npos) << f;
+  EXPECT_EQ(f.find("/6"), std::string::npos) << f;
+  EXPECT_NE(f.find("scenarios 9 finished, 1 running"), std::string::npos)
+      << f;
+}
+
 TEST(ObsTop, AggregatesFailuresAndRecovery) {
   obs::TopState top;
   EXPECT_TRUE(top.feed_line(

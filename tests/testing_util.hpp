@@ -13,6 +13,7 @@
 #include "net/machine.hpp"
 #include "net/platform.hpp"
 #include "sim/engine.hpp"
+#include "trace/trace.hpp"
 
 namespace nbctune::testing {
 
@@ -43,6 +44,32 @@ inline RunResult run_world(const net::Platform& platform, int nprocs,
   engine.run();
   result.end_time = engine.now();
   return result;
+}
+
+/// Installs a tracer on this thread for the guard's lifetime.
+class InstallTracer {
+ public:
+  explicit InstallTracer(trace::Tracer& tr) : prev_(trace::set_current(&tr)) {}
+  ~InstallTracer() { trace::set_current(prev_); }
+  InstallTracer(const InstallTracer&) = delete;
+  InstallTracer& operator=(const InstallTracer&) = delete;
+
+ private:
+  trace::Tracer* prev_;
+};
+
+/// Data messages `tr` counted: eager payloads, NIC bulks and CPU-pushed
+/// bulk chunks.
+inline std::uint64_t data_msgs(const trace::Tracer& tr) {
+  return tr.counter(trace::Ctr::MsgsEager) +
+         tr.counter(trace::Ctr::MsgsNicBulks) +
+         tr.counter(trace::Ctr::MsgsBulkChunks);
+}
+
+/// Control messages `tr` counted: RTS, CTS and acknowledgements.
+inline std::uint64_t ctrl_msgs(const trace::Tracer& tr) {
+  return tr.counter(trace::Ctr::MsgsRts) + tr.counter(trace::Ctr::MsgsCts) +
+         tr.counter(trace::Ctr::MsgsAcks);
 }
 
 /// `platform` with one core per node: every rank gets a node of its own,
