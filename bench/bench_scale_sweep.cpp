@@ -15,6 +15,10 @@
 // The heap is trimmed between points so that a point's peak does not
 // include pages an earlier point left resident.
 //
+// Each point also carries its simulated loop time as whole nanoseconds
+// (`loop_time_ns`, rounded as the analysis reports round), which CI
+// compares with bench/golden/scale_loop_times.txt.
+//
 //   bench_scale_sweep [--full] [--out FILE] [--max-ranks N]
 //
 // --full doubles iterations; --max-ranks caps the sweep.
@@ -22,6 +26,7 @@
 #include <malloc.h>
 
 #include <chrono>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -121,6 +126,7 @@ void write_json(std::ostream& os, const std::vector<Point>& points,
     os << "    {\"op\": \"" << harness::op_name(p.op)
        << "\", \"nprocs\": " << p.nprocs << ", \"impl\": \"" << p.impl
        << "\", \"loop_time_s\": " << p.loop_time
+       << ", \"loop_time_ns\": " << std::llround(p.loop_time * 1e9)
        << ", \"wall_s\": " << p.wall_s << ", \"rss_hwm_kb\": " << p.rss_hwm_kb
        << "}" << (i + 1 < points.size() ? "," : "") << "\n";
   }

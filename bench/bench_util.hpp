@@ -41,8 +41,8 @@ namespace nbctune::bench {
 /// stderr (table) or writes it with `--report-out <file>`.  All exports
 /// are byte-deterministic at any thread count and never touch stdout.
 /// `--fiber-stack N` sets the per-rank fiber stack in bytes (default
-/// 256 KiB or NBCTUNE_FIBER_STACK; raised to a 16 KiB floor, which is
-/// enough for pinned collective loops at 100k+ ranks).
+/// 256 KiB; raised to a 16 KiB floor, which is enough for pinned
+/// collective loops at 100k+ ranks).
 /// `--list-platforms` dumps every preset's node/core/NIC counts,
 /// per-level link parameters and hierarchy shape
 /// (net::describe_platform) to stdout and exits before the sweep.

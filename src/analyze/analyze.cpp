@@ -1064,8 +1064,6 @@ ScenarioReport analyze_scenario(const trace::FinishedTrace& t,
   sr.faults = analyze_faults(t);
   sr.recovery = analyze_recovery(t);
   sr.ops_aborted = sr.recovery.aborted_ops;
-  sr.fibers_created = counter(t, trace::Ctr::SimFibersCreated);
-  sr.peak_arena_bytes = counter(t, trace::Ctr::WorldPeakArenaBytes);
   sr.dropped_events = counter(t, trace::Ctr::TraceDroppedEvents);
 
   // Post-decision performance: ops starting after the decision event.

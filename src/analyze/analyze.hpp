@@ -247,11 +247,6 @@ struct ScenarioReport {
   AdclAudit adcl;
   FaultSummary faults;
   RecoverySummary recovery;
-  /// Execution-resource counters from the per-scenario trace (0 when the
-  /// trace predates them): fibers constructed and the World's flat
-  /// per-rank arena footprint at destruction.
-  std::uint64_t fibers_created = 0;
-  std::uint64_t peak_arena_bytes = 0;
   /// Repetition-aware statistics over the scenario's op instances (one
   /// sample per collective instance: the critical rank's elapsed time
   /// and its blame partition).  `min_reps_met` flags whether the sample

@@ -172,10 +172,6 @@ void write_json(std::ostream& os, const Report& report) {
          << ",\"rebuild_ns\":" << ns(rec.rebuild)
          << ",\"time_to_recover_ns\":" << ns(rec.time_to_recover) << "}";
     }
-    if (s.fibers_created > 0 || s.peak_arena_bytes > 0) {
-      os << ",\"exec\":{\"fibers_created\":" << s.fibers_created
-         << ",\"peak_arena_bytes\":" << s.peak_arena_bytes << "}";
-    }
     // Conditional: only capped traces carry the key, so fault-free golden
     // reports stay byte-identical.
     if (s.truncated()) {
@@ -330,10 +326,6 @@ void write_table(std::ostream& os, const Report& report) {
       os << "    detection " << us(rec.detection) << " us, agreement "
          << us(rec.agreement) << " us, rebuild " << us(rec.rebuild)
          << " us, time-to-recover " << us(rec.time_to_recover) << " us\n";
-    }
-    if (s.fibers_created > 0 || s.peak_arena_bytes > 0) {
-      os << "  exec: fibers " << s.fibers_created << ", peak arena "
-         << s.peak_arena_bytes << " B\n";
     }
     if (s.truncated()) {
       os << "  TRUNCATED: " << s.dropped_events

@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <system_error>
 #include <utility>
@@ -51,11 +50,13 @@ std::vector<Kv> parse_kvs(const std::string& what, const std::string& body) {
                               v + "'");
 }
 
-/// A real value: the whole token, finite.
+/// A real value: the whole token in decimal or exponent form, finite
+/// (no sign prefix, hexadecimal or surrounding space; not locale-bound).
 double to_num(const std::string& what, const std::string& v) {
-  char* end = nullptr;
-  const double x = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0' || !std::isfinite(x)) {
+  double x = 0.0;
+  const char* const last = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), last, x);
+  if (ec != std::errc{} || ptr != last || !std::isfinite(x)) {
     bad_number(what, v);
   }
   return x;

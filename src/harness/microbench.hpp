@@ -63,9 +63,9 @@ struct MicroScenario {
   /// Short plan name (ScenarioKey::plan); defaults to "spec" when a plan
   /// is set without a name.
   std::string fault_plan_name;
-  /// Per-rank fiber stack size; 0 = sim default (the NBCTUNE_FIBER_STACK
-  /// env var, else 256 KiB).  The 16 KiB floor is enough for a pinned
-  /// collective loop and is how bench_scale_sweep reaches 131072 ranks.
+  /// Per-rank fiber stack size; 0 = the sim default (256 KiB).  The
+  /// 16 KiB floor is enough for a pinned collective loop and is how
+  /// bench_scale_sweep reaches 131072 ranks.
   std::size_t fiber_stack_bytes = 0;
 };
 

@@ -66,8 +66,8 @@ struct WorldOptions {
   std::uint64_t seed = 1;
   /// Scale factor on the platform's noise model (0 = fully deterministic).
   double noise_scale = 1.0;
-  /// Fiber stack size for launch(); 0 = sim::default_fiber_stack_bytes()
-  /// (NBCTUNE_FIBER_STACK env var, else 256 KiB).
+  /// Fiber stack size for launch(); 0 = sim::kDefaultFiberStackBytes
+  /// (256 KiB).
   std::size_t fiber_stack_bytes = 0;
   /// Optional fault plan (must outlive the World).  Attaching a lossy plan
   /// switches inter-node messaging to ack/retransmit mode.

@@ -115,7 +115,7 @@ class Engine {
 
   /// Create a process; its body starts running when run() is called.
   /// Returns the process (owned by the engine, stable address).
-  /// @param stack_bytes fiber stack size; 0 = default_fiber_stack_bytes()
+  /// @param stack_bytes fiber stack size; 0 = sim::kDefaultFiberStackBytes
   Process& add_process(std::string name, std::function<void(Process&)> body,
                        std::size_t stack_bytes = 0);
 

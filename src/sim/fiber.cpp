@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 
 #ifdef NBCTUNE_FIBER_ASAN
 #include <sanitizer/common_interface_defs.h>
@@ -60,7 +58,6 @@ namespace {
 // The fiber being entered or currently running.  Single-threaded by design.
 thread_local Fiber* g_current = nullptr;
 
-constexpr std::size_t kFallbackStackBytes = 256 * 1024;
 constexpr std::size_t kMinStackBytes = 16 * 1024;
 constexpr int kSavedRegisters = 6;  // rbp, rbx, r12-r15
 
@@ -71,7 +68,7 @@ std::unique_ptr<char[]> allocate_stack(std::size_t stack_bytes) {
     throw std::runtime_error(
         "fiber: cannot allocate a " + std::to_string(stack_bytes) +
         "-byte stack (out of memory); shrink the world or lower the stack "
-        "size with NBCTUNE_FIBER_STACK or --fiber-stack (16384 fits the "
+        "size with --fiber-stack or fiber_stack_bytes (16384 fits the "
         "pinned collective loop)");
   }
 }
@@ -92,26 +89,10 @@ void* prime_stack(char* stack, std::size_t bytes, void (*entry)()) {
 }
 }  // namespace
 
-std::size_t default_fiber_stack_bytes() {
-  // Read the environment on every call so tests can vary it per world.
-  // Only a whole unsigned decimal counts: a sign, a space, an overflow or
-  // trailing junk falls back to the default instead of becoming a huge
-  // request.
-  if (const char* env = std::getenv("NBCTUNE_FIBER_STACK")) {
-    const std::string_view s(env);
-    std::size_t v = 0;
-    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-    if (ec == std::errc{} && end == s.data() + s.size() && v > 0) {
-      return std::max(v, kMinStackBytes);
-    }
-  }
-  return kFallbackStackBytes;
-}
-
 Fiber::Fiber(Fn fn, std::size_t stack_bytes)
     : fn_(std::move(fn)),
       stack_bytes_(stack_bytes != 0 ? std::max(stack_bytes, kMinStackBytes)
-                                    : default_fiber_stack_bytes()) {
+                                    : kDefaultFiberStackBytes) {
   if (!fn_) throw std::invalid_argument("Fiber requires a callable");
   stack_ = allocate_stack(stack_bytes_);
   trace::count(trace::Ctr::SimFibersCreated);

@@ -46,13 +46,11 @@
 
 namespace nbctune::sim {
 
-/// Stack size used when a caller does not pick one: the NBCTUNE_FIBER_STACK
-/// environment variable (a plain decimal byte count, clamped to >= 16 KiB),
-/// else 256 KiB.  The default is generous for the schedule builders and FFT
-/// kernels that run on fiber stacks; pure-collective mega-scale runs fit in
-/// the 16 KiB floor, which keeps a 131072-rank world near 10 KiB of resident
-/// memory per rank.
-[[nodiscard]] std::size_t default_fiber_stack_bytes();
+/// Stack size used when a caller does not pick one.  It is generous for
+/// the schedule builders and FFT kernels that run on fiber stacks;
+/// pure-collective mega-scale runs fit in the 16 KiB floor, which keeps a
+/// 131072-rank world near 10 KiB of resident memory per rank.
+inline constexpr std::size_t kDefaultFiberStackBytes = 256 * 1024;
 
 /// A single cooperatively scheduled fiber.
 ///
@@ -67,8 +65,8 @@ class Fiber {
   using Fn = std::function<void()>;
 
   /// @param fn          body executed on the fiber's own stack
-  /// @param stack_bytes stack size, raised to the same 16 KiB floor as the
-  ///                    default; 0 means default_fiber_stack_bytes().
+  /// @param stack_bytes stack size, raised to a 16 KiB floor; 0 means
+  ///                    kDefaultFiberStackBytes.
   ///                    Throws std::runtime_error (not std::bad_alloc) with
   ///                    an actionable message when the stack cannot be
   ///                    allocated.

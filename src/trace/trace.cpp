@@ -46,18 +46,25 @@ namespace {
 
 constexpr std::string_view name_of(Kind k) noexcept { return row(k).name; }
 
-/// Every kind, sorted by Chrome name; kinds sharing a name stay in
-/// schema order.
-constexpr auto kKindsByName = [] {
-  std::array<Kind, std::size(kKindRows)> kinds{};
-  for (std::size_t i = 0; i < kinds.size(); ++i) {
-    kinds[i] = static_cast<Kind>(i);
-  }
-  std::ranges::sort(kinds, [](Kind a, Kind b) {
-    return name_of(a) != name_of(b) ? name_of(a) < name_of(b) : a < b;
+/// Every enumerator of a schema with N rows, sorted by `name`; rows
+/// sharing a name stay in schema order.
+template <class E, std::size_t N>
+constexpr std::array<E, N> by_name(std::string_view (*name)(E) noexcept) {
+  std::array<E, N> out{};
+  for (std::size_t i = 0; i < N; ++i) out[i] = static_cast<E>(i);
+  std::ranges::sort(out, [&](E a, E b) {
+    return name(a) != name(b) ? name(a) < name(b) : a < b;
   });
-  return kinds;
-}();
+  return out;
+}
+
+constexpr auto kKindsByName = by_name<Kind, std::size(kKindRows)>(name_of);
+/// The counter dump's line order, so committed goldens survive schema
+/// reorders and insertions.
+constexpr auto kCtrsByName =
+    by_name<Ctr, static_cast<std::size_t>(Ctr::kCount)>(ctr_name);
+constexpr auto kHistsByName =
+    by_name<Hist, static_cast<std::size_t>(Hist::kCount)>(hist_name);
 
 }  // namespace
 
@@ -84,128 +91,6 @@ void instant(double ts, std::int32_t track, Cat /*cat*/, const char* name,
   });
   t->emit(Event{ts, -1.0, track, keyed != kinds.end() ? *keyed : kinds[0],
                 aval, bval, corr});
-}
-
-const char* ctr_name(Ctr c) noexcept {
-  switch (c) {
-    case Ctr::EngineEventsScheduled:
-      return "engine.events_scheduled";
-    case Ctr::EngineEventsFired:
-      return "engine.events_fired";
-    case Ctr::EngineEventsCancelled:
-      return "engine.events_cancelled";
-    case Ctr::EngineNowFifoHits:
-      return "engine.now_fifo_hits";
-    case Ctr::EngineInlineAdvances:
-      return "engine.inline_advances";
-    case Ctr::FiberSwitches:
-      return "fiber.switches";
-    case Ctr::MsgsEager:
-      return "msg.eager";
-    case Ctr::MsgsRts:
-      return "msg.rts";
-    case Ctr::MsgsCts:
-      return "msg.cts";
-    case Ctr::MsgsBulkChunks:
-      return "msg.bulk_chunks";
-    case Ctr::MsgsNicBulks:
-      return "msg.nic_bulks";
-    case Ctr::BytesOnWire:
-      return "wire.bytes";
-    case Ctr::NbcRoundsPosted:
-      return "nbc.rounds_posted";
-    case Ctr::NbcOpsStarted:
-      return "nbc.ops_started";
-    case Ctr::NbcOpsCompleted:
-      return "nbc.ops_completed";
-    case Ctr::CollSchedulesBuilt:
-      return "coll.schedules_built";
-    case Ctr::ProgressPasses:
-      return "progress.passes";
-    case Ctr::ProgressCallsExplicit:
-      return "progress.explicit_calls";
-    case Ctr::AdclBatchesScored:
-      return "adcl.batches_scored";
-    case Ctr::AdclDecisions:
-      return "adcl.decisions";
-    case Ctr::AdclSamplesSeen:
-      return "adcl.samples_seen";
-    case Ctr::AdclSamplesFiltered:
-      return "adcl.samples_filtered";
-    case Ctr::AdclEliminations:
-      return "adcl.eliminations";
-    case Ctr::AdclRetunes:
-      return "adcl.retunes";
-    case Ctr::AdclGuidelinePrunes:
-      return "adcl.guideline_prunes";
-    case Ctr::FaultDrops:
-      return "fault.drops";
-    case Ctr::FaultDups:
-      return "fault.dups";
-    case Ctr::FaultDegradedMsgs:
-      return "fault.degraded_msgs";
-    case Ctr::FaultNicStalls:
-      return "fault.nic_stalls";
-    case Ctr::FaultStragglerBursts:
-      return "fault.straggler_bursts";
-    case Ctr::FaultStarvedPasses:
-      return "fault.starved_passes";
-    case Ctr::MsgsAcks:
-      return "msg.acks";
-    case Ctr::MsgsRetransmits:
-      return "msg.retransmits";
-    case Ctr::MsgsDupDeliveries:
-      return "msg.dup_deliveries";
-    case Ctr::MsgsSendFailures:
-      return "msg.send_failures";
-    case Ctr::NbcFallbacks:
-      return "nbc.fallbacks";
-    case Ctr::SimFibersCreated:
-      return "sim.fibers_created";
-    case Ctr::WorldPeakArenaBytes:
-      return "world.peak_arena_bytes";
-    case Ctr::RailPinnedMsgs:
-      return "net.rail_pinned_msgs";
-    case Ctr::RailAutoMsgs:
-      return "net.rail_auto_msgs";
-    case Ctr::TraceDroppedEvents:
-      return "trace.dropped_events";
-    case Ctr::MpiRankDeaths:
-      return "mpi.rank_deaths";
-    case Ctr::MpiShrinks:
-      return "mpi.shrinks";
-    case Ctr::NbcRebuilds:
-      return "nbc.rebuilds";
-    case Ctr::NbcOpsAborted:
-      return "nbc.ops_aborted";
-    case Ctr::kCount:
-      break;
-  }
-  return "?";
-}
-
-const char* hist_name(Hist h) noexcept {
-  switch (h) {
-    case Hist::WireBytes:
-      return "wire.bytes_per_transfer";
-    case Hist::RoundsPerOp:
-      return "nbc.rounds_per_op";
-    case Hist::ScheduleRounds:
-      return "coll.rounds_per_schedule";
-    case Hist::ProgressPerOp:
-      return "adcl.progress_calls_per_iteration";
-    case Hist::SocketBytes:
-      return "net.socket_bytes";
-    case Hist::NodeBytes:
-      return "net.node_bytes";
-    case Hist::RackBytes:
-      return "net.rack_bytes";
-    case Hist::SystemBytes:
-      return "net.system_bytes";
-    case Hist::kCount:
-      break;
-  }
-  return "?";
 }
 
 std::size_t Tracer::default_max_events() noexcept {
@@ -629,43 +514,32 @@ void Session::write_counters(std::ostream& os) const {
   std::uint64_t events = 0;
   for (const auto& t : im.traces) events += t.events.size();
   os << "trace_events " << events << "\n";
-  // Lines are sorted by metric *name*, not enum declaration order, so
-  // committed goldens survive enum reorders and insertions (see
+  // Host counters stay out; lines go in name order (see
   // docs/ARCHITECTURE.md for the format).
-  std::vector<std::size_t> ctr_order(static_cast<std::size_t>(Ctr::kCount));
-  for (std::size_t c = 0; c < ctr_order.size(); ++c) ctr_order[c] = c;
-  std::sort(ctr_order.begin(), ctr_order.end(), [](std::size_t a, std::size_t b) {
-    return std::string_view(ctr_name(static_cast<Ctr>(a))) <
-           std::string_view(ctr_name(static_cast<Ctr>(b)));
-  });
-  for (std::size_t c : ctr_order) {
+  for (const Ctr c : kCtrsByName) {
+    if (row(c).cls == CtrClass::Host) continue;
     std::uint64_t total = 0;
-    for (const auto& t : im.traces) total += t.counts[c];
-    os << "counter " << ctr_name(static_cast<Ctr>(c)) << " " << total << "\n";
+    for (const auto& t : im.traces) {
+      total += t.counts[static_cast<std::size_t>(c)];
+    }
+    os << "counter " << ctr_name(c) << " " << total << "\n";
   }
-  std::vector<std::size_t> hist_order(static_cast<std::size_t>(Hist::kCount));
-  for (std::size_t h = 0; h < hist_order.size(); ++h) hist_order[h] = h;
-  std::sort(hist_order.begin(), hist_order.end(),
-            [](std::size_t a, std::size_t b) {
-              return std::string_view(hist_name(static_cast<Hist>(a))) <
-                     std::string_view(hist_name(static_cast<Hist>(b)));
-            });
-  for (std::size_t h : hist_order) {
+  for (const Hist h : kHistsByName) {
     HistData agg;
     for (const auto& t : im.traces) {
-      const HistData& d = t.hists[h];
+      const HistData& d = t.hists[static_cast<std::size_t>(h)];
       agg.count += d.count;
       agg.sum += d.sum;
       for (std::size_t b = 0; b < d.buckets.size(); ++b) {
         agg.buckets[b] += d.buckets[b];
       }
     }
-    os << "hist " << hist_name(static_cast<Hist>(h)) << " count " << agg.count
-       << " sum " << agg.sum << "\n";
+    os << "hist " << hist_name(h) << " count " << agg.count << " sum "
+       << agg.sum << "\n";
     for (std::size_t b = 0; b < agg.buckets.size(); ++b) {
       if (agg.buckets[b] == 0) continue;
-      os << "hist " << hist_name(static_cast<Hist>(h)) << " bucket " << b
-         << " " << agg.buckets[b] << "\n";
+      os << "hist " << hist_name(h) << " bucket " << b << " "
+         << agg.buckets[b] << "\n";
     }
   }
 }

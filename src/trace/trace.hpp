@@ -11,10 +11,12 @@
 //     lifecycle, wire serialization, NBC rounds, progress passes, ADCL
 //     decisions; one trace::Kind each, see NBCTUNE_TRACE_KINDS), one
 //     logical track per simulated rank plus wire tracks per node;
-//   * a registry of monotonic counters and power-of-two histograms
-//     (bytes on wire, events popped, rounds per collective, ...);
+//   * monotonic counters and power-of-two histograms (bytes on wire,
+//     events popped, rounds per collective, ...; one schema line each,
+//     see NBCTUNE_TRACE_COUNTERS and NBCTUNE_TRACE_HISTS);
 //   * two exporters: Chrome trace-event JSON (loads in ui.perfetto.dev /
-//     chrome://tracing) and a flat counter dump for diffing in CI.
+//     chrome://tracing) and a flat dump of the simulated counters for
+//     diffing in CI.
 //
 // Overhead contract: tracing is OFF unless a Session is enabled AND a
 // Scope installs a Tracer on the current thread.  Every instrumentation
@@ -229,77 +231,158 @@ inline constexpr KindRow kKindRows[] = {
 /// The name lookup of read_chrome and of the string-named instant().
 [[nodiscard]] std::span<const Kind> kinds_named(std::string_view name) noexcept;
 
-/// Monotonic counters.  A fixed enum (not a string registry) keeps the
-/// hot-path increment at one array add after the null-tracer branch.
-enum class Ctr : std::uint8_t {
-  EngineEventsScheduled,  ///< events queued (callbacks and process
-                          ///< resumptions), inline advances included
-  EngineEventsFired,      ///< events dispatched, inline advances included
-  EngineEventsCancelled,  ///< successful Engine::cancel calls
-  EngineNowFifoHits,      ///< zero-delay events that bypassed the heap
-  EngineInlineAdvances,   ///< sleeps whose wake-up was the next event:
-                          ///< the clock advanced without a queue entry or
-                          ///< fiber switch
-  FiberSwitches,          ///< Fiber::resume calls (scheduler -> fiber)
-  MsgsEager,              ///< eager payload messages shipped
-  MsgsRts,                ///< rendezvous request-to-send messages
-  MsgsCts,                ///< rendezvous clear-to-send messages
-  MsgsBulkChunks,         ///< CPU-driven bulk chunks pushed
-  MsgsNicBulks,           ///< NIC-driven (RDMA) bulk transfers
-  BytesOnWire,            ///< payload bytes serialized onto a NIC/mem port
-  NbcRoundsPosted,        ///< schedule rounds posted
-  NbcOpsStarted,          ///< Handle::start calls
-  NbcOpsCompleted,        ///< operations that reached done
-  CollSchedulesBuilt,     ///< collective schedules constructed
-  ProgressPasses,         ///< progress-engine passes (any trigger)
-  ProgressCallsExplicit,  ///< explicit application progress() calls
-  AdclBatchesScored,      ///< per-function sample batches scored
-  AdclDecisions,          ///< selection decisions finalized
-  AdclSamplesSeen,        ///< samples entering statistical filtering
-  AdclSamplesFiltered,    ///< samples discarded by the filter
-  AdclEliminations,       ///< attribute-heuristic pruning steps
-  AdclRetunes,            ///< drift detections that re-opened tuning
-  AdclGuidelinePrunes,    ///< members convicted by guideline verdicts
-  FaultDrops,             ///< messages dropped by the injector
-  FaultDups,              ///< messages duplicated by the injector
-  FaultDegradedMsgs,      ///< messages shipped through a degradation window
-  FaultNicStalls,         ///< messages delayed by an injected NIC stall
-  FaultStragglerBursts,   ///< compute bursts dilated on a straggler rank
-  FaultStarvedPasses,     ///< progress passes taxed by starvation
-  MsgsAcks,               ///< transport-level acknowledgements shipped
-  MsgsRetransmits,        ///< retransmissions after an RTO expiry
-  MsgsDupDeliveries,      ///< duplicate deliveries discarded by dedup
-  MsgsSendFailures,       ///< sends declared failed (retries exhausted)
-  NbcFallbacks,           ///< ops restarted on the fallback algorithm
-  SimFibersCreated,       ///< fibers constructed
-  WorldPeakArenaBytes,    ///< flat per-rank World arenas at destruction
-  RailPinnedMsgs,         ///< inter-node messages on a pinned NIC rail
-  RailAutoMsgs,           ///< inter-node messages on the default rail spread
-  TraceDroppedEvents,     ///< events discarded by the buffer cap (see
-                          ///< NBCTUNE_TRACE_MAX_EVENTS)
-  MpiRankDeaths,          ///< fail-stop kills executed by the injector
-  MpiShrinks,             ///< agreement rounds that shrank the communicator
-  NbcRebuilds,            ///< NBC handles rebuilt on a survivor communicator
-  NbcOpsAborted,          ///< started ops torn down by death or recovery
-  kCount,
+/// A counter's class.  The determinism contract (docs/METHODOLOGY.md §1)
+/// pins Sim counters; Host counters stay in process (FinishedTrace::counts)
+/// and out of the counter dump.
+enum class CtrClass : std::uint8_t {
+  Sim,   ///< a fact of the simulated run
+  Host,  ///< how the host ran it (engine queue, fibers, struct sizes)
 };
-[[nodiscard]] const char* ctr_name(Ctr c) noexcept;
 
-/// Power-of-two-bucket histograms of integer values.
-enum class Hist : std::uint8_t {
-  WireBytes,         ///< bytes per on-wire transfer
-  RoundsPerOp,       ///< schedule rounds per completed collective
-  ScheduleRounds,    ///< rounds per built schedule
-  ProgressPerOp,     ///< explicit progress calls per request iteration
-  // Per-hierarchy-level message-size distributions (net::Level of the
-  // endpoint pair; see net/topology.hpp).
-  SocketBytes,       ///< bytes per same-socket message
-  NodeBytes,         ///< bytes per same-node cross-socket message
-  RackBytes,         ///< bytes per same-rack inter-node message
-  SystemBytes,       ///< bytes per cross-rack message
+/// The counter schema, one line per counter: enumerator, class, name in
+/// the counter dump, and what it counts.  A fixed enum keeps the hot-path
+/// increment at one array add after the null-tracer branch.
+#define NBCTUNE_TRACE_COUNTERS(X)                                              \
+  X(EngineEventsScheduled, Host, "engine.events_scheduled",                    \
+    "events queued, inline advances included")                                 \
+  X(EngineEventsFired, Host, "engine.events_fired",                            \
+    "events dispatched, inline advances included")                             \
+  X(EngineEventsCancelled, Host, "engine.events_cancelled",                    \
+    "successful Engine::cancel calls")                                         \
+  X(EngineNowFifoHits, Host, "engine.now_fifo_hits",                           \
+    "zero-delay events that bypassed the heap")                                \
+  X(EngineInlineAdvances, Host, "engine.inline_advances",                      \
+    "sleeps that advanced the clock in place")                                 \
+  X(FiberSwitches, Host, "fiber.switches",                                     \
+    "Fiber::resume calls (scheduler -> fiber)")                                \
+  X(MsgsEager, Sim, "msg.eager", "eager payload messages shipped")             \
+  X(MsgsRts, Sim, "msg.rts", "rendezvous request-to-send messages")            \
+  X(MsgsCts, Sim, "msg.cts", "rendezvous clear-to-send messages")              \
+  X(MsgsBulkChunks, Sim, "msg.bulk_chunks", "CPU-driven bulk chunks pushed")   \
+  X(MsgsNicBulks, Sim, "msg.nic_bulks", "NIC-driven (RDMA) bulk transfers")    \
+  X(BytesOnWire, Sim, "wire.bytes",                                            \
+    "payload bytes serialized onto a NIC/mem port")                            \
+  X(NbcRoundsPosted, Sim, "nbc.rounds_posted", "schedule rounds posted")       \
+  X(NbcOpsStarted, Sim, "nbc.ops_started", "Handle::start calls")              \
+  X(NbcOpsCompleted, Sim, "nbc.ops_completed", "operations that reached done") \
+  X(CollSchedulesBuilt, Sim, "coll.schedules_built",                           \
+    "collective schedules built")                                              \
+  X(ProgressPasses, Sim, "progress.passes",                                    \
+    "progress-engine passes (any trigger)")                                    \
+  X(ProgressCallsExplicit, Sim, "progress.explicit_calls",                     \
+    "application progress() calls")                                            \
+  X(AdclBatchesScored, Sim, "adcl.batches_scored",                             \
+    "per-function sample batches scored")                                      \
+  X(AdclDecisions, Sim, "adcl.decisions", "selection decisions finalized")     \
+  X(AdclSamplesSeen, Sim, "adcl.samples_seen", "samples entering the filter")  \
+  X(AdclSamplesFiltered, Sim, "adcl.samples_filtered",                         \
+    "samples the filter discarded")                                            \
+  X(AdclEliminations, Sim, "adcl.eliminations",                                \
+    "attribute-heuristic pruning steps")                                       \
+  X(AdclRetunes, Sim, "adcl.retunes",                                          \
+    "drift detections that re-opened tuning")                                  \
+  X(AdclGuidelinePrunes, Sim, "adcl.guideline_prunes",                         \
+    "members convicted by guideline verdicts")                                 \
+  X(FaultDrops, Sim, "fault.drops", "messages dropped by the injector")        \
+  X(FaultDups, Sim, "fault.dups", "messages duplicated by the injector")       \
+  X(FaultDegradedMsgs, Sim, "fault.degraded_msgs",                             \
+    "messages sent in a degradation window")                                   \
+  X(FaultNicStalls, Sim, "fault.nic_stalls",                                   \
+    "messages delayed by an injected NIC stall")                               \
+  X(FaultStragglerBursts, Sim, "fault.straggler_bursts",                       \
+    "compute bursts dilated on a straggler")                                   \
+  X(FaultStarvedPasses, Sim, "fault.starved_passes",                           \
+    "progress passes taxed by starvation")                                     \
+  X(MsgsAcks, Sim, "msg.acks", "transport-level acknowledgements shipped")     \
+  X(MsgsRetransmits, Sim, "msg.retransmits",                                   \
+    "retransmissions after an RTO expiry")                                     \
+  X(MsgsDupDeliveries, Sim, "msg.dup_deliveries",                              \
+    "duplicate deliveries discarded by dedup")                                 \
+  X(MsgsSendFailures, Sim, "msg.send_failures",                                \
+    "sends failed after the last retry")                                       \
+  X(NbcFallbacks, Sim, "nbc.fallbacks",                                        \
+    "ops restarted on the fallback algorithm")                                 \
+  X(SimFibersCreated, Host, "sim.fibers_created",                              \
+    "fibers constructed, one per launched rank")                               \
+  X(WorldPeakArenaBytes, Host, "world.peak_arena_bytes",                       \
+    "flat per-rank World arena bytes, from sizeof")                            \
+  X(RailPinnedMsgs, Sim, "net.rail_pinned_msgs",                               \
+    "inter-node messages on a pinned NIC rail")                                \
+  X(RailAutoMsgs, Sim, "net.rail_auto_msgs",                                   \
+    "inter-node messages on the default rails")                                \
+  X(TraceDroppedEvents, Sim, "trace.dropped_events",                           \
+    "events past the buffer cap, not kept")                                    \
+  X(MpiRankDeaths, Sim, "mpi.rank_deaths",                                     \
+    "fail-stop kills executed by the injector")                                \
+  X(MpiShrinks, Sim, "mpi.shrinks", "agreements that shrank the communicator") \
+  X(NbcRebuilds, Sim, "nbc.rebuilds",                                          \
+    "handles rebuilt on a survivor communicator")                              \
+  X(NbcOpsAborted, Sim, "nbc.ops_aborted",                                     \
+    "started ops torn down by death or recovery")
+
+/// Monotonic counters: one enumerator per line of NBCTUNE_TRACE_COUNTERS.
+enum class Ctr : std::uint8_t {
+#define NBCTUNE_TRACE_CTR_ENUM(id, cls, name, what) id,
+  NBCTUNE_TRACE_COUNTERS(NBCTUNE_TRACE_CTR_ENUM)
+#undef NBCTUNE_TRACE_CTR_ENUM
   kCount,
 };
-[[nodiscard]] const char* hist_name(Hist h) noexcept;
+
+/// A counter's schema row.
+struct CtrRow {
+  CtrClass cls;
+  std::string_view name;  ///< name in the counter dump
+};
+
+/// Every counter's row, indexed by the enumerator.
+inline constexpr CtrRow kCtrRows[] = {
+#define NBCTUNE_TRACE_CTR_ROW(id, cls, name, what) {CtrClass::cls, name},
+    NBCTUNE_TRACE_COUNTERS(NBCTUNE_TRACE_CTR_ROW)
+#undef NBCTUNE_TRACE_CTR_ROW
+};
+#undef NBCTUNE_TRACE_COUNTERS
+
+[[nodiscard]] constexpr const CtrRow& row(Ctr c) noexcept {
+  return kCtrRows[static_cast<std::size_t>(c)];
+}
+[[nodiscard]] constexpr std::string_view ctr_name(Ctr c) noexcept {
+  return row(c).name;
+}
+
+/// The histogram schema, one line per power-of-two-bucket histogram of
+/// integer values: enumerator, name in the counter dump, and what one
+/// value is.  Every histogram is simulated, so a row has no class.
+#define NBCTUNE_TRACE_HISTS(X)                                                 \
+  X(WireBytes, "wire.bytes_per_transfer", "bytes per on-wire transfer")        \
+  X(RoundsPerOp, "nbc.rounds_per_op",                                          \
+    "schedule rounds per completed collective")                                \
+  X(ScheduleRounds, "coll.rounds_per_schedule", "rounds per built schedule")   \
+  X(ProgressPerOp, "adcl.progress_calls_per_iteration",                        \
+    "progress calls per request iteration")                                    \
+  X(SocketBytes, "net.socket_bytes", "bytes per same-socket message")          \
+  X(NodeBytes, "net.node_bytes", "bytes per same-node cross-socket message")   \
+  X(RackBytes, "net.rack_bytes", "bytes per same-rack inter-node message")     \
+  X(SystemBytes, "net.system_bytes", "bytes per cross-rack message")
+
+/// Histograms: one enumerator per line of NBCTUNE_TRACE_HISTS.
+enum class Hist : std::uint8_t {
+#define NBCTUNE_TRACE_HIST_ENUM(id, name, what) id,
+  NBCTUNE_TRACE_HISTS(NBCTUNE_TRACE_HIST_ENUM)
+#undef NBCTUNE_TRACE_HIST_ENUM
+  kCount,
+};
+
+/// Every histogram's name in the counter dump, indexed by the enumerator.
+inline constexpr std::string_view kHistNames[] = {
+#define NBCTUNE_TRACE_HIST_NAME(id, name, what) name,
+    NBCTUNE_TRACE_HISTS(NBCTUNE_TRACE_HIST_NAME)
+#undef NBCTUNE_TRACE_HIST_NAME
+};
+#undef NBCTUNE_TRACE_HISTS
+
+[[nodiscard]] constexpr std::string_view hist_name(Hist h) noexcept {
+  return kHistNames[static_cast<std::size_t>(h)];
+}
 
 /// One recorded event.  Its category, name and argument keys are its
 /// kind's row, so an event is 48 bytes of plain data.
@@ -523,7 +606,9 @@ class Session {
   /// rank track plus wire tracks.  Loadable in ui.perfetto.dev.  A keyed
   /// scenario's ScenarioKey fields ride in its process_name args.
   void write_chrome(std::ostream& os) const;
-  /// Flat deterministic counter/histogram dump for CI diffing.
+  /// Flat deterministic counter/histogram dump for CI diffing: every
+  /// histogram and every CtrClass::Sim counter, summed over the adopted
+  /// traces and sorted by name.  Host counters are left out.
   void write_counters(std::ostream& os) const;
 
  private:

@@ -204,11 +204,6 @@ TEST(AnalyzeGolden, TwoRankIbcastCriticalPath) {
   // The receiver's slack is bounded by its op elapsed.
   EXPECT_LE(s.ranks[1].slack, s.ranks[1].op_time + 1e-12);
 
-  // Execution-resource counters flow from the per-scenario trace: one
-  // fiber per rank, and a non-zero World arena footprint.
-  EXPECT_EQ(s.fibers_created, 2u);
-  EXPECT_GT(s.peak_arena_bytes, 0u);
-
   // G1 evaluated and passing; the scope is unkeyed, so the comparative
   // guidelines stay n/a.
   ASSERT_EQ(r.guidelines.size(), 7u);
@@ -1617,7 +1612,7 @@ TEST(AnalyzeAttached, EditedTraceIsReanalyzedNeverServedStale) {
           {"one counter",
            [](trace::FinishedTrace& t) {
              t.counts[static_cast<std::size_t>(
-                 trace::Ctr::WorldPeakArenaBytes)] += 8;
+                 trace::Ctr::TraceDroppedEvents)] += 8;
            }},
           {"the label", [](trace::FinishedTrace& t) { t.label += " v2"; }},
       };

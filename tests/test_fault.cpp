@@ -87,11 +87,14 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_THROW(fault::FaultPlan::parse("rto=abc"), std::invalid_argument);
   EXPECT_THROW(fault::FaultPlan::parse("wat=1"), std::invalid_argument);
   // Integer keys take a whole integer in their type's range, and real
-  // keys a finite number.
+  // keys a finite decimal number: no surrounding space, hexadecimal or
+  // sign prefix, as for the integer keys (`retries= 3`).
   for (const char* spec :
        {"retries=1e10", "seed=-1", "max_attempts=2.5", "kill=3.7@0.001",
         "drop:p=nan", "dup:p=0.5,max=1e3", "stall:node=+1", "rto=inf",
-        "drift:window=3x", "straggler:rank=", "seed=18446744073709551616"}) {
+        "drift:window=3x", "straggler:rank=", "seed=18446744073709551616",
+        "retries= 3", "rto= 1e-3", "lease=\t0.002", "rto=0x1p-10",
+        "drop:p=+0.5"}) {
     EXPECT_THROW(fault::FaultPlan::parse(spec), std::invalid_argument)
         << spec;
   }

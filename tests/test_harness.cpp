@@ -165,8 +165,8 @@ TEST(FiberStack, ScenarioKnobReachesWorldFibers) {
 }
 
 TEST(FiberStack, ExplicitSizesBelowTheFloorAreRaised) {
-  // 4 KiB cannot hold the rank program; an explicit size gets the same
-  // 16 KiB floor as NBCTUNE_FIBER_STACK, so the run matches the default.
+  // 4 KiB cannot hold the rank program; an explicit size is raised to
+  // the 16 KiB floor, so the run matches the default.
   MicroScenario s;
   s.platform = net::crill();
   s.nprocs = 64;
@@ -228,8 +228,8 @@ TEST(FiberStack, ExhaustionErrorNamesTheRemedies) {
     FAIL() << "expected the stack allocation to fail";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("NBCTUNE_FIBER_STACK"), std::string::npos) << what;
     EXPECT_NE(what.find("--fiber-stack"), std::string::npos) << what;
+    EXPECT_NE(what.find("fiber_stack_bytes"), std::string::npos) << what;
   }
 }
 

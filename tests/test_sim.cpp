@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -235,26 +234,6 @@ TEST(Fiber, NeverResumedMakesNoSwitch) {
   EXPECT_FALSE(ran);
   EXPECT_EQ(tracer.counter(trace::Ctr::SimFibersCreated), 1u);
   EXPECT_EQ(tracer.counter(trace::Ctr::FiberSwitches), 0u);
-}
-
-TEST(FiberStack, EnvOverridesAndClampsDefault) {
-  ASSERT_EQ(unsetenv("NBCTUNE_FIBER_STACK"), 0);
-  EXPECT_EQ(sim::default_fiber_stack_bytes(), 256u * 1024u);
-  ASSERT_EQ(setenv("NBCTUNE_FIBER_STACK", "1048576", 1), 0);
-  EXPECT_EQ(sim::default_fiber_stack_bytes(), 1048576u);
-  ASSERT_EQ(setenv("NBCTUNE_FIBER_STACK", "4096", 1), 0);
-  EXPECT_EQ(sim::default_fiber_stack_bytes(), 16u * 1024u);  // clamped
-  // Anything but a whole unsigned decimal falls back to the default: a
-  // sign, a leading space, an overflow or trailing junk must not become a
-  // huge (or wrapped-around) request.
-  for (const char* bad :
-       {"garbage", "-5", "+1048576", " 1048576", "1048576 ", "1048576k",
-        "99999999999999999999", "18446744073709551616", "0", ""}) {
-    ASSERT_EQ(setenv("NBCTUNE_FIBER_STACK", bad, 1), 0);
-    EXPECT_EQ(sim::default_fiber_stack_bytes(), 256u * 1024u)
-        << "NBCTUNE_FIBER_STACK='" << bad << "'";
-  }
-  ASSERT_EQ(unsetenv("NBCTUNE_FIBER_STACK"), 0);
 }
 
 // ---------------------------------------------------------------- Engine

@@ -16,11 +16,14 @@
 #include <cstdio>
 #include <cstring>
 #include <random>
+#include <set>
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "analyze/analyze.hpp"
 #include "coll/ibcast.hpp"
 #include "harness/scenario_pool.hpp"
 #include "mpi/world.hpp"
@@ -616,4 +619,85 @@ TEST(TraceExport, MicrosecondFormatMatchesPrintf) {
     }
   }
   EXPECT_EQ(mismatches, 0u);
+}
+
+// -------------------------------------------------- determinism envelope
+
+namespace {
+
+/// The counter dump of a session holding `t` alone.
+std::string counter_dump(const trace::FinishedTrace& t) {
+  trace::Session& session = trace::Session::instance();
+  (void)session.drain();
+  session.adopt(t);
+  std::ostringstream os;
+  session.write_counters(os);
+  (void)session.drain();
+  return os.str();
+}
+
+std::string report_json(const trace::FinishedTrace& t) {
+  std::ostringstream os;
+  analyze::write_json(os, analyze::analyze(std::span(&t, 1)));
+  return os.str();
+}
+
+}  // namespace
+
+TEST(TraceEnvelope, HostCountsMoveNoOutput) {
+  // The host rows by name, so that a new counter states its class here
+  // as well as in the schema.
+  const std::set<std::string_view> host = {
+      "engine.events_scheduled", "engine.events_fired",
+      "engine.events_cancelled", "engine.now_fifo_hits",
+      "engine.inline_advances",  "fiber.switches",
+      "sim.fibers_created",      "world.peak_arena_bytes"};
+  constexpr auto kCtrs = static_cast<std::size_t>(trace::Ctr::kCount);
+  std::set<std::string_view> names;
+  std::multiset<std::string> sim;
+  for (std::size_t c = 0; c < kCtrs; ++c) {
+    const trace::CtrRow& r = trace::row(static_cast<trace::Ctr>(c));
+    EXPECT_TRUE(names.insert(r.name).second) << "duplicate " << r.name;
+    EXPECT_EQ(r.cls == trace::CtrClass::Host, host.contains(r.name))
+        << r.name;
+    if (r.cls == trace::CtrClass::Sim) sim.emplace(r.name);
+  }
+  for (std::size_t h = 0; h < static_cast<std::size_t>(trace::Hist::kCount);
+       ++h) {
+    const std::string_view name =
+        trace::hist_name(static_cast<trace::Hist>(h));
+    EXPECT_TRUE(names.insert(name).second) << "duplicate " << name;
+  }
+  EXPECT_EQ(sim.size() + host.size(), kCtrs);
+
+  trace::Session::enable();
+  (void)trace::Session::instance().drain();
+  {
+    trace::Scope scope("envelope");
+    run_small_ibcast(4096);
+  }
+  std::vector<trace::FinishedTrace> traces =
+      trace::Session::instance().drain();
+  ASSERT_EQ(traces.size(), 1u);
+  const trace::FinishedTrace& base = traces[0];
+  trace::FinishedTrace bumped = base;
+  for (std::size_t c = 0; c < kCtrs; ++c) {
+    if (trace::row(static_cast<trace::Ctr>(c)).cls == trace::CtrClass::Host) {
+      bumped.counts[c] += 1;
+    }
+  }
+  const std::string dump = counter_dump(base);
+  EXPECT_EQ(dump, counter_dump(bumped));
+  EXPECT_EQ(report_json(base), report_json(bumped));
+
+  // One counter line for every simulated row, none for a host row.
+  std::multiset<std::string> dumped;
+  std::istringstream lines(dump);
+  for (std::string line; std::getline(lines, line);) {
+    std::istringstream fields(line);
+    std::string kind, name;
+    fields >> kind >> name;
+    if (kind == "counter") dumped.insert(name);
+  }
+  EXPECT_EQ(dumped, sim);
 }
